@@ -35,7 +35,7 @@ from repro.experiments.runner import (
 
 EXPERIMENTS = (
     "table1", "fig8", "fig9", "fig10", "fig11", "fig12",
-    "breakdown", "sensitivity", "hotpath",
+    "breakdown", "sensitivity",
 )
 
 
@@ -91,34 +91,6 @@ def _run_one(name: str, config: ExperimentConfig, quick: bool, chart: bool = Fal
         lines += [f"{kind:<16}{value:>12.3f}" for kind, value in kinds.items()]
         lines.append(f"{'TOTAL':<16}{sum(kinds.values()):>12.3f}")
         return "\n".join(lines)
-    if name == "hotpath":
-        import json as _json
-
-        from repro.experiments.hotpath_bench import (
-            DEFAULT_SIZES,
-            METRICS_SIZES,
-            default_baseline_path,
-            format_report,
-            load_baseline,
-            run_benchmark,
-            run_metrics_benchmark,
-        )
-
-        baseline_path = default_baseline_path()
-        report = run_benchmark(
-            (200,) if quick else DEFAULT_SIZES,
-            seed=config.seed,
-            baseline=load_baseline(baseline_path),
-            baseline_path=str(baseline_path),
-        )
-        report["metrics"] = run_metrics_benchmark(
-            (200,) if quick else METRICS_SIZES, seed=config.seed
-        )
-        out = "BENCH_hotpath.json"
-        with open(out, "w") as fh:
-            _json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return format_report(report) + f"\nreport written: {out}"
     if name == "sensitivity":
         results = deployment_sensitivity(
             n=30 if quick else 80, config=config

@@ -8,8 +8,8 @@ circumcircle is needed by the k-localized filter and then again by the
 planarization's crossing contest.  A :class:`ConstructionCache` scoped
 to one :class:`~repro.graphs.udg.UnitDiskGraph` memoizes both so each
 neighborhood and circumcircle is computed exactly once per
-construction, and counts hits/misses so the serving layer and the
-hotpath benchmark can report cache effectiveness.
+construction, and counts hits/misses so the serving layer can report
+cache effectiveness.
 
 Every entry point in :mod:`repro.topology.ldel` and
 :mod:`repro.topology.gabriel` accepts an optional ``cache``; passing

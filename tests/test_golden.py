@@ -5,16 +5,32 @@ structural quantity asserted exactly.  Any behavioural change — a new
 tie-break, a different election order, a geometry tweak — shows up
 here first, with a precise diff.  Update the constants deliberately
 when a change is intended, never to make the suite pass.
+
+The per-stage edge counts of the larger deployment recipe the
+benchmarks and scaling docs use are pinned the same way.
 """
 
+import math
 import random
 
 import pytest
 
 from repro.core.spanner import build_backbone
+from repro.graphs.udg import UnitDiskGraph
+from repro.topology.gabriel import gabriel_graph
+from repro.topology.ldel import local_delaunay_graph, planarize_ldel1
 from repro.workloads.generators import connected_udg_instance
 
 SEED = 20020701  # ICDCS 2002, July
+
+#: Edge counts (udg, gabriel, ldel1, pldel, backbone LDel(ICDS)) on the
+#: deployment recipe: uniform points in a 10·sqrt(n) square, radius 25,
+#: ``random.Random(2002)``.
+RECIPE_EDGES = {
+    200: (1612, 359, 557, 557, 303),
+    500: (4361, 959, 1425, 1425, 806),
+    1000: (9179, 1901, 2866, 2866, 1568),
+}
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +75,19 @@ class TestGoldenStructure:
         assert kinds["Reject"] == 1
         assert kinds["Structure"] == 28
         assert kinds["Kept"] == 28
+
+
+@pytest.mark.parametrize("n", sorted(RECIPE_EDGES))
+def test_recipe_edge_counts(n):
+    dep = connected_udg_instance(n, 10.0 * math.sqrt(n), 25.0, random.Random(2002))
+    udg = UnitDiskGraph(list(dep.points), dep.radius)
+    ldel1 = local_delaunay_graph(udg, k=1)
+    pldel = planarize_ldel1(udg, ldel1)
+    backbone = build_backbone(dep.points, dep.radius)
+    assert (
+        udg.edge_count,
+        gabriel_graph(udg).edge_count,
+        ldel1.graph.edge_count,
+        pldel.graph.edge_count,
+        backbone.ldel_icds.edge_count,
+    ) == RECIPE_EDGES[n]

@@ -126,6 +126,58 @@ class TestFallbackExactness:
         assert got == ref  # frozen dataclass: field-for-field equality
 
 
+@pytest.fixture(scope="module")
+def table1_family():
+    """The Table I topology family on a n=120 deployment-recipe instance,
+    with its pure-Python reference stretch for every row and kind."""
+    from repro.experiments.runner import STRETCH_TOPOLOGIES, build_all_topologies
+    from repro.workloads.generators import connected_udg_instance
+
+    n = 120
+    dep = connected_udg_instance(n, 10.0 * math.sqrt(n), 25.0, random.Random(2002))
+    udg = UnitDiskGraph(list(dep.points), dep.radius)
+    graphs, _ = build_all_topologies(udg)
+    reference = {
+        (name, kind): stretch_reference(
+            graphs[name], udg, _weight_fn(graphs[name], kind),
+            skip_udg_adjacent=skip, use_scipy=False,
+        )
+        for name, skip in STRETCH_TOPOLOGIES.items()
+        for kind in WEIGHT_KINDS
+    }
+    return udg, graphs, reference
+
+
+def _summarize(udg, graphs, oracle) -> dict:
+    from repro.core.metrics import summarize_family
+    from repro.experiments.runner import STRETCH_TOPOLOGIES
+
+    summary = summarize_family(
+        udg, graphs, stretch_policy=STRETCH_TOPOLOGIES,
+        power_alpha=ALPHA, oracle=oracle,
+    )
+    return {
+        (name, kind): getattr(summary[name], kind)
+        for name in STRETCH_TOPOLOGIES
+        for kind in WEIGHT_KINDS
+    }
+
+
+class TestWholeFamily:
+    """Every stretch row of Table I × every kind, through ``summarize_family``."""
+
+    def test_fallback_bit_identical(self, table1_family):
+        udg, graphs, reference = table1_family
+        oracle = DistanceOracle(udg, max_entries=64, use_numpy=False, use_scipy=False)
+        assert _summarize(udg, graphs, oracle) == reference
+
+    def test_vectorized_parity(self, table1_family):
+        udg, graphs, reference = table1_family
+        got = _summarize(udg, graphs, DistanceOracle(udg, max_entries=64))
+        for key, ref in reference.items():
+            _assert_parity(got[key], ref)
+
+
 class TestCaching:
     def test_counters_and_baseline_sharing(self):
         udg = _deployments()["random"]

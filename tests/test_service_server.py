@@ -164,6 +164,44 @@ class TestBatchAndMetrics:
         assert after["latency"]["oracle.stage.apsp"]["count"] >= 1
         assert after["latency"]["oracle.stage.kernel"]["count"] >= 1
 
+    def test_cold_then_warm_batch_accounting(self):
+        # K distinct scenarios across pipelines and generators: the cold
+        # batch misses once per scenario, the warm one hits once per
+        # request, and the service counters agree with the cache's own.
+        k = 8
+        requests = [
+            {
+                "pipeline": ("backbone", "gg", "rng", "ldel")[i % 4],
+                "scenario": {
+                    "nodes": 20, "side": 150.0, "radius": 60.0, "seed": i,
+                    "generator": ("uniform", "clustered")[i // 4],
+                },
+            }
+            for i in range(k)
+        ]
+        service = SpannerService(executor_mode="serial", cache_size=2 * k)
+        cold = service.batch({"requests": requests, "executor": {"mode": "serial"}})
+        warm = service.batch({"requests": requests, "executor": {"mode": "serial"}})
+        assert cold["succeeded"] == warm["succeeded"] == k
+        assert cold["cache_hits"] == 0
+        assert warm["cache_hits"] == k
+
+        metrics = service.metrics_snapshot()
+        counters, cache = metrics["counters"], metrics["cache"]
+        assert counters["build.cache_misses"] == cache["misses"] == k
+        assert counters["build.cache_hits"] == cache["hits"] == k
+        assert cache["hit_rate"] == pytest.approx(0.5)
+
+    def test_process_batch_succeeds(self):
+        # Sandboxes without working process pools fall back to threads.
+        requests = [
+            {"pipeline": pipeline, "scenario": {**SCENARIO, "seed": 40 + i}}
+            for i, pipeline in enumerate(("backbone", "gg", "rng", "ldel"))
+        ]
+        body = SpannerService(executor_mode="process").batch({"requests": requests})
+        assert body["succeeded"] == body["tasks"] == len(requests)
+        assert body["executor"]["mode"] in ("process", "thread")
+
     def test_direct_service_error_shape(self):
         service = SpannerService(executor_mode="serial")
         with pytest.raises(ServiceError) as excinfo:

@@ -155,8 +155,8 @@ class TestShardedEqualsSerial:
         )
         assert result.dominators == serial.dominators
         assert result.connectors == serial.connectors
-        assert result.ldel_icds.edge_set() == serial.ldel_icds.edge_set()
-        assert result.ldel_icds_prime.edge_set() == serial.ldel_icds_prime.edge_set()
+        for attr in ("cds", "icds", "ldel_icds", "ldel_icds_prime"):
+            assert getattr(result, attr).edge_set() == getattr(serial, attr).edge_set(), attr
 
 
 class TestThreadFanout:

@@ -24,7 +24,8 @@ from repro.graphs.udg import UnitDiskGraph
 from repro.incremental import IncrementalMaintainer
 from repro.incremental.events import Event
 from repro.sharding.build import sharded_pldel
-from repro.topology.ldel import planar_local_delaunay_graph
+from repro.topology.gabriel import gabriel_graph
+from repro.topology.ldel import local_delaunay_graph, planar_local_delaunay_graph
 from repro.workloads.generators import connected_udg_instance
 
 pytestmark = pytest.mark.skipif(
@@ -97,6 +98,16 @@ class TestSerialPipeline:
         with compat.numpy_disabled():
             ref = UnitDiskGraph(points, RADIUS)
         assert soa.edge_set() == ref.edge_set()
+
+    def test_gabriel_and_ldel1_identical(self, points):
+        udg = UnitDiskGraph(points, RADIUS)
+        soa_gg, soa_ldel1 = gabriel_graph(udg), local_delaunay_graph(udg, k=1)
+        with compat.numpy_disabled():
+            ref_udg = UnitDiskGraph(points, RADIUS)
+            ref_gg = gabriel_graph(ref_udg)
+            ref_ldel1 = local_delaunay_graph(ref_udg, k=1)
+        assert soa_gg.edge_set() == ref_gg.edge_set()
+        _assert_same_result(soa_ldel1, ref_ldel1)
 
     def test_pldel_identical(self, points):
         soa = planar_local_delaunay_graph(UnitDiskGraph(points, RADIUS))
