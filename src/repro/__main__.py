@@ -7,8 +7,9 @@ Commands:
   and JSON graph dumps.
 * ``measure`` — Table-I-style quality metrics for one instance.
 * ``route`` — route a packet between two nodes over the backbone.
-* ``serve`` — run the long-lived spanner construction service (the
-  cached, parallel HTTP serving layer in :mod:`repro.service`).
+* ``serve`` — run the long-lived spanner construction service: the
+  asyncio HTTP front end over a shared-nothing worker pool
+  (:mod:`repro.service.aserver`).
 * ``mobility`` — drive a seeded random-waypoint trace through a
   maintenance policy: the paper's break-triggered full rebuild, the
   localized-repair extension, or the incremental maintenance engine
@@ -180,20 +181,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         task_timeout=args.task_timeout,
         data_dir=str(args.data_dir) if args.data_dir else None,
     )
-    if getattr(args, "use_async", False):
-        from repro.service.aserver import serve_async
+    from repro.service.aserver import serve_async
 
-        return serve_async(
-            args.host,
-            args.port,
-            pool_size=args.pool_workers,
-            pool_mode=args.pool_mode,
-            queue_depth=args.queue_depth,
-            **service_kwargs,
-        )
-    from repro.service.server import serve
-
-    return serve(args.host, args.port, **service_kwargs)
+    return serve_async(
+        args.host,
+        args.port,
+        pool_size=args.pool_workers,
+        pool_mode=args.pool_mode,
+        queue_depth=args.queue_depth,
+        **service_kwargs,
+    )
 
 
 def cmd_mobility(args: argparse.Namespace) -> int:
@@ -414,22 +411,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--data-dir", type=Path, default=None,
         help="persistent state root (deployment store + shared disk cache)",
     )
-    p_serve.add_argument(
-        "--async", dest="use_async", action="store_true",
-        help="serve through the asyncio front end + shared-nothing "
-        "worker pool instead of the blocking server",
-    )
+    # No-op: the async tier is the only transport, but benchmarks/suite still passes it.
+    p_serve.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
     p_serve.add_argument(
         "--pool-workers", type=int, default=4,
-        help="async tier: shared-nothing service workers",
+        help="shared-nothing service workers",
     )
     p_serve.add_argument(
         "--pool-mode", choices=("process", "thread"), default="process",
-        help="async tier: worker isolation (process falls back to thread)",
+        help="worker isolation (process falls back to thread)",
     )
     p_serve.add_argument(
         "--queue-depth", type=int, default=32,
-        help="async tier: per-worker in-flight window before 429",
+        help="per-worker in-flight window before 429",
     )
     p_serve.set_defaults(func=cmd_serve)
 

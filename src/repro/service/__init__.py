@@ -11,12 +11,18 @@ amortizes them across request traffic:
   thread pool with per-task timeouts and error capture;
 * :mod:`~repro.service.metrics` — counters and latency histograms
   (p50/p95/p99) for build, cache, and route operations;
-* :mod:`~repro.service.server` — the stdlib HTTP JSON API behind
+* :mod:`~repro.service.server` — :class:`SpannerService`, the
+  transport-free application object with one method per endpoint;
+* :mod:`~repro.service.dispatch` — the route table mapping
+  ``(method, path, body)`` onto the service;
+* :mod:`~repro.service.aserver` — the asyncio HTTP front end over a
+  shared-nothing worker pool (:mod:`~repro.service.pool`), behind
   ``python -m repro serve``;
 * :mod:`~repro.service.client` — a small urllib client for tests and
   scripts.
 """
 
+from repro.service.aserver import serve_async
 from repro.service.cache import ResultCache, scenario_key
 from repro.service.executor import BatchOutcome, TaskOutcome, run_batch
 from repro.service.metrics import MetricsRegistry
@@ -27,7 +33,7 @@ from repro.service.registry import (
     get_pipeline,
     resolve_scenario,
 )
-from repro.service.server import SpannerService, serve
+from repro.service.server import SpannerService
 
 __all__ = [
     "ResultCache",
@@ -42,5 +48,5 @@ __all__ = [
     "get_pipeline",
     "resolve_scenario",
     "SpannerService",
-    "serve",
+    "serve_async",
 ]

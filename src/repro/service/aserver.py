@@ -1,7 +1,10 @@
-"""The asyncio serving tier: front end + hash router + worker pool.
+"""The service's HTTP transport: front end + hash router + worker pool.
 
 One event loop accepts connections and speaks hand-rolled HTTP/1.1
-(stdlib only, keep-alive); every request is placed onto the
+(stdlib only, keep-alive; HTTP/1.0 clients keep the connection only on
+an explicit ``Connection: keep-alive``).  Request and header lines are
+capped at :data:`MAX_LINE` bytes and :data:`MAX_HEADERS` headers, as
+the stdlib ``http.server`` does.  Every request is placed onto the
 shared-nothing :class:`~repro.service.pool.WorkerPool` through the
 consistent-hash ring of :mod:`repro.service.router`, so all traffic
 for one deployment lands on one worker's warm caches.  The front end
@@ -27,7 +30,7 @@ Streaming responses (``/build_stream``, ``/session/{id}/stream``)
 forward SSE frames from the worker pipe to the socket as they land,
 with ``Connection: close`` delimiting the stream.
 
-Run it with ``python -m repro serve --async``.
+Run it with ``python -m repro serve``.
 """
 
 from __future__ import annotations
@@ -63,6 +66,12 @@ MAX_PLACEMENT_PARSE = 256 * 1024
 
 #: Entries kept in the front-end response cache.
 FRONT_CACHE_ENTRIES = 4096
+
+#: Longest request or header line accepted (answered 414 / 431 above).
+MAX_LINE = 64 * 1024
+
+#: Most header lines one request may carry (answered 431 above).
+MAX_HEADERS = 100
 
 
 class _FrontCache:
@@ -286,9 +295,13 @@ class AsyncSpannerServer:
             request = await self._read_request(reader, writer)
             if request is None:
                 return
-            method, path, headers, raw_body = request
+            method, path, version, headers, raw_body = request
             self._count("front.requests")
-            keep_alive = headers.get("connection", "").lower() != "close"
+            connection = headers.get("connection", "").lower()
+            if version == "HTTP/1.0":
+                keep_alive = connection == "keep-alive"
+            else:
+                keep_alive = connection != "close"
             if not await self._respond(
                 writer, method, path, raw_body, keep_alive
             ):
@@ -296,52 +309,68 @@ class AsyncSpannerServer:
             if not keep_alive:
                 return
 
+    async def _refuse(
+        self, writer: asyncio.StreamWriter, status: int, message: str
+    ) -> None:
+        """Answer an unparseable request; the connection then closes."""
+        await self._write_json(
+            writer, status, error_response(status, message).encode(), False
+        )
+
     async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> Optional[tuple[str, str, dict, Optional[bytes]]]:
+    ) -> Optional[tuple[str, str, str, dict, Optional[bytes]]]:
+        """Parse one request head and body; ``None`` ends the connection.
+
+        Requests outside the parser's limits are answered (414, 431,
+        400, 501, 413) and the connection closed, since the unread rest
+        of the request would desync a keep-alive stream.
+        """
         try:
             line = await reader.readline()
-        except (ValueError, ConnectionResetError):
+        except ValueError:  # longer than the reader's MAX_LINE limit
+            await self._refuse(writer, 414, "request line too long")
             return None
         if not line or line in (b"\r\n", b"\n"):
             return None
         try:
-            method, path, _version = line.decode("latin-1").split(maxsplit=2)
+            method, path, version = line.decode("latin-1").split(maxsplit=2)
         except ValueError:
-            await self._write_json(
-                writer, 400, b'{"error": "malformed request line"}', False
-            )
+            await self._refuse(writer, 400, "malformed request line")
             return None
         headers: dict[str, str] = {}
-        while True:
-            header = await reader.readline()
+        for _ in range(MAX_HEADERS + 1):
+            try:
+                header = await reader.readline()
+            except ValueError:
+                await self._refuse(writer, 431, "header line too long")
+                return None
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            await self._refuse(writer, 431, f"more than {MAX_HEADERS} headers")
+            return None
         if "transfer-encoding" in headers:
             # The hand-rolled parser does not implement chunked
             # framing; accepting the request would leave the body
             # unread in the buffer and desync the keep-alive stream.
-            response = error_response(501, "transfer-encoding not supported")
-            await self._write_json(writer, 501, response.encode(), False)
+            await self._refuse(writer, 501, "transfer-encoding not supported")
             return None
         try:
             length = int(headers.get("content-length") or 0)
             if length < 0:
                 raise ValueError(length)
         except ValueError:
-            response = error_response(400, "malformed Content-Length")
-            await self._write_json(writer, 400, response.encode(), False)
+            await self._refuse(writer, 400, "malformed Content-Length")
             return None
         if length > MAX_BODY:
-            # Refuse without reading the body; the connection cannot be
-            # reused (unread bytes), so close it.
-            response = error_response(413, "request body too large")
-            await self._write_json(writer, 413, response.encode(), False)
+            # Refuse without reading the body.
+            await self._refuse(writer, 413, "request body too large")
             return None
         raw_body = await reader.readexactly(length) if length > 0 else None
-        return method, path, headers, raw_body
+        return method, path, version.strip(), headers, raw_body
 
     async def _respond(
         self,
@@ -468,7 +497,7 @@ class AsyncSpannerServer:
     async def start(self, host: str = "127.0.0.1", port: int = 8972) -> None:
         self.pool.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port
+            self._handle_connection, host, port, limit=MAX_LINE
         )
 
     @property
@@ -500,7 +529,7 @@ def serve_async(
     queue_depth: int = 32,
     **service_kwargs: Any,
 ) -> int:
-    """Blocking entry point behind ``python -m repro serve --async``."""
+    """Blocking entry point behind ``python -m repro serve``."""
     server = AsyncSpannerServer(
         pool_size=pool_size,
         pool_mode=pool_mode,
@@ -513,7 +542,7 @@ def serve_async(
 
         await server.start(host, port)
         print(
-            f"spanner service (async) on http://{host}:{server.port} "
+            f"spanner service on http://{host}:{server.port} "
             f"(pool={server.pool.size}x{server.pool.mode}, "
             f"depth={server.pool.queue_depth})"
         )
@@ -537,7 +566,11 @@ def serve_async(
 
 
 class AsyncBackgroundServer:
-    """Context manager running the async tier on a thread (tests)."""
+    """Context manager running the server on a thread (tests, smoke).
+
+    Keyword arguments go to :class:`AsyncSpannerServer`; in-process
+    callers pass ``pool_mode="thread"``.
+    """
 
     def __init__(self, **kwargs: Any) -> None:
         self._kwargs = kwargs

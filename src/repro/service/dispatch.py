@@ -1,36 +1,34 @@
 """Transport-agnostic request dispatch for the spanner service.
 
 Endpoint *semantics* — the route tables, body-parsing rules, error
-mapping, and JSON encoding — are defined exactly once here and shared
-by every transport: the blocking ``ThreadingHTTPServer`` shim
-(:mod:`repro.service.server`), the worker processes of the async tier
-(:mod:`repro.service.pool`), and any in-process test harness.  That
-single definition is what makes the non-streaming responses of the
-blocking and async servers byte-identical: both call
-:func:`dispatch` and write :meth:`JsonResponse.encode` verbatim.
+mapping, and JSON encoding — are defined exactly once here, free of
+any transport.  The worker loop of :mod:`repro.service.pool` calls
+:func:`dispatch` on its private :class:`SpannerService` and ships
+:meth:`JsonResponse.encode` to the asyncio front end
+(:mod:`repro.service.aserver`), which writes those bytes verbatim;
+in-process tests call it directly and see the same bytes.
 
-A transport hands in ``(service, method, path, raw_body)`` and gets
+A caller hands in ``(service, method, path, raw_body)`` and gets
 back either a :class:`JsonResponse` (status + JSON payload, already
 encodable to the exact bytes on the wire) or an :class:`EventStream`
 (an iterator of pre-framed SSE event bytes to be written as they are
 produced).  :func:`dispatch` never raises: service-level failures map
 to their declared status codes, anything else becomes a 500 and bumps
-the ``server.errors`` counter — the same contract the blocking
-handler's ``_dispatch`` used to implement privately.
+the ``server.errors`` counter.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional
 
-if TYPE_CHECKING:  # circular at runtime: server imports this module
-    from repro.service.server import SpannerService
+from repro.service import streaming
+from repro.service.server import ServiceError, SpannerService
 
 #: Request bodies above this are rejected with 413 (64 MiB: a
-#: 500k-point explicit scenario still fits).  Shared by every
-#: transport so the limit is one number.
+#: 500k-point explicit scenario still fits).  The front end refuses
+#: larger bodies before reading them, with this same number.
 MAX_BODY = 64 * 1024 * 1024
 
 
@@ -51,7 +49,7 @@ class JsonResponse:
     cacheable: bool = False
 
     def encode(self) -> bytes:
-        """The exact bytes every transport writes for this response."""
+        """The exact bytes the transport writes for this response."""
         return json.dumps(self.payload).encode()
 
 
@@ -85,8 +83,6 @@ def normalize_path(path: str) -> str:
 
 def _parse_body(raw: Optional[bytes], *, optional: bool = False) -> Any:
     """Decode a JSON request body under the endpoint's body rules."""
-    from repro.service.server import ServiceError
-
     if raw is None or len(raw) == 0:
         if optional:
             return {}
@@ -146,8 +142,6 @@ def _route_post(
     service: "SpannerService", parts: list[str], raw: Optional[bytes]
 ) -> Optional[Callable[[], "JsonResponse | EventStream"]]:
     """The POST route table (body parsing deferred into the thunk)."""
-    from repro.service import streaming
-
     if len(parts) == 1:
         name = parts[0]
         if name == "build":
@@ -234,11 +228,9 @@ def dispatch(
 
     ``raw_body`` is the unparsed request body (``None`` when the
     request carried none); each endpoint applies its own body rules,
-    so transports stay byte-oriented and every 400/413 is produced
-    here, identically, for every server.
+    so the transport stays byte-oriented and every 400/413 is
+    produced here.
     """
-    from repro.service.server import ServiceError
-
     bare = normalize_path(path)
     parts = [p for p in bare.strip("/").split("/") if p]
     if method == "GET":

@@ -380,7 +380,8 @@ class WorkerPool:
 def aggregate_metrics(snapshots: list[dict]) -> dict:
     """Merge per-worker ``/metrics`` snapshots into one pool view.
 
-    Counters sum; latency series merge by summing counts/totals and
+    Counters sum; the cache ``hit_rate`` is recomputed from the summed
+    hits and misses; latency series merge by summing counts/totals and
     taking min/max of the extremes.  Percentiles cannot be merged
     exactly from summaries, so the pool view reports the worst
     (max) per-worker percentile — conservative for alerting.
@@ -414,5 +415,9 @@ def aggregate_metrics(snapshots: list[dict]) -> dict:
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 cache_totals[name] = cache_totals.get(name, 0) + value
     if cache_totals:
+        # A ratio does not sum: recompute it from the merged counts.
+        hits = cache_totals.get("hits", 0)
+        lookups = hits + cache_totals.get("misses", 0)
+        cache_totals["hit_rate"] = hits / lookups if lookups else 0.0
         merged["cache"] = cache_totals
     return merged

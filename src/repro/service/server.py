@@ -1,11 +1,12 @@
-"""The spanner construction service and its HTTP JSON API.
+"""The spanner construction service: the transport-free application object.
 
-:class:`SpannerService` is the transport-free application object: it
-owns the result cache, the metrics registry, and the batch executor
-configuration, and exposes one method per endpoint.  The HTTP layer
-(:class:`ServiceHandler` on a ``ThreadingHTTPServer``) is a thin JSON
-shim over it — tests and benchmarks drive the service object directly
-and only the integration test pays for sockets.
+:class:`SpannerService` owns the result cache, the metrics registry,
+and the batch executor configuration, and exposes one method per
+endpoint.  It knows nothing of HTTP: :mod:`repro.service.dispatch`
+maps ``(method, path, body)`` onto these methods, and the asyncio
+front end of :mod:`repro.service.aserver` carries the requests to
+worker-owned instances.  Tests drive the service object directly and
+only the integration tests pay for sockets.
 
 Endpoints:
 
@@ -34,8 +35,7 @@ Endpoints:
   and the ``incremental.*`` maintenance totals;
 * ``GET /healthz`` — liveness.
 
-Run it with ``python -m repro serve`` (``--async`` selects the
-asyncio tier of :mod:`repro.service.aserver` over the same API).
+Run it with ``python -m repro serve``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from __future__ import annotations
 import os
 import random
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping, Optional
 
 from repro.core.route_engine import (
@@ -57,13 +56,6 @@ from repro.incremental.events import parse_events
 from repro.incremental.session import IncrementalSession
 from repro.routing.backbone_routing import backbone_route
 from repro.service.cache import ResultCache, scenario_key
-from repro.service.dispatch import (
-    MAX_BODY,
-    EventStream,
-    JsonResponse,
-    dispatch,
-    error_response,
-)
 from repro.service.executor import MODES, global_tracker, run_batch
 from repro.service.metrics import MetricsRegistry
 from repro.service.registry import (
@@ -1022,137 +1014,3 @@ def _batch_worker(task: tuple[str, dict, dict]) -> BuildProduct:
     """Process-pool entry point: rebuild by value (name, scenario, params)."""
     name, scenario, params = task
     return build_scenario(name, scenario, params)
-
-
-# -- HTTP layer ---------------------------------------------------------------
-
-
-class ServiceHandler(BaseHTTPRequestHandler):
-    """HTTP shim over :func:`repro.service.dispatch.dispatch`.
-
-    Endpoint semantics live entirely in the dispatch module (shared
-    with the async tier); this class only moves bytes: read the body,
-    dispatch, write either the JSON response verbatim or the SSE
-    frames as they are produced.
-    """
-
-    service: SpannerService  # set by make_server()
-    protocol_version = "HTTP/1.1"
-    #: Request bodies above this are rejected before being read.
-    max_body = MAX_BODY
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass  # request logging goes through metrics, not stderr
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        self._handle("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._handle("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._handle("DELETE")
-
-    def _handle(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > self.max_body:
-            # Refuse without reading; same bytes dispatch would emit.
-            self._respond(error_response(413, "request body too large"))
-            return
-        raw = self.rfile.read(length) if length > 0 else None
-        result = dispatch(self.service, method, self.path, raw)
-        if isinstance(result, EventStream):
-            self._respond_stream(result)
-        else:
-            self._respond(result)
-
-    def _respond(self, response: JsonResponse) -> None:
-        body = response.encode()
-        self.send_response(response.status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in response.headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _respond_stream(self, stream: EventStream) -> None:
-        """Write SSE frames as they land; the connection closes after.
-
-        No ``Content-Length`` and no chunked framing — ``Connection:
-        close`` delimits the stream, which keeps the frame bytes
-        identical across transports.
-        """
-        self.send_response(stream.status)
-        self.send_header("Content-Type", stream.content_type)
-        self.send_header("Cache-Control", "no-store")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        try:
-            for frame in stream.events:
-                self.wfile.write(frame)
-                self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError):
-            self.service.metrics.inc("streaming.client_disconnects")
-
-
-def make_server(
-    host: str = "127.0.0.1",
-    port: int = 8972,
-    service: Optional[SpannerService] = None,
-    **service_kwargs: Any,
-) -> tuple[ThreadingHTTPServer, SpannerService]:
-    """A bound (not yet serving) HTTP server over a service instance."""
-    svc = service or SpannerService(**service_kwargs)
-    handler = type("BoundServiceHandler", (ServiceHandler,), {"service": svc})
-    httpd = ThreadingHTTPServer((host, port), handler)
-    return httpd, svc
-
-
-def serve(
-    host: str = "127.0.0.1",
-    port: int = 8972,
-    service: Optional[SpannerService] = None,
-    **service_kwargs: Any,
-) -> int:
-    """Blocking entry point behind ``python -m repro serve``."""
-    httpd, svc = make_server(host, port, service, **service_kwargs)
-    actual_port = httpd.server_address[1]
-    print(f"spanner service on http://{host}:{actual_port} "
-          f"(executor={svc.executor_mode}, cache={svc.cache.max_entries})")
-    try:
-        httpd.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        # Stop accepting, then drain: close() joins tracked executor
-        # pools and persists the deployment store manifest, so a ^C
-        # no longer leaves worker threads running or state unsaved.
-        httpd.server_close()
-        svc.close()
-    return 0
-
-
-class BackgroundServer:
-    """Context manager running the server on a daemon thread (tests)."""
-
-    def __init__(self, service: Optional[SpannerService] = None, **kwargs: Any) -> None:
-        self.httpd, self.service = make_server(port=0, service=service, **kwargs)
-        self._thread = threading.Thread(
-            target=self.httpd.serve_forever, daemon=True
-        )
-
-    @property
-    def url(self) -> str:
-        host, port = self.httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def __enter__(self) -> "BackgroundServer":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        self._thread.join(timeout=5)
-        self.service.close()

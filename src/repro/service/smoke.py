@@ -1,9 +1,10 @@
-"""Blocking service smoke check: ``python -m repro.service.smoke``.
+"""Service smoke check: ``python -m repro.service.smoke``.
 
-Boots the HTTP service in-process (:class:`BackgroundServer`), drives
-it through :class:`~repro.service.client.ServiceClient` — the same
-code path real consumers use, unlike a curl retry loop — and asserts
-the serving contract end to end:
+Boots the HTTP service in-process (:class:`AsyncBackgroundServer`, two
+thread-mode workers, so ``GET /metrics`` takes the merged multi-worker
+path), drives it through :class:`~repro.service.client.ServiceClient`
+— the same code path real consumers use, unlike a curl retry loop —
+and asserts the serving contract end to end:
 
 * ``GET /healthz`` reports ``ok`` and ``GET /pipelines`` lists both
   the serial and the ``sharded:*`` families;
@@ -18,9 +19,9 @@ Exit status 0 on success, 1 with a one-line diagnosis on the first
 failed check — CI runs this as a blocking job.
 
 ``--url http://host:port`` runs the same checks against an already
-running server instead of booting one — how CI smokes the async tier
-(``python -m repro serve --async`` + ``python -m repro.service.smoke
---url ...``); ``--wait`` bounds how long to wait for it to come up.
+running server instead of booting one (``python -m repro serve`` +
+``python -m repro.service.smoke --url ...``); ``--wait`` bounds how
+long to wait for it to come up.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import contextlib
 import sys
 import time
 
+from repro.service.aserver import AsyncBackgroundServer
 from repro.service.client import ClientError, ServiceClient
-from repro.service.server import BackgroundServer
 
 #: Deterministic scenario small enough for CI but big enough to tile.
 SCENARIO = {"nodes": 120, "side": 110.0, "radius": 25.0, "seed": 2002}
@@ -63,7 +64,9 @@ def run_smoke(url: "str | None" = None, wait: float = 30.0) -> int:
     server.  Returns 0 on success."""
     with contextlib.ExitStack() as stack:
         if url is None:
-            url = stack.enter_context(BackgroundServer()).url
+            url = stack.enter_context(
+                AsyncBackgroundServer(pool_size=2, pool_mode="thread")
+            ).url
         else:
             wait_ready(url, timeout=wait)
         client = ServiceClient(url, timeout=120.0)
@@ -104,6 +107,11 @@ def run_smoke(url: "str | None" = None, wait: float = 30.0) -> int:
         sharding_counters = [k for k in counters if k.startswith("sharding.")]
         _check("metrics: sharding.* counters", bool(sharding_counters),
                ", ".join(sorted(sharding_counters)[:4]))
+        cache = metrics.get("cache", {})
+        lookups = cache.get("hits", 0) + cache.get("misses", 0)
+        _check("metrics: cache hit_rate",
+               lookups > 0 and cache.get("hit_rate") == cache.get("hits", 0) / lookups,
+               f"hit_rate={cache.get('hit_rate')} over {lookups} lookups")
     print("service smoke: all checks passed")
     return 0
 

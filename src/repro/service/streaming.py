@@ -15,10 +15,9 @@ build.  Two SSE surfaces exploit that:
   ``delta`` event per batch (the PR 6 topology delta: edges added and
   removed) as each is computed.
 
-Both producers run inside the transport-agnostic dispatch layer, so
-the blocking server writes the frames straight to its socket while the
-async tier's workers forward them over the pool pipe one by one — the
-client sees the same bytes either way.
+Both producers run inside the transport-agnostic dispatch layer; the
+pool workers forward each frame over their pipe as it is produced, and
+the front end writes it to the socket unchanged.
 
 SSE framing is the standard one (``event:`` + ``data:`` lines,
 blank-line terminated); :func:`iter_sse_events` is the matching
@@ -30,10 +29,9 @@ from __future__ import annotations
 import json
 import queue
 import threading
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
-if TYPE_CHECKING:
-    from repro.service.server import SpannerService
+from repro.service.server import ServiceError, SpannerService
 
 #: Most event batches one ``/session/{id}/stream`` request may carry.
 MAX_STREAM_BATCHES = 10_000
@@ -195,8 +193,6 @@ def session_stream(
     """``POST /session/{id}/stream`` — one topology delta per batch."""
     from collections.abc import Mapping
 
-    from repro.service.server import ServiceError
-
     if not isinstance(payload, Mapping):
         raise ServiceError(400, "request body must be a JSON object")
     service._session(session_id)  # 404 before the stream starts
@@ -215,8 +211,6 @@ def session_stream(
 def _session_events(
     service: "SpannerService", session_id: str, batches: list, verify: bool
 ) -> Iterator[bytes]:
-    from repro.service.server import ServiceError
-
     yield sse_event(
         "start", {"session": session_id, "batches": len(batches), "verify": verify}
     )

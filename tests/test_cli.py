@@ -87,27 +87,35 @@ class TestArgumentParsing:
 
 class TestServeCommand:
     def test_serve_wiring(self, monkeypatch, capsys):
-        # Stub the blocking server loop; assert the CLI passes its
-        # flags through to repro.service.server.serve.
-        import repro.service.server as server_module
+        # Stub the server loop; assert the CLI passes its flags through
+        # to repro.service.aserver.serve_async, and that the legacy
+        # --async flag is accepted and changes nothing.
+        import repro.service.aserver as aserver_module
 
-        captured = {}
+        calls = []
 
-        def fake_serve(host, port, **kwargs):
-            captured.update(host=host, port=port, **kwargs)
+        def fake_serve_async(host, port, **kwargs):
+            calls.append(dict(host=host, port=port, **kwargs))
             return 0
 
-        monkeypatch.setattr(server_module, "serve", fake_serve)
-        code = main(
-            [
-                "serve", "--host", "0.0.0.0", "--port", "9001",
-                "--cache-size", "32", "--executor", "thread",
-                "--workers", "3",
-            ]
-        )
-        assert code == 0
+        monkeypatch.setattr(aserver_module, "serve_async", fake_serve_async)
+        argv = [
+            "serve", "--host", "0.0.0.0", "--port", "9001",
+            "--cache-size", "32", "--executor", "thread",
+            "--workers", "3", "--data-dir", "/srv/repro",
+            "--pool-workers", "2", "--pool-mode", "thread",
+            "--queue-depth", "7",
+        ]
+        assert main(argv) == 0
+        assert main(argv + ["--async"]) == 0
+        captured, with_async = calls
+        assert with_async == captured
         assert captured["host"] == "0.0.0.0"
         assert captured["port"] == 9001
+        assert captured["pool_size"] == 2
+        assert captured["pool_mode"] == "thread"
+        assert captured["queue_depth"] == 7
         assert captured["cache_size"] == 32
         assert captured["executor_mode"] == "thread"
         assert captured["max_workers"] == 3
+        assert captured["data_dir"] == "/srv/repro"

@@ -2,32 +2,39 @@
 
 Covers the PR's acceptance tripwires:
 
-* **parity** — non-streaming async responses byte-identical to the
-  blocking server's on deterministic endpoints;
+* **parity** — non-streaming responses over HTTP byte-identical to
+  :func:`~repro.service.dispatch.dispatch` on a fresh in-process
+  service: the front end never alters worker bytes;
 * **persistence** — named deployments survive a restart through the
   async tier;
 * **admission control** — a saturated worker answers 429 with
   ``Retry-After``, and the client's retry loop rides through it;
-* **streaming** — SSE build progress and session deltas over both
-  servers;
+* **streaming** — SSE build progress and session deltas;
 * **graceful shutdown** — executor pools with abandoned work are
   tracked and drained, ``close()`` is idempotent and persists state;
 * **concurrency** — a multi-threaded hammer mixing builds, batch
   routes, and session steps on overlapping deployments sees no
-  cross-tenant bleed and consistent counters.
+  cross-tenant bleed and consistent counters;
+* **metrics** — the merged multi-worker ``GET /metrics`` reports a
+  true cache hit rate;
+* **parser limits** — over-long lines, too many headers and HTTP/1.0
+  keep-alive rules are answered the way the stdlib server did.
 """
 
+import asyncio
 import http.client
 import json
+import socket
 import threading
 import time
 
 import pytest
 
-from repro.service.aserver import AsyncBackgroundServer
+from repro.service.aserver import AsyncBackgroundServer, AsyncSpannerServer
 from repro.service.client import ClientError, ServiceClient
+from repro.service.dispatch import dispatch
 from repro.service.executor import PoolTracker, run_batch
-from repro.service.server import BackgroundServer, SpannerService
+from repro.service.server import SpannerService
 
 SCENARIO = {"nodes": 30, "side": 150.0, "radius": 55.0, "seed": 1}
 TENANTS = [
@@ -62,12 +69,6 @@ def async_server(tmp_path_factory):
         yield server
 
 
-@pytest.fixture(scope="module")
-def blocking_server():
-    with BackgroundServer(executor_mode="serial") as server:
-        yield server
-
-
 def scrub_timings(value):
     """Drop wall-clock keys — the only fields two independent builds
     can legitimately disagree on."""
@@ -83,7 +84,7 @@ def scrub_timings(value):
 
 
 class TestParity:
-    """Same request -> same bytes, blocking vs async (the tripwire).
+    """Same request -> same bytes, over HTTP vs in-process (the tripwire).
 
     ``exact=False`` marks the one endpoint (``/build``) whose body
     embeds wall-clock phase timings; there the comparison is canonical
@@ -104,41 +105,42 @@ class TestParity:
         ("DELETE", "/session/ghost", None, True),
     ]
 
-    def test_byte_identical_responses(self, async_server, blocking_server):
+    def test_byte_identical_responses(self, async_server):
+        service = SpannerService(executor_mode="serial")
         mismatches = []
         for method, path, payload, exact in self.CASES:
-            b_status, _, b_body = raw_request(
-                blocking_server.url, method, path, payload
-            )
+            raw = json.dumps(payload).encode() if payload is not None else None
+            expected = dispatch(service, method, path, raw)
+            d_status, d_body = expected.status, expected.encode()
             a_status, _, a_body = raw_request(
                 async_server.url, method, path, payload
             )
             if not exact:
-                b_body = json.dumps(
-                    scrub_timings(json.loads(b_body)), sort_keys=True
+                d_body = json.dumps(
+                    scrub_timings(json.loads(d_body)), sort_keys=True
                 ).encode()
                 a_body = json.dumps(
                     scrub_timings(json.loads(a_body)), sort_keys=True
                 ).encode()
-            if (b_status, b_body) != (a_status, a_body):
-                mismatches.append((method, path, b_status, a_status, b_body, a_body))
+            if (d_status, d_body) != (a_status, a_body):
+                mismatches.append((method, path, d_status, a_status, d_body, a_body))
+        service.close()
         assert not mismatches, mismatches
 
-    def test_cache_marker_flips_identically(self, async_server, blocking_server):
-        """The second identical /build reports 'hit' on both servers —
-        the front cache replays the same bytes the worker produced."""
-        for url in (blocking_server.url, async_server.url):
-            _, _, body = raw_request(
-                url, "POST", "/build",
-                {"pipeline": "udg", "scenario": SCENARIO},
-            )
-            _, _, again = raw_request(
-                url, "POST", "/build",
-                {"pipeline": "udg", "scenario": SCENARIO},
-            )
-            assert json.loads(body)["cache"] == "miss"
-            assert json.loads(again)["cache"] == "hit"
-            assert json.loads(again)["edges"] == json.loads(body)["edges"]
+    def test_cache_marker_flips_identically(self, async_server):
+        """The second identical /build reports 'hit' — the front cache
+        replays the same bytes the worker produced."""
+        _, _, body = raw_request(
+            async_server.url, "POST", "/build",
+            {"pipeline": "udg", "scenario": SCENARIO},
+        )
+        _, _, again = raw_request(
+            async_server.url, "POST", "/build",
+            {"pipeline": "udg", "scenario": SCENARIO},
+        )
+        assert json.loads(body)["cache"] == "miss"
+        assert json.loads(again)["cache"] == "hit"
+        assert json.loads(again)["edges"] == json.loads(body)["edges"]
 
 
 class TestPersistence:
@@ -312,10 +314,14 @@ class TestGracefulShutdown:
         assert fresh.deployments_get("keep")["name"] == "keep"
 
     def test_background_server_closes_service(self):
-        with BackgroundServer(executor_mode="serial") as server:
-            service = server.service
+        with AsyncBackgroundServer(
+            pool_size=2, pool_mode="thread",
+            service_kwargs={"executor_mode": "serial"},
+        ) as server:
             ServiceClient(server.url).healthz()
-        assert service._closed
+        summaries = [worker.stop_summary for worker in server.server.pool._workers]
+        assert len(summaries) == 2
+        assert all(summary["closed"] is True for summary in summaries)
 
 
 class TestConcurrentHammer:
@@ -398,8 +404,6 @@ class TestConcurrentHammer:
 class TestClientRetrySemantics:
     def test_connection_error_retry_then_success(self):
         """The client retries connection refusals until the server is up."""
-        import socket
-
         sock = socket.socket()
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
@@ -409,15 +413,23 @@ class TestClientRetrySemantics:
             f"http://127.0.0.1:{port}", retries=10, backoff_s=0.1,
             max_backoff_s=0.2, timeout=10,
         )
-        server_holder = {}
+        holder = {}
 
         def start_later():
             time.sleep(0.5)
-            from repro.service.server import make_server
 
-            httpd, service = make_server(port=port, executor_mode="serial")
-            server_holder["httpd"] = httpd
-            httpd.serve_forever()
+            async def main():
+                server = AsyncSpannerServer(
+                    pool_size=1, pool_mode="thread",
+                    service_kwargs={"executor_mode": "serial"},
+                )
+                await server.start(port=port)
+                holder["loop"] = asyncio.get_running_loop()
+                holder["stop"] = stop = asyncio.Event()
+                await stop.wait()
+                await server.shutdown()
+
+            asyncio.run(main())
 
         thread = threading.Thread(target=start_later, daemon=True)
         thread.start()
@@ -425,11 +437,10 @@ class TestClientRetrySemantics:
             assert client.healthz()["status"] == "ok"
             assert client.retry_count > 0
         finally:
-            httpd = server_holder.get("httpd")
-            if httpd is not None:
-                httpd.shutdown()
-                httpd.server_close()
-            thread.join(timeout=5)
+            if "stop" in holder:
+                holder["loop"].call_soon_threadsafe(holder["stop"].set)
+            thread.join(timeout=30)
+        assert not thread.is_alive()
 
     def test_no_retry_on_client_errors(self, async_server):
         client = ServiceClient(async_server.url, retries=5)
@@ -443,8 +454,6 @@ class TestClientRetrySemantics:
         """A lost response after the server applied a POST could hide a
         duplicate; state-mutating calls must not auto-retry connection
         errors, while pure-computation calls still do."""
-        import socket
-
         sock = socket.socket()
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
@@ -475,8 +484,6 @@ class TestFrontCacheInvalidation:
     replayed by the front byte-cache: the name is mutable state."""
 
     def test_dispatch_marks_deployment_scenarios_uncacheable(self, tmp_path):
-        from repro.service.dispatch import dispatch
-
         service = SpannerService(
             executor_mode="serial", data_dir=str(tmp_path / "ddata")
         )
@@ -536,8 +543,6 @@ class TestDeploymentPlacement:
     def test_deployments_pin_to_worker_zero(self):
         """All /deployments traffic lands on worker 0 — the store's
         single writer — regardless of payload or pool size."""
-        from repro.service.aserver import AsyncSpannerServer
-
         server = AsyncSpannerServer(pool_size=4, pool_mode="thread")
         body = json.dumps({"name": "n", "scenario": SCENARIO}).encode()
         assert server._pick_worker("POST", "/deployments", body) == 0
@@ -552,10 +557,6 @@ class TestStreamWorkerFailure:
     instead of waiting forever for an "end" that never comes."""
 
     def test_respond_terminates_on_failure_message(self):
-        import asyncio
-
-        from repro.service.aserver import AsyncSpannerServer
-
         server = AsyncSpannerServer(pool_size=1, pool_mode="thread")
 
         class FakeWriter:
@@ -592,10 +593,6 @@ class TestStreamWorkerFailure:
         assert b"event: start" in written
 
     def test_drain_stream_stops_on_failure_message(self):
-        import asyncio
-
-        from repro.service.aserver import AsyncSpannerServer
-
         async def scenario():
             messages = asyncio.Queue()
             messages.put_nowait((3, "frame", b"data: x\n\n"))
@@ -609,12 +606,10 @@ class TestStreamWorkerFailure:
 
 class TestParserHardening:
     @staticmethod
-    def raw_bytes(url, data):
+    def raw_bytes(url, data, timeout=60):
         """Send raw bytes and collect the response until close."""
-        import socket
-
         host, port = url.split("//", 1)[1].split(":")
-        with socket.create_connection((host, int(port)), timeout=60) as sock:
+        with socket.create_connection((host, int(port)), timeout=timeout) as sock:
             sock.sendall(data)
             response = b""
             while True:
@@ -643,3 +638,77 @@ class TestParserHardening:
         )
         assert response.startswith(b"HTTP/1.1 400")
         assert b"Connection: close" in response
+
+    def test_overlong_request_line_414(self, async_server):
+        response = self.raw_bytes(
+            async_server.url,
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n",
+        )
+        assert response.startswith(b"HTTP/1.1 414")
+        assert b"Connection: close" in response
+
+    def test_overlong_header_line_431(self, async_server):
+        response = self.raw_bytes(
+            async_server.url,
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+            b"X-Big: " + b"b" * 70_000 + b"\r\n\r\n",
+        )
+        assert response.startswith(b"HTTP/1.1 431")
+        assert b"Connection: close" in response
+
+    def test_too_many_headers_431(self, async_server):
+        def request(count):
+            headers = b"".join(b"X-H%d: v\r\n" % i for i in range(count))
+            return self.raw_bytes(
+                async_server.url,
+                b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+                + headers + b"\r\n",
+            )
+
+        assert request(99).startswith(b"HTTP/1.1 200")  # 100 with Connection
+        response = request(100)
+        assert response.startswith(b"HTTP/1.1 431")
+        assert b"Connection: close" in response
+
+    def test_http10_keep_alive_only_on_request(self, async_server):
+        # No Connection header: HTTP/1.0 closes after one response.
+        response = self.raw_bytes(
+            async_server.url, b"GET /healthz HTTP/1.0\r\n\r\n", timeout=10
+        )
+        assert response.startswith(b"HTTP/1.1 200")
+        assert b"Connection: close" in response
+        # An explicit keep-alive holds the connection for a second request.
+        response = self.raw_bytes(
+            async_server.url,
+            b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+            timeout=10,
+        )
+        assert response.count(b"HTTP/1.1 200") == 2
+        assert b"Connection: keep-alive" in response
+
+
+class TestMetricsAggregation:
+    def test_pooled_hit_rate_is_recomputed(self):
+        """Two workers, six misses then six hits: the merged hit rate
+        is 0.5, not the sum of the per-worker rates."""
+        scenarios = [{**SCENARIO, "seed": seed} for seed in range(6)]
+        with AsyncBackgroundServer(
+            pool_size=2, pool_mode="thread",
+            service_kwargs={"executor_mode": "serial"},
+        ) as server:
+            owners = {
+                server.server._pick_worker(
+                    "POST", "/build",
+                    json.dumps({"pipeline": "udg", "scenario": s}).encode(),
+                )
+                for s in scenarios
+            }
+            assert owners == {0, 1}  # both workers hold cache traffic
+            client = ServiceClient(server.url, timeout=120)
+            for _ in range(2):
+                for scenario in scenarios:
+                    client.build("udg", scenario)
+            cache = client.metrics()["cache"]
+        assert (cache["hits"], cache["misses"]) == (6, 6)
+        assert cache["hit_rate"] == 0.5

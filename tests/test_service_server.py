@@ -1,9 +1,9 @@
 """Integration tests: the HTTP service end-to-end against the library.
 
-Drives a real ``ThreadingHTTPServer`` on an ephemeral port through
-:class:`repro.service.client.ServiceClient`; the acceptance check is
-that a served ``/build`` + ``/route`` round-trip reproduces the
-library-level :func:`repro.routing.backbone_routing.backbone_route`
+Drives the async tier (one thread-mode worker) on an ephemeral port
+through :class:`repro.service.client.ServiceClient`; the acceptance
+check is that a served ``/build`` + ``/route`` round-trip reproduces
+the library-level :func:`repro.routing.backbone_routing.backbone_route`
 result exactly.
 """
 
@@ -14,7 +14,8 @@ import pytest
 from repro.core.spanner import build_backbone
 from repro.routing.backbone_routing import backbone_route
 from repro.service.client import ClientError, ServiceClient
-from repro.service.server import BackgroundServer, ServiceError, SpannerService
+from repro.service.aserver import AsyncBackgroundServer
+from repro.service.server import ServiceError, SpannerService
 from repro.workloads.generators import connected_udg_instance
 
 SCENARIO = {"nodes": 30, "side": 150.0, "radius": 55.0, "seed": 1}
@@ -22,8 +23,14 @@ SCENARIO = {"nodes": 30, "side": 150.0, "radius": 55.0, "seed": 1}
 
 @pytest.fixture(scope="module")
 def server():
-    service = SpannerService(executor_mode="serial", cache_size=64)
-    with BackgroundServer(service=service) as background:
+    # No front byte-cache: every request must reach the worker whose
+    # counters these tests read (the front cache is tested on its own).
+    with AsyncBackgroundServer(
+        pool_size=1,
+        pool_mode="thread",
+        front_cache_entries=0,
+        service_kwargs={"executor_mode": "serial", "cache_size": 64},
+    ) as background:
         yield background
 
 
@@ -63,6 +70,7 @@ class TestEndpoints:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
 

@@ -1,8 +1,9 @@
 """Tests for the incremental session endpoints of the service layer.
 
-Most tests drive :class:`SpannerService` directly (the HTTP layer is
-a thin JSON shim); one integration test pays for sockets and walks the
-full ``POST /session`` -> ``step`` -> ``GET`` -> ``DELETE`` lifecycle.
+Most tests drive :class:`SpannerService` directly (the dispatch layer
+maps HTTP requests straight onto it); one integration test pays for
+sockets and walks the full ``POST /session`` -> ``step`` -> ``GET``
+-> ``DELETE`` lifecycle.
 """
 
 import json
@@ -10,7 +11,8 @@ import urllib.request
 
 import pytest
 
-from repro.service.server import BackgroundServer, ServiceError, SpannerService
+from repro.service.aserver import AsyncBackgroundServer
+from repro.service.server import ServiceError, SpannerService
 
 SCENARIO = {
     "generator": "uniform",
@@ -171,9 +173,17 @@ def _request(url, method="GET", payload=None):
         return err.code, json.loads(err.read())
 
 
+def _http_server() -> AsyncBackgroundServer:
+    return AsyncBackgroundServer(
+        pool_size=1,
+        pool_mode="thread",
+        service_kwargs={"executor_mode": "serial"},
+    )
+
+
 class TestSessionHTTP:
     def test_full_lifecycle_over_http(self):
-        with BackgroundServer(executor_mode="serial") as server:
+        with _http_server() as server:
             status, created = _request(
                 server.url + "/session", "POST", {"scenario": SCENARIO}
             )
@@ -211,7 +221,7 @@ class TestSessionHTTP:
             assert status == 404
 
     def test_unknown_session_paths_over_http(self):
-        with BackgroundServer(executor_mode="serial") as server:
+        with _http_server() as server:
             status, _ = _request(
                 server.url + "/session/zzz/step", "POST", {"events": []}
             )
