@@ -82,7 +82,13 @@ def main() -> None:
     # --- phase 4: mobility ----------------------------------------------
     print("\nphase 4 — mobility with break-triggered maintenance")
     session = run_mobility_session(
-        deployment, steps=args.mobility_steps, speed=2.0, seed=args.seed
+        deployment,
+        policy="full",
+        steps=args.mobility_steps,
+        speed=2.0,
+        pause=2.0,
+        move_fraction=1.0,
+        seed=args.seed,
     )
     print(
         f"  {args.mobility_steps} steps: {session.rebuild_count} rebuilds "

@@ -10,10 +10,11 @@ Commands:
 * ``serve`` — run the long-lived spanner construction service: the
   asyncio HTTP front end over a shared-nothing worker pool
   (:mod:`repro.service.aserver`).
-* ``mobility`` — drive a seeded random-waypoint trace through a
-  maintenance policy: the paper's break-triggered full rebuild, the
-  localized-repair extension, or the incremental maintenance engine
-  (:mod:`repro.incremental`, with the rebuild-equivalence tripwire).
+* ``mobility`` — drive a seeded random-waypoint trace through the one
+  mobility loop (:mod:`repro.mobility.session`) under one of two
+  policies: the incremental maintenance engine (:mod:`repro.incremental`,
+  with the rebuild-equivalence tripwire; default) or the paper's
+  break-triggered full rebuild as the baseline.
 * ``experiments`` — regenerate the paper's tables/figures (delegates
   to :mod:`repro.experiments.harness`).
 * ``validate`` — run the declarative invariant matrix over the
@@ -194,13 +195,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_mobility(args: argparse.Namespace) -> int:
+    from repro.mobility.session import run_mobility_session
+
+    if args.policy == "full" and (
+        args.verify_every > 0 or args.max_dirty_fraction is not None
+    ):
+        print(
+            "error: --verify-every and --max-dirty-fraction need "
+            "--policy incremental",
+            file=sys.stderr,
+        )
+        return 2
     deployment = _get_deployment(args)
     trace_seed = args.trace_seed if args.trace_seed is not None else args.seed
-    if args.policy == "incremental":
-        from repro.incremental.session import run_incremental_session
-
-        result = run_incremental_session(
+    try:
+        result = run_mobility_session(
             deployment,
+            policy=args.policy,
             steps=args.steps,
             dt=args.dt,
             speed=args.speed,
@@ -210,49 +221,9 @@ def cmd_mobility(args: argparse.Namespace) -> int:
             verify_every=args.verify_every,
             tile_cells=args.tile_cells,
         )
-        counters = result.counters
-        print(
-            f"incremental session: n={result.node_count}, "
-            f"{counters['steps']} steps, {counters['events']} events"
-        )
-        print(
-            f"links: +{counters['appeared_links']} -{counters['vanished_links']}, "
-            f"role changes: {counters['role_changes']}, repairs: "
-            f"{counters['repairs_certified']} certified / "
-            f"{counters['repairs_fallback']} fallback"
-        )
-        print(
-            f"dirty: {counters['dirty_tiles']} tiles, "
-            f"{counters['dirty_nodes']} nodes "
-            f"(mean fraction {result.mean_dirty_fraction:.4f})"
-        )
-        if args.verify_every > 0:
-            word = "all identical" if result.all_verified else "MISMATCH"
-            print(
-                f"rebuild equivalence: {counters['verifications']} checks, {word}"
-            )
-        ok = result.all_verified
-        if args.max_dirty_fraction is not None:
-            if result.mean_dirty_fraction > args.max_dirty_fraction:
-                print(
-                    f"FAILED: mean dirty fraction {result.mean_dirty_fraction:.4f} "
-                    f"exceeds --max-dirty-fraction {args.max_dirty_fraction}",
-                    file=sys.stderr,
-                )
-                ok = False
-        return 0 if ok else 1
-
-    from repro.mobility.session import run_mobility_session
-
-    result = run_mobility_session(
-        deployment,
-        steps=args.steps,
-        dt=args.dt,
-        speed=args.speed,
-        pause=args.pause,
-        seed=trace_seed,
-        policy=args.policy,
-    )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         f"{args.policy} session: {len(result.steps)} steps, "
         f"{result.rebuild_count} rebuilds (rate {result.rebuild_rate:.2f})"
@@ -261,7 +232,37 @@ def cmd_mobility(args: argparse.Namespace) -> int:
         f"mean retention on rebuild: {result.mean_retention_on_rebuild:.3f}, "
         f"routing availability: {result.availability:.3f}"
     )
-    return 0
+    if args.policy == "full":
+        return 0
+    counters = result.counters
+    print(
+        f"incremental session: n={len(deployment.points)}, "
+        f"{counters['steps']} steps, {counters['events']} events"
+    )
+    print(
+        f"links: +{counters['appeared_links']} -{counters['vanished_links']}, "
+        f"role changes: {counters['role_changes']}, repairs: "
+        f"{counters['repairs_certified']} certified / "
+        f"{counters['repairs_fallback']} fallback"
+    )
+    print(
+        f"dirty: {counters['dirty_tiles']} tiles, "
+        f"{counters['dirty_nodes']} nodes "
+        f"(mean fraction {result.mean_dirty_fraction:.4f})"
+    )
+    if args.verify_every > 0:
+        word = "all identical" if result.all_verified else "MISMATCH"
+        print(f"rebuild equivalence: {counters['verifications']} checks, {word}")
+    ok = result.all_verified
+    if args.max_dirty_fraction is not None:
+        if result.mean_dirty_fraction > args.max_dirty_fraction:
+            print(
+                f"FAILED: mean dirty fraction {result.mean_dirty_fraction:.4f} "
+                f"exceeds --max-dirty-fraction {args.max_dirty_fraction}",
+                file=sys.stderr,
+            )
+            ok = False
+    return 0 if ok else 1
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
@@ -366,23 +367,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_mob.add_argument("--pause", type=float, default=1.0)
     p_mob.add_argument(
         "--move-fraction", type=float, default=0.05,
-        help="share of nodes moved per step (incremental policy)",
+        help="share of nodes moved per step",
     )
     p_mob.add_argument(
         "--trace-seed", type=int, default=None,
         help="mobility RNG seed (defaults to --seed)",
     )
     p_mob.add_argument(
-        "--policy", choices=("full", "local", "incremental"), default="full",
-        help="maintenance strategy driven by the trace",
+        "--policy", choices=("incremental", "full"), default="incremental",
+        help="incremental repair, or the break-triggered full rebuild baseline",
     )
     p_mob.add_argument(
         "--verify-every", type=int, default=0,
         help="assert rebuild equivalence every k steps (incremental; 0=off)",
     )
     p_mob.add_argument(
-        "--tile-cells", type=int, default=2,
-        help="tile size (in radius cells) of the incremental grid",
+        "--tile-cells", type=int, default=None,
+        help="tile size (in radius cells) of the incremental grid (default 2)",
     )
     p_mob.add_argument(
         "--max-dirty-fraction", type=float, default=None,

@@ -14,12 +14,13 @@ The correctness tripwire is non-negotiable and cheap to state: after
 every event batch, the maintained UDG, roles, and backbone graphs are
 **bit-identical** to a from-scratch rebuild at the new positions
 (:meth:`IncrementalMaintainer.verify` asserts it; the equivalence
-tests and the bench stage hold it under long waypoint traces).
+tests and the mobility loop's ``verify_every`` hold it under long waypoint
+traces).
 """
 
 from repro.incremental.engine import IncrementalMaintainer, StepReport
 from repro.incremental.events import Event, parse_events
-from repro.incremental.session import IncrementalSession, run_incremental_session
+from repro.incremental.session import IncrementalSession
 
 __all__ = [
     "Event",
@@ -27,5 +28,4 @@ __all__ = [
     "IncrementalSession",
     "StepReport",
     "parse_events",
-    "run_incremental_session",
 ]

@@ -101,6 +101,8 @@ class Snapshot:
     icds_edges: frozenset[tuple[int, int]]
     ldel_icds_edges: frozenset[tuple[int, int]]
     ldel_icds_prime_edges: frozenset[tuple[int, int]]
+    #: Adjacent dominators of every non-dominator (the routing entry map).
+    dominators_of: dict[int, frozenset[int]]
 
     @property
     def backbone_nodes(self) -> frozenset[int]:
@@ -395,6 +397,7 @@ class IncrementalMaintainer:
             icds_edges=self._icds_edges,
             ldel_icds_edges=self._ldel_icds_edges,
             ldel_icds_prime_edges=self._ldel_icds_prime_edges,
+            dominators_of=dict(self._doms_of),
         )
 
     def verify(self) -> dict:

@@ -1,26 +1,22 @@
-"""Long-lived incremental sessions: a mobility trace as an event stream.
+"""Long-lived incremental sessions: an event stream with counters.
 
-Bridges :class:`~repro.mobility.waypoint.RandomWaypointModel` and
-:class:`~repro.incremental.engine.IncrementalMaintainer`: each step
-moves a (seeded, reproducible) subset of nodes, converts the new
-positions into ``move`` events, applies them incrementally, and
-optionally asserts the rebuild-equivalence tripwire.  The same loop
-backs the CLI runner (``python -m repro mobility --policy
-incremental``), the benchmark trace stage, and the CI smoke job; the
-HTTP session endpoints (:mod:`repro.service.server`) drive the
-session object directly with client-supplied event batches instead.
+An :class:`IncrementalSession` wraps one
+:class:`~repro.incremental.engine.IncrementalMaintainer`, applies event
+batches to it, optionally asserts the rebuild-equivalence tripwire, and
+keeps cumulative counters.  The mobility loop
+(:func:`repro.mobility.session.run_mobility_session`, behind
+``python -m repro mobility`` and the CI smoke job) feeds it waypoint
+``move`` batches; the HTTP session endpoints
+(:mod:`repro.service.server`) feed it client-supplied batches.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.incremental.engine import IncrementalMaintainer, StepReport
 from repro.incremental.events import Event
-from repro.mobility.waypoint import RandomWaypointModel
-from repro.workloads.generators import Deployment
 
 
 @dataclass
@@ -65,80 +61,3 @@ class IncrementalSession:
                 r.dirty_fraction for r in self.reports
             ) / len(self.reports)
         return totals
-
-
-@dataclass(frozen=True)
-class IncrementalSessionResult:
-    """Outcome of a scripted waypoint-driven incremental session."""
-
-    reports: tuple[StepReport, ...]
-    counters: dict
-    node_count: int
-
-    @property
-    def all_verified(self) -> bool:
-        return self.counters.get("verification_failures", 0) == 0
-
-    @property
-    def mean_dirty_fraction(self) -> float:
-        return float(self.counters.get("mean_dirty_fraction", 0.0))
-
-
-def run_incremental_session(
-    deployment: Deployment,
-    *,
-    steps: int,
-    dt: float = 1.0,
-    speed: float = 2.0,
-    pause: float = 1.0,
-    move_fraction: float = 0.05,
-    seed: int = 0,
-    verify_every: int = 0,
-    tile_cells: int = 2,
-    probe_pairs: Optional[Sequence[tuple[int, int]]] = None,
-) -> IncrementalSessionResult:
-    """Drive a seeded waypoint trace through the incremental maintainer.
-
-    Per step, a ``move_fraction`` share of the nodes (at least one,
-    chosen by the seeded RNG) advances by ``dt`` and the resulting
-    relocations are applied as one ``move``-event batch.
-    ``verify_every=k`` asserts the from-scratch-rebuild tripwire every
-    ``k``-th step (0 disables; 1 checks every step, as the CI smoke
-    job does).  The trace is a pure function of the arguments.
-    """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    if not 0.0 < move_fraction <= 1.0:
-        raise ValueError("move_fraction must be in (0, 1]")
-    del probe_pairs  # accepted for signature parity with run_mobility_session
-    n = len(deployment.points)
-    model = RandomWaypointModel(
-        list(deployment.points),
-        deployment.side,
-        seed,
-        speed_range=(0.5 * speed, 1.5 * speed),
-        pause_range=(0.0, max(pause, 0.0)),
-    )
-    session = IncrementalSession(
-        IncrementalMaintainer(
-            list(deployment.points), deployment.radius, tile_cells=tile_cells
-        )
-    )
-    movers_per_step = max(1, round(move_fraction * n))
-    # A separate stream picks the movers so the waypoint trajectories
-    # stay a function of the seed alone, whatever the fraction.
-    picker = random.Random(seed + 1)
-    for index in range(steps):
-        movers = sorted(picker.sample(range(n), movers_per_step))
-        positions = model.step(dt, nodes=movers)
-        events = [
-            Event("move", node=u, x=positions[u][0], y=positions[u][1])
-            for u in movers
-        ]
-        verify = verify_every > 0 and (index + 1) % verify_every == 0
-        session.step(events, verify=verify)
-    return IncrementalSessionResult(
-        reports=tuple(session.reports),
-        counters=session.counters(),
-        node_count=n,
-    )

@@ -2,10 +2,15 @@
 
 The paper argues its topology "can be constructed locally and is easy
 to maintain when the nodes move around" and leaves dynamic updating as
-future work; this package supplies the machinery to study that claim:
-a random-waypoint mobility model (:mod:`~repro.mobility.waypoint`) and
-an incremental maintainer that repairs the backbone after movement and
-reports how much of it had to change (:mod:`~repro.mobility.maintenance`).
+future work ("Another interesting open problem is to study the dynamic
+updating of the planar backbone efficiently when nodes are moving").
+This package studies that claim with one mobility loop,
+:func:`~repro.mobility.session.run_mobility_session`: a seeded
+random-waypoint trace (:mod:`~repro.mobility.waypoint`) driven through
+one of two maintenance policies — the incremental engine
+(:mod:`repro.incremental`), which repairs only the affected region and
+is bit-identical to a rebuild, or the paper's break-triggered full
+rebuild (:mod:`~repro.mobility.maintenance`) as the baseline.
 """
 
 from repro.mobility.waypoint import RandomWaypointModel
@@ -15,7 +20,6 @@ from repro.mobility.session import (
     SessionStep,
     run_mobility_session,
 )
-from repro.mobility.local_repair import RepairReport, localized_repair
 
 __all__ = [
     "RandomWaypointModel",
@@ -24,6 +28,4 @@ __all__ = [
     "SessionResult",
     "SessionStep",
     "run_mobility_session",
-    "RepairReport",
-    "localized_repair",
 ]

@@ -1,4 +1,4 @@
-"""Incremental backbone maintenance under mobility.
+"""Break-triggered full rebuild: the baseline maintenance policy.
 
 The paper's observation: while nodes move, the *logical* backbone
 stays valid as long as none of its links stretches beyond the
@@ -9,12 +9,12 @@ watches the appearing UDG links that *invalidate* what is being
 maintained — a new link between two backbone nodes changes the
 induced subgraph the planarized LDel was computed over (stale spanner
 membership), and a new link crossing a structural link breaks the
-planarity of the maintained embedding.  Either triggers a rebuild;
-benign gains (a fresh dominatee link with no crossing) still do not,
-unless ``watch_gains=True`` opts into the healing policy.  Reports
-carry how much of the structure actually changed (edge churn, role
-churn) — the quantities the mobility example and the maintenance
-tests examine.
+planarity of the maintained embedding.  Either triggers a full
+rebuild; benign gains (a fresh dominatee link with no crossing) do
+not.  It is the ``full`` policy of
+:func:`~repro.mobility.session.run_mobility_session`; the
+``incremental`` policy (:mod:`repro.incremental`) tracks every change
+exactly, heals included.
 """
 
 from __future__ import annotations
@@ -86,15 +86,7 @@ class BackboneMaintainer:
     def invalidating_links(
         self, positions: Sequence[Point]
     ) -> tuple[tuple[int, int], ...]:
-        """Appearing UDG links that invalidate the maintained structure."""
-        return self._filter_invalidating(self.new_links(positions), positions)
-
-    def _filter_invalidating(
-        self,
-        gained: Sequence[tuple[int, int]],
-        positions: Sequence[Point],
-    ) -> tuple[tuple[int, int], ...]:
-        """The subset of ``gained`` links the break-only policy must not ignore.
+        """Appearing UDG links that invalidate the maintained structure.
 
         A link that newly comes into range can invalidate the
         maintained structure even while every structural link still
@@ -106,6 +98,7 @@ class BackboneMaintainer:
         * the link's segment properly crosses a structural link — the
           maintained embedding is no longer planar at these positions.
         """
+        gained = self.new_links(positions)
         if not gained:
             return ()
         backbone_nodes = self.result.dominators | self.result.connectors
@@ -125,9 +118,7 @@ class BackboneMaintainer:
                 invalidating.append((u, v))
         return tuple(invalidating)
 
-    def update(
-        self, positions: Sequence[Point], *, watch_gains: bool = False
-    ) -> MaintenanceReport:
+    def update(self, positions: Sequence[Point]) -> MaintenanceReport:
         """Apply a position update; rebuild when the structure is invalid.
 
         The paper's policy watches only *breakage*: as long as every
@@ -137,21 +128,15 @@ class BackboneMaintainer:
         structure wrong rather than merely suboptimal: new
         backbone-backbone adjacency (stale PLDel/ICDS membership) and
         new links crossing a structural link (broken planarity) — see
-        :meth:`invalidating_links`.  The remaining blind spot —
-        demonstrated by the partition tests — is **healing**: benign
-        links that newly come into range (e.g. two partitions drifting
-        back together) are never exploited.  ``watch_gains=True``
-        closes it by also rebuilding when the radio graph gained any
-        link at all.
+        :meth:`invalidating_links`.  Benign links that newly come into
+        range are not exploited; the incremental policy heals them.
         """
         if len(positions) != self.result.udg.node_count:
             raise ValueError("position update must cover every node")
         self.update_count += 1
         broken = self.check(positions)
-        gained = self.new_links(positions)
-        invalidating = self._filter_invalidating(gained, positions)
-        gains_trigger = watch_gains and bool(gained)
-        if not broken and not invalidating and not gains_trigger:
+        invalidating = self.invalidating_links(positions)
+        if not broken and not invalidating:
             return MaintenanceReport(
                 broken_links=(),
                 rebuilt=False,

@@ -3,8 +3,9 @@
 Each node picks a uniform destination in the region, moves toward it
 at a per-trip uniform speed, pauses, and repeats — the standard ad hoc
 network mobility benchmark.  :meth:`RandomWaypointModel.step` advances
-the world clock and returns the new positions, which the maintenance
-experiments feed into :class:`~repro.mobility.maintenance.BackboneMaintainer`.
+the world clock and returns the new positions, which the mobility loop
+(:func:`~repro.mobility.session.run_mobility_session`) feeds to the
+maintenance policy.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ class RandomWaypointModel:
     ``rng`` accepts either a :class:`random.Random` instance or a bare
     integer seed; passing the same seed (and issuing the same sequence
     of :meth:`step` calls) reproduces the trace bit-for-bit, which is
-    what makes the incremental benchmarks and CI smoke jobs
-    deterministic.
+    what makes the mobility loop and its CI smoke job deterministic.
     """
 
     def __init__(

@@ -15,7 +15,8 @@ from repro.geometry.primitives import Point
 from repro.incremental.connectors import IncrementalConnectors
 from repro.incremental.engine import IncrementalMaintainer
 from repro.incremental.events import Event, parse_event, parse_events
-from repro.incremental.session import IncrementalSession, run_incremental_session
+from repro.incremental.session import IncrementalSession
+from repro.mobility.session import run_mobility_session
 from repro.workloads.generators import connected_udg_instance
 
 
@@ -222,11 +223,16 @@ class TestIncrementalConnectors:
 class TestIncrementalSession:
     def test_waypoint_session_all_verified(self):
         dep = make_deployment(n=100, seed=14)
-        result = run_incremental_session(
-            dep, steps=12, move_fraction=0.05, seed=1, verify_every=3
+        result = run_mobility_session(
+            dep,
+            policy="incremental",
+            steps=12,
+            move_fraction=0.05,
+            seed=1,
+            verify_every=3,
         )
         assert result.all_verified
-        assert result.node_count == 100
+        assert len(result.steps) == 12
         counters = result.counters
         assert counters["steps"] == 12
         assert counters["verifications"] == 4
@@ -236,11 +242,9 @@ class TestIncrementalSession:
 
     def test_session_is_reproducible(self):
         dep = make_deployment(n=80, seed=21)
-        a = run_incremental_session(dep, steps=8, seed=5)
-        b = run_incremental_session(dep, steps=8, seed=5)
-        assert [r.as_dict()["edges_added"] for r in a.reports] == [
-            r.as_dict()["edges_added"] for r in b.reports
-        ]
+        a = run_mobility_session(dep, policy="incremental", steps=8, seed=5)
+        b = run_mobility_session(dep, policy="incremental", steps=8, seed=5)
+        assert a.steps == b.steps
         assert a.counters == b.counters
 
     def test_session_records_verification_failures(self):
@@ -260,6 +264,8 @@ class TestIncrementalSession:
     def test_bad_arguments_rejected(self):
         dep = make_deployment(n=60, seed=2)
         with pytest.raises(ValueError):
-            run_incremental_session(dep, steps=-1)
+            run_mobility_session(dep, policy="incremental", steps=-1)
         with pytest.raises(ValueError):
-            run_incremental_session(dep, steps=1, move_fraction=0.0)
+            run_mobility_session(
+                dep, policy="incremental", steps=1, move_fraction=0.0
+            )

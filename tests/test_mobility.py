@@ -160,10 +160,10 @@ class TestBackboneMaintainer:
         assert report.rebuilt
         assert report.invalidating_links == ((0, 1),)
 
-    def test_benign_gain_still_ignored_without_watch_gains(self):
+    def test_benign_gain_ignored(self):
         # A fresh dominatee-dominatee link with no crossing does not
         # invalidate the maintained structure: the break-only policy
-        # stands unless watch_gains opts into healing.
+        # stands.
         points = [Point(0.0, 0.0), Point(6.0, 5.2), Point(6.0, -5.2)]
         maintainer = BackboneMaintainer(build_backbone(points, 10.0))
         moved = [points[0], Point(6.0, 4.7), points[2]]
@@ -172,8 +172,6 @@ class TestBackboneMaintainer:
         report = maintainer.update(moved)
         assert not report.rebuilt
         assert report.invalidating_links == ()
-        report = maintainer.update(moved, watch_gains=True)
-        assert report.rebuilt
 
     def test_waypoint_driven_session(self, deployment, backbone):
         # Integration: run mobility + maintenance together; the

@@ -56,8 +56,6 @@ class TestChurnDetection:
 
     def test_matches_omniscient_diff(self, deployment):
         # The distributed detection equals the global neighborhood diff.
-        from repro.mobility.local_repair import changed_neighborhoods
-
         rng = random.Random(9)
         moved = [
             Point(p.x + rng.uniform(-20, 20), p.y + rng.uniform(-20, 20))
@@ -66,7 +64,11 @@ class TestChurnDetection:
         old_udg = deployment.udg()
         new_udg = UnitDiskGraph(moved, deployment.radius)
         outcome = detect_changes(moved, deployment.radius, tables_of(old_udg))
-        omniscient = changed_neighborhoods(old_udg, new_udg)
+        omniscient = frozenset(
+            u
+            for u in old_udg.nodes()
+            if old_udg.neighbors(u) != new_udg.neighbors(u)
+        )
         detected = frozenset(
             node for node, change in outcome.changes.items() if change.changed
         )

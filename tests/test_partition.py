@@ -7,10 +7,14 @@ recovers after the heal, and maintenance notices both transitions.
 """
 
 
+from repro.core.route_engine import BackboneRouter
 from repro.core.spanner import build_backbone
 from repro.geometry.primitives import Point
+from repro.graphs.graph import Graph
 from repro.graphs.paths import connected_components
 from repro.graphs.planarity import is_planar_embedding
+from repro.incremental.engine import IncrementalMaintainer
+from repro.incremental.events import Event
 from repro.mobility.maintenance import BackboneMaintainer
 from repro.routing.backbone_routing import backbone_route
 
@@ -75,19 +79,28 @@ class TestHeal:
         assert report.invalidating_links
         assert backbone_route(maintainer.result, 0, 9).delivered
 
-    def test_watch_gains_reconnects_routing(self):
+    def test_incremental_heal_reconnects_routing(self):
+        # The incremental engine tracks every appearing link, so moving
+        # the right island next to the left one heals the backbone
+        # exactly: it equals a rebuild and routes across the old cut.
         points = two_islands(gap=10.0)
-        result = build_backbone(points, 1.5)
-        maintainer = BackboneMaintainer(result)
-
+        maintainer = IncrementalMaintainer(points, 1.5)
         healed = two_islands(gap=2.0)  # 1.5-radius links now bridge
-        from repro.graphs.udg import UnitDiskGraph
-
-        assert len(connected_components(UnitDiskGraph(healed, 1.5))) == 1
-        assert maintainer.new_links(healed)
-        report = maintainer.update(healed, watch_gains=True)
-        assert report.rebuilt
-        assert backbone_route(maintainer.result, 0, 9).delivered
+        maintainer.apply(
+            [
+                Event("move", node=u, x=healed[u].x, y=healed[u].y)
+                for u in range(5, 10)
+            ]
+        )
+        assert maintainer.verify()["identical"]
+        snap = maintainer.snapshot()
+        router = BackboneRouter(
+            udg=Graph(snap.positions, snap.udg_edges),
+            backbone=Graph(snap.positions, snap.ldel_icds_edges),
+            backbone_nodes=snap.backbone_nodes,
+            dominators_of=snap.dominators_of,
+        )
+        assert router.route_pairs([(0, 9)]).delivered_count == 1
 
     def test_split_detected_as_breaks(self):
         points = two_islands(gap=2.0)  # connected initially
