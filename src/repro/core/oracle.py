@@ -13,7 +13,7 @@ pure-Python loop then dwarfs even that.
 * each graph is **snapshotted once** into CSR-style flat adjacency +
   positions arrays (:class:`GraphSnapshot`);
 * APSP matrices are **memoized** per (graph fingerprint, weight kind:
-  hops / length / power-α) with hit/miss/seconds counters, so the UDG
+  hops / length / power-α) with hit/miss counters, so the UDG
   baseline matrices are shared across all three stretch kinds and
   every topology family row;
 * the n²-pair reduction is a **vectorized kernel** (numpy masked
@@ -24,23 +24,21 @@ pure-Python loop then dwarfs even that.
   bit-identical accumulation order.
 
 APSP uses :mod:`scipy.sparse.csgraph` when available; the pure-Python
-fallback fans per-source searches over the batch executor
-(:mod:`repro.service.executor`) in chunks.
+fallback runs one search per source.
 
-The oracle's :meth:`~DistanceOracle.snapshot` (counters + stage
-seconds) travels in ``/build`` extras and is folded into
-``GET /metrics`` under the ``oracle.*`` prefix by the serving layer.
+Each counter bump is also counted as ``oracle.<name>`` and each stage
+(snapshot / apsp / kernel) runs under an ``oracle.stage.<name>`` span
+(:mod:`repro.obs`), which is how ``GET /metrics`` sees them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
+from repro import obs
 from repro.core.metrics import StretchStats, TopologyMetrics, measure_topology
 from repro.geometry.primitives import dist
 from repro.graphs.graph import Graph
@@ -65,12 +63,6 @@ WEIGHT_KINDS = ("hops", "length", "power")
 #: ``max`` / ``pairs`` / ``unreachable_pairs``.  The no-numpy fallback
 #: path is exact on every field.
 PARITY_RTOL = 1e-9
-
-#: Node count below which the pure-Python APSP fallback stays serial
-#: (executor fan-out overhead beats the win on small graphs).
-PARALLEL_THRESHOLD = 512
-
-_CHUNK = 64
 
 
 def weight_key(kind: str, alpha: float = 2.0) -> str:
@@ -165,7 +157,7 @@ class GraphSnapshot:
 
 
 def _hop_rows(graph: Graph, sources: Sequence[int]) -> List[List[float]]:
-    """BFS hop rows for a chunk of sources (executor fan-out worker)."""
+    """BFS hop rows for ``sources``."""
     return [
         [(h if h >= 0 else math.inf) for h in bfs_hops(graph, s)]
         for s in sources
@@ -175,7 +167,7 @@ def _hop_rows(graph: Graph, sources: Sequence[int]) -> List[List[float]]:
 def _weighted_rows(
     graph: Graph, kind: str, alpha: float, sources: Sequence[int]
 ) -> List[List[float]]:
-    """Dijkstra rows for a chunk of sources (executor fan-out worker)."""
+    """Dijkstra rows for ``sources``."""
     if kind == "power":
         def weight(u: int, v: int) -> float:
             return graph.edge_length(u, v) ** alpha
@@ -205,17 +197,11 @@ class DistanceOracle:
         baseline: Graph,
         *,
         max_entries: int = 6,
-        executor_mode: str = "thread",
-        max_workers: Optional[int] = None,
-        parallel_threshold: int = PARALLEL_THRESHOLD,
         use_numpy: Optional[bool] = None,
         use_scipy: Optional[bool] = None,
     ) -> None:
         self.baseline = baseline
         self.max_entries = max_entries
-        self.executor_mode = executor_mode
-        self.max_workers = max_workers
-        self.parallel_threshold = parallel_threshold
         self._use_numpy = _HAVE_NUMPY if use_numpy is None else (use_numpy and _HAVE_NUMPY)
         self._use_scipy = _HAVE_SCIPY if use_scipy is None else (use_scipy and _HAVE_SCIPY)
         self._matrices: "OrderedDict[tuple, Any]" = OrderedDict()
@@ -229,8 +215,11 @@ class DistanceOracle:
             "stretch_calls": 0,
             "evictions": 0,
         }
-        self.seconds: dict[str, float] = {"snapshot": 0.0, "apsp": 0.0, "kernel": 0.0}
         self._baseline_fp = self.fingerprint(baseline)
+
+    def _count(self, name: str) -> None:
+        self.counters[name] += 1
+        obs.count(f"oracle.{name}")
 
     # -- keying ----------------------------------------------------------
 
@@ -258,12 +247,11 @@ class DistanceOracle:
         key = self.fingerprint(graph)
         snap = self._snapshots.get(key)
         if snap is not None:
-            self.counters["snapshot_hits"] += 1
+            self._count("snapshot_hits")
             return snap
-        self.counters["snapshot_misses"] += 1
-        t0 = time.perf_counter()
-        snap = GraphSnapshot.from_graph(graph)
-        self.seconds["snapshot"] += time.perf_counter() - t0
+        self._count("snapshot_misses")
+        with obs.span("oracle.stage.snapshot"):
+            snap = GraphSnapshot.from_graph(graph)
         self._snapshots[key] = snap
         return snap
 
@@ -279,13 +267,12 @@ class DistanceOracle:
         key = (self.fingerprint(graph), weight_key(kind, alpha))
         cached = self._matrices.get(key)
         if cached is not None:
-            self.counters["apsp_hits"] += 1
+            self._count("apsp_hits")
             self._matrices.move_to_end(key)
             return cached
-        self.counters["apsp_misses"] += 1
-        t0 = time.perf_counter()
-        matrix = self._compute_apsp(graph, kind, alpha)
-        self.seconds["apsp"] += time.perf_counter() - t0
+        self._count("apsp_misses")
+        with obs.span("oracle.stage.apsp"):
+            matrix = self._compute_apsp(graph, kind, alpha)
         self._matrices[key] = matrix
         self._evict()
         return matrix
@@ -298,35 +285,9 @@ class DistanceOracle:
                 snap.csgraph(kind, alpha), directed=False,
                 unweighted=kind == "hops",
             )
-        return self._python_apsp(graph, kind, alpha)
-
-    def _python_apsp(self, graph: Graph, kind: str, alpha: float) -> List[List[float]]:
-        """Per-source fallback, fanned over the executor on big graphs.
-
-        Per-source rows are independent, so the parallel fan-out is
-        value-identical to the serial loop by construction.
-        """
-        n = graph.node_count
-        worker = (
-            functools.partial(_hop_rows, graph)
-            if kind == "hops"
-            else functools.partial(_weighted_rows, graph, kind, alpha)
-        )
-        if n < self.parallel_threshold or self.executor_mode == "serial":
-            return worker(range(n))
-        from repro.service.executor import run_batch
-
-        chunks = [range(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-        outcome = run_batch(
-            chunks, worker, mode=self.executor_mode,
-            max_workers=self.max_workers, metric_name="oracle.apsp_chunk",
-        )
-        if outcome.failed:  # pragma: no cover - defensive
-            return worker(range(n))
-        rows: List[List[float]] = []
-        for task in outcome.outcomes:
-            rows.extend(task.value)
-        return rows
+        if kind == "hops":
+            return _hop_rows(graph, range(n))
+        return _weighted_rows(graph, kind, alpha, range(n))
 
     def _evict(self) -> None:
         """Drop least-recently-used non-baseline matrices over the cap."""
@@ -340,7 +301,7 @@ class DistanceOracle:
             for key in self._matrices:
                 if key[0] != self._baseline_fp:
                     del self._matrices[key]
-                    self.counters["evictions"] += 1
+                    self._count("evictions")
                     break
 
     # -- stretch ---------------------------------------------------------
@@ -365,16 +326,13 @@ class DistanceOracle:
             raise ValueError("graph and baseline must share the node set")
         if kind == "power" and alpha < 1.0:
             raise ValueError("alpha below 1 is not a power-attenuation model")
-        self.counters["stretch_calls"] += 1
+        self._count("stretch_calls")
         d_graph = self.apsp(graph, kind, alpha=alpha)
         d_base = self.apsp(self.baseline, kind, alpha=alpha)
-        t0 = time.perf_counter()
-        if self._use_numpy:
-            stats = self._kernel_numpy(d_graph, d_base, skip_udg_adjacent)
-        else:
-            stats = _kernel_python(d_graph, d_base, self.baseline, skip_udg_adjacent)
-        self.seconds["kernel"] += time.perf_counter() - t0
-        return stats
+        with obs.span("oracle.stage.kernel"):
+            if self._use_numpy:
+                return self._kernel_numpy(d_graph, d_base, skip_udg_adjacent)
+            return _kernel_python(d_graph, d_base, self.baseline, skip_udg_adjacent)
 
     def _adjacency_mask(self) -> Any:
         """Dense boolean baseline-adjacency matrix (numpy path only)."""
@@ -419,14 +377,9 @@ class DistanceOracle:
         return measure_topology(graph, self.baseline, oracle=self, **kwargs)
 
     def snapshot(self) -> dict:
-        """JSON-ready counters, stage seconds, and cache occupancy.
-
-        This is what the serving layer folds into ``GET /metrics``
-        under the ``oracle.*`` prefix and ships in ``/build`` extras.
-        """
+        """JSON-ready counters and cache occupancy (``/build`` extras)."""
         return {
             "counters": dict(self.counters),
-            "seconds": {k: round(v, 6) for k, v in self.seconds.items()},
             "entries": len(self._matrices),
         }
 

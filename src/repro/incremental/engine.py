@@ -37,10 +37,10 @@ bit-identical UDG edges, roles, and all four compared backbone graphs.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 from typing import Sequence, cast
 
+from repro import obs
 from repro.geometry.primitives import Point, dist_sq
 from repro.incremental.connectors import IncrementalConnectors
 from repro.incremental.events import Event
@@ -68,7 +68,6 @@ class StepReport:
     dirty_fraction: float
     edges_added: tuple[tuple[int, int], ...]
     edges_removed: tuple[tuple[int, int], ...]
-    phase_seconds: dict[str, float]
 
     def as_dict(self) -> dict:
         return {
@@ -85,7 +84,6 @@ class StepReport:
             "dirty_fraction": round(self.dirty_fraction, 6),
             "edges_added": [list(e) for e in self.edges_added],
             "edges_removed": [list(e) for e in self.edges_removed],
-            "phase_seconds": {k: round(v, 6) for k, v in self.phase_seconds.items()},
         }
 
 
@@ -208,124 +206,115 @@ class IncrementalMaintainer:
     def apply(self, events: Sequence[Event]) -> StepReport:
         """Apply one event batch; repair the dirty region; report."""
         self.steps += 1
-        phase_seconds: dict[str, float] = {}
-        t0 = time.perf_counter()
-        appeared: list[tuple[int, int]] = []
-        vanished: list[tuple[int, int]] = []
-        event_points: list[Point] = []
-        #: pre-batch positions of backbone members an event displaced,
-        #: renamed, or removed — the pre-state side of the PLDel dirt.
-        member_points: list[Point] = []
-        seeds: set[int] = set()
-        structural = False
-        backbone_prev = set(self._backbone)
-        for event in events:
-            if event.kind == "move":
-                mover = cast(int, event.node)
-                if mover in backbone_prev:
-                    member_points.append(self.udg.positions[mover])
-                    member_points.append(event.point)
-                delta = self.udg.move(mover, event.point)
-            elif event.kind == "join":
-                structural = True
-                delta = self.udg.join(event.point)
-                self._status.append(False)
+        with obs.span("incremental.phase.udg"):
+            appeared: list[tuple[int, int]] = []
+            vanished: list[tuple[int, int]] = []
+            event_points: list[Point] = []
+            #: pre-batch positions of backbone members an event displaced,
+            #: renamed, or removed — the pre-state side of the PLDel dirt.
+            member_points: list[Point] = []
+            seeds: set[int] = set()
+            structural = False
+            backbone_prev = set(self._backbone)
+            for event in events:
+                if event.kind == "move":
+                    mover = cast(int, event.node)
+                    if mover in backbone_prev:
+                        member_points.append(self.udg.positions[mover])
+                        member_points.append(event.point)
+                    delta = self.udg.move(mover, event.point)
+                elif event.kind == "join":
+                    structural = True
+                    delta = self.udg.join(event.point)
+                    self._status.append(False)
+                else:
+                    structural = True
+                    node = cast(int, event.node)
+                    last = self.udg.node_count - 1
+                    if node in backbone_prev:
+                        member_points.append(self.udg.positions[node])
+                    if node != last and last in backbone_prev:
+                        member_points.append(self.udg.positions[last])
+                    delta = self.udg.leave(node)
+                    seeds.discard(node)
+                    backbone_prev.discard(node)
+                    if delta.renamed is not None:
+                        old_id, new_id = delta.renamed
+                        self._status[new_id] = self._status[old_id]
+                        seeds = {new_id if s == old_id else s for s in seeds}
+                        if old_id in backbone_prev:
+                            backbone_prev.discard(old_id)
+                            backbone_prev.add(new_id)
+                    self._status.pop()
+                    self._doms_of.pop(last, None)
+                    self._doms_of.pop(node, None)
+                appeared.extend(delta.appeared)
+                vanished.extend(delta.vanished)
+                event_points.extend(delta.dirty_points)
+                seeds.update(delta.touched)
+                for u, v in delta.appeared:
+                    seeds.update((u, v))
+                for u, v in delta.vanished:
+                    seeds.update((u, v))
+            n = self.udg.node_count
+            seeds = {s for s in seeds if s < n}
+
+        with obs.span("incremental.phase.election"):
+            flipped = self._cascade(seeds)
+            certified, fallback = self._classify_repairs(flipped, event_points)
+
+        with obs.span("incremental.phase.roles"):
+            affected = set(seeds) | flipped
+            for u in flipped:
+                affected.update(self.udg.adjacency[u])
+            doms_changed: set[int] = set()
+            for w in affected:
+                if self._status[w]:
+                    if self._doms_of.pop(w, None) is not None:
+                        doms_changed.add(w)
+                else:
+                    new_doms = frozenset(
+                        v for v in self.udg.adjacency[w] if self._status[v]
+                    )
+                    if self._doms_of.get(w) != new_doms:
+                        self._doms_of[w] = new_doms
+                        doms_changed.add(w)
+            # The connector fixed point reads (node set, adjacency,
+            # dominators, dominator sets) and nothing geometric; when none
+            # of those changed this batch, the previous outcome stands.
+            quiet = not (
+                structural or appeared or vanished or flipped or doms_changed
+            )
+            if quiet:
+                backbone = self._backbone
+            elif structural:
+                self._refresh_connectors(None, None)
+                backbone = self._backbone_nodes()
             else:
-                structural = True
-                node = cast(int, event.node)
-                last = self.udg.node_count - 1
-                if node in backbone_prev:
-                    member_points.append(self.udg.positions[node])
-                if node != last and last in backbone_prev:
-                    member_points.append(self.udg.positions[last])
-                delta = self.udg.leave(node)
-                seeds.discard(node)
-                backbone_prev.discard(node)
-                if delta.renamed is not None:
-                    old_id, new_id = delta.renamed
-                    self._status[new_id] = self._status[old_id]
-                    seeds = {new_id if s == old_id else s for s in seeds}
-                    if old_id in backbone_prev:
-                        backbone_prev.discard(old_id)
-                        backbone_prev.add(new_id)
-                self._status.pop()
-                self._doms_of.pop(last, None)
-                self._doms_of.pop(node, None)
-            appeared.extend(delta.appeared)
-            vanished.extend(delta.vanished)
-            event_points.extend(delta.dirty_points)
-            seeds.update(delta.touched)
-            for u, v in delta.appeared:
-                seeds.update((u, v))
-            for u, v in delta.vanished:
-                seeds.update((u, v))
-        n = self.udg.node_count
-        seeds = {s for s in seeds if s < n}
-        phase_seconds["udg"] = time.perf_counter() - t0
+                self._refresh_connectors(seeds | flipped, doms_changed)
+                backbone = self._backbone_nodes()
 
-        t0 = time.perf_counter()
-        flipped = self._cascade(seeds)
-        certified, fallback = self._classify_repairs(flipped, event_points)
-        phase_seconds["election"] = time.perf_counter() - t0
+        with obs.span("incremental.phase.pldel"):
+            membership_diff = backbone.symmetric_difference(backbone_prev)
+            # PLDel is built over the backbone members alone, so its dirty
+            # ids are the event-touched nodes that are members on either
+            # side of the batch, plus every node whose membership flipped.
+            dirty_ids = {
+                s for s in seeds if s in backbone or s in backbone_prev
+            } | membership_diff
+            pldel_points = list(member_points)
+            for s in sorted(dirty_ids):
+                pldel_points.append(self.udg.positions[s])
+            prev_prime = self._ldel_icds_prime_edges
+            ldel_edges, pldel_stats = self.pldel.step(
+                self._membership(backbone), pldel_points, dirty_ids
+            )
 
-        t0 = time.perf_counter()
-        affected = set(seeds) | flipped
-        for u in flipped:
-            affected.update(self.udg.adjacency[u])
-        doms_changed: set[int] = set()
-        for w in affected:
-            if self._status[w]:
-                if self._doms_of.pop(w, None) is not None:
-                    doms_changed.add(w)
-            else:
-                new_doms = frozenset(
-                    v for v in self.udg.adjacency[w] if self._status[v]
-                )
-                if self._doms_of.get(w) != new_doms:
-                    self._doms_of[w] = new_doms
-                    doms_changed.add(w)
-        # The connector fixed point reads (node set, adjacency,
-        # dominators, dominator sets) and nothing geometric; when none
-        # of those changed this batch, the previous outcome stands.
-        quiet = not (
-            structural or appeared or vanished or flipped or doms_changed
-        )
-        if quiet:
-            backbone = self._backbone
-        elif structural:
-            self._refresh_connectors(None, None)
-            backbone = self._backbone_nodes()
-        else:
-            self._refresh_connectors(seeds | flipped, doms_changed)
-            backbone = self._backbone_nodes()
-        phase_seconds["roles"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        membership_diff = backbone.symmetric_difference(backbone_prev)
-        # PLDel is built over the backbone members alone, so its dirty
-        # ids are the event-touched nodes that are members on either
-        # side of the batch, plus every node whose membership flipped.
-        dirty_ids = {
-            s for s in seeds if s in backbone or s in backbone_prev
-        } | membership_diff
-        pldel_points = list(member_points)
-        for s in sorted(dirty_ids):
-            pldel_points.append(self.udg.positions[s])
-        prev_prime = self._ldel_icds_prime_edges
-        ldel_edges, pldel_stats = self.pldel.step(
-            self._membership(backbone), pldel_points, dirty_ids
-        )
-        phase_seconds["pldel"] = time.perf_counter() - t0
-        phase_seconds.update(
-            ("pldel_" + k, v) for k, v in pldel_stats.seconds.items()
-        )
-
-        t0 = time.perf_counter()
-        if not quiet or ldel_edges != self._ldel_icds_edges:
-            # Quiet batches cannot change the ICDS (same members, same
-            # adjacency); they can still move LDel edges via geometry.
-            self._finish_assembly(backbone, ldel_edges, icds_unchanged=quiet)
-        phase_seconds["assemble"] = time.perf_counter() - t0
+        with obs.span("incremental.phase.assemble"):
+            if not quiet or ldel_edges != self._ldel_icds_edges:
+                # Quiet batches cannot change the ICDS (same members, same
+                # adjacency); they can still move LDel edges via geometry.
+                self._finish_assembly(backbone, ldel_edges, icds_unchanged=quiet)
 
         role_changes = len(flipped) + len(membership_diff)
         return StepReport(
@@ -342,7 +331,6 @@ class IncrementalMaintainer:
             dirty_fraction=pldel_stats.dirty_members / n if n else 0.0,
             edges_added=tuple(sorted(self._ldel_icds_prime_edges - prev_prime)),
             edges_removed=tuple(sorted(prev_prime - self._ldel_icds_prime_edges)),
-            phase_seconds=phase_seconds,
         )
 
     def _cascade(self, seeds: set[int]) -> set[int]:

@@ -47,11 +47,11 @@ as context — the dominant cost of the sharded contest phase.
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from repro import obs
 from repro.geometry.circle import circumcircle
 from repro.geometry.predicates import segments_cross
 from repro.geometry.primitives import Point, dist
@@ -79,7 +79,6 @@ class PldelStepStats:
     surviving_triangles: int = 0
     edges_added: int = 0
     edges_removed: int = 0
-    seconds: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -138,31 +137,28 @@ class IncrementalPLDel:
         acceptance_halo = stage_halo("ldel", 1) * radius
         contest_halo = stage_halo("pldel") * radius
 
-        t0 = time.perf_counter()
-        dirty_a: set[TileKey] = set()
-        for p in dirty_points:
-            dirty_a.update(self.grid.keys_within(p, acceptance_halo))
-        dirty_members: set[int] = set()
-        changed = self._recompute_phase_a(
-            dirty_a, acceptance_halo, membership, dirty_ids, dirty_members
-        )
-        stats.seconds["phase_a"] = time.perf_counter() - t0
+        with obs.span("incremental.phase.pldel_phase_a"):
+            dirty_a: set[TileKey] = set()
+            for p in dirty_points:
+                dirty_a.update(self.grid.keys_within(p, acceptance_halo))
+            dirty_members: set[int] = set()
+            changed = self._recompute_phase_a(
+                dirty_a, acceptance_halo, membership, dirty_ids, dirty_members
+            )
         stats.dirty_tiles = len(dirty_a)
         stats.changed_tiles = len(changed)
         stats.dirty_members = len(dirty_members)
 
-        t0 = time.perf_counter()
-        dirty_b: set[TileKey] = set()
-        for key in changed:
-            dirty_b.update(self.grid.keys_near_key(key, contest_halo))
-        for key in sorted(dirty_b):
-            self._recompute_contest(key, contest_halo, stats)
-        stats.seconds["contest"] = time.perf_counter() - t0
+        with obs.span("incremental.phase.pldel_contest"):
+            dirty_b: set[TileKey] = set()
+            for key in changed:
+                dirty_b.update(self.grid.keys_near_key(key, contest_halo))
+            for key in sorted(dirty_b):
+                self._recompute_contest(key, contest_halo, stats)
         stats.contest_tiles = len(dirty_b)
 
-        t0 = time.perf_counter()
-        self._restitch(dirty_a | dirty_b, dirty_ids, stats)
-        stats.seconds["stitch"] = time.perf_counter() - t0
+        with obs.span("incremental.phase.pldel_stitch"):
+            self._restitch(dirty_a | dirty_b, dirty_ids, stats)
         stats.surviving_triangles = self._survivor_total
         return self._edges, stats
 

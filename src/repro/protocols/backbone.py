@@ -11,12 +11,12 @@ paper's accounting.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.graphs.graph import Graph
 from repro.graphs.udg import UnitDiskGraph
+from repro import obs
 from repro.protocols.cds import MODES, CDSFamily, build_cds_family
 from repro.protocols.clustering import PriorityFn
 from repro.protocols.ldel_fast import fast_ldel_protocol
@@ -47,9 +47,6 @@ class BackbonePipelineResult:
     #: Which construction path produced this result (``protocol`` or
     #: ``fast``); the outputs are bit-identical either way.
     mode: str = "protocol"
-    #: Wall-clock seconds per phase: ``cds`` (clustering + connectors +
-    #: family graphs) and ``ldel`` (backbone planarization).
-    timings: Mapping[str, float] = field(default_factory=dict)
 
     @property
     def udg(self) -> UnitDiskGraph:
@@ -71,24 +68,26 @@ def run_backbone_pipeline(
     swaps every protocol replay (election, connectors, LDel) for the
     direct fixed-point computation — bit-identical results, an order of
     magnitude faster at benchmark sizes.
+
+    Spans ``backbone.phase.cds`` (clustering + connectors + family
+    graphs) and ``backbone.phase.ldel`` (backbone planarization) time
+    the two phases; see :mod:`repro.obs`.
     """
     if election not in ELECTIONS:
         raise ValueError(f"unknown election {election!r}; known: {ELECTIONS}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {MODES}")
-    cds_started = time.perf_counter()
-    family = build_cds_family(
-        udg, priority=priority, election=election, clustering=clustering, mode=mode
-    )
+    with obs.span("backbone.phase.cds"):
+        family = build_cds_family(
+            udg, priority=priority, election=election, clustering=clustering, mode=mode
+        )
 
-    # Ledger boundaries: the Status broadcast belongs to the ICDS
-    # stage, so subtract it for the CDS-only view.
-    stats_icds = family.stats.copy()
-    stats_cds = MessageStats()
-    stats_cds.merge(family.clustering.stats)
-    stats_cds.merge(family.connector_outcome.stats)
-
-    cds_seconds = time.perf_counter() - cds_started
+        # Ledger boundaries: the Status broadcast belongs to the ICDS
+        # stage, so subtract it for the CDS-only view.
+        stats_icds = family.stats.copy()
+        stats_cds = MessageStats()
+        stats_cds.merge(family.clustering.stats)
+        stats_cds.merge(family.connector_outcome.stats)
 
     backbone = sorted(family.backbone_nodes)
     # induced_radio_subgraph == a plain sub-UDG for the standard disk
@@ -97,12 +96,11 @@ def run_backbone_pipeline(
     from repro.graphs.quasi import induced_radio_subgraph
 
     sub_udg = induced_radio_subgraph(udg, backbone, name="ICDS-sub")
-    ldel_started = time.perf_counter()
-    if mode == "fast":
-        ldel_outcome = fast_ldel_protocol(sub_udg)
-    else:
-        ldel_outcome = run_ldel_protocol(sub_udg)
-    ldel_seconds = time.perf_counter() - ldel_started
+    with obs.span("backbone.phase.ldel"):
+        if mode == "fast":
+            ldel_outcome = fast_ldel_protocol(sub_udg)
+        else:
+            ldel_outcome = run_ldel_protocol(sub_udg)
 
     # Map the protocol output back to original node ids.
     ldel_icds = Graph(udg.positions, name="LDel(ICDS)")
@@ -117,6 +115,9 @@ def run_backbone_pipeline(
     for (sub_id, kind), count in ldel_outcome.stats.per_node_kind.items():
         stats_ldel.record(backbone[sub_id], kind, count)
 
+    obs.count("backbone.builds")
+    obs.count(f"backbone.mode.{mode}")
+    obs.count("backbone.messages_total", stats_ldel.total)
     return BackbonePipelineResult(
         family=family,
         ldel_icds=ldel_icds,
@@ -126,5 +127,4 @@ def run_backbone_pipeline(
         stats_icds=stats_icds,
         stats_ldel=stats_ldel,
         mode=mode,
-        timings={"cds": cds_seconds, "ldel": ldel_seconds},
     )

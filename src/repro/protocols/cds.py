@@ -6,8 +6,9 @@ Definitions (paper Section III-A/B):
   connector elections certified (the backbone);
 * **CDS'** — CDS plus every dominatee-to-dominator edge (the extended
   backbone every node can reach);
-* **ICDS** — the unit disk graph *induced* on the CDS node set (all
-  links of length at most the radius between backbone nodes);
+* **ICDS** — the radio graph *induced* on the CDS node set (every
+  link between backbone nodes; for a plain UDG, every pair at most the
+  radius apart);
 * **ICDS'** — ICDS plus every dominatee-to-dominator edge.
 
 Building ICDS/ICDS' after CDS costs one extra broadcast per node — the
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.geometry.primitives import dist_sq
 from repro.graphs.graph import Graph
 from repro.graphs.udg import UnitDiskGraph
 from repro.protocols.clustering import (
@@ -75,14 +75,16 @@ def _dominatee_edges(clustering: ClusteringOutcome) -> list[tuple[int, int]]:
 
 
 def induced_udg_subgraph(udg: UnitDiskGraph, nodes: frozenset[int], name: str) -> Graph:
-    """UDG links among ``nodes`` (original node ids, full vertex set)."""
+    """Radio links among ``nodes`` (original node ids, full vertex set).
+
+    Filters each member's own adjacency instead of re-testing the disk
+    rule, so the gray-zone links a quasi-UDG dropped stay dropped.
+    """
     graph = Graph(udg.positions, name=name)
-    members = sorted(nodes)
-    r_sq = udg.radius * udg.radius
-    for i, u in enumerate(members):
-        pu = udg.positions[u]
-        for v in members[i + 1 :]:
-            if dist_sq(pu, udg.positions[v]) <= r_sq:
+    members = set(nodes)
+    for u in sorted(members):
+        for v in sorted(udg.neighbors(u)):
+            if v > u and v in members:
                 graph.add_edge(u, v)
     return graph
 

@@ -143,13 +143,13 @@ class MetricsRegistry:
     def inc(self, name: str, amount: int = 1) -> None:
         self.counter(name).inc(amount)
 
-    def merge_counters(self, counters: Dict[str, int], *, prefix: str = "") -> None:
-        """Fold a dict of counter deltas in (e.g. a construction-cache
-        snapshot from a finished build); negative values are skipped
-        rather than violating counter monotonicity."""
+    def merge_counters(self, counters: Dict[str, int]) -> None:
+        """Fold a dict of counter deltas in (e.g. the counts of a
+        :mod:`repro.obs` record); zero and negative values are skipped
+        rather than creating empty counters or violating monotonicity."""
         for name, amount in counters.items():
             if isinstance(amount, int) and not isinstance(amount, bool) and amount > 0:
-                self.counter(prefix + name).inc(amount)
+                self.counter(name).inc(amount)
 
     def observe(self, name: str, seconds: float) -> None:
         self.histogram(name).observe(seconds)

@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
+from repro import obs
 from repro.core.metrics import StretchStats, measure_topology
 from repro.core.oracle import DistanceOracle
 from repro.core.spanner import BackboneResult, build_backbone
@@ -26,7 +27,6 @@ from repro.graphs.udg import UnitDiskGraph
 from repro.protocols.backbone import ELECTIONS
 from repro.protocols.cds import MODES
 from repro.topology.beta_skeleton import beta_skeleton
-from repro.topology.construction_cache import ConstructionCache
 from repro.topology.delaunay_udg import unit_delaunay_graph
 from repro.topology.gabriel import gabriel_graph
 from repro.topology.greedy_spanner import greedy_spanner
@@ -162,10 +162,9 @@ def _measured_extras(
     """Quality metrics + oracle accounting for ``measure=true`` builds.
 
     One :class:`~repro.core.oracle.DistanceOracle` serves all three
-    stretch kinds; its counters/seconds ride in ``extras["oracle"]``,
-    which the serving layer folds into ``GET /metrics`` under the
-    ``oracle.*`` prefix.
+    stretch kinds; its counters ride in ``extras["oracle"]``.
     """
+    obs.count("oracle.measurements")
     oracle = DistanceOracle(udg)
     metrics = measure_topology(
         graph, udg, skip_udg_adjacent=skip_udg_adjacent, power_alpha=2.0,
@@ -195,35 +194,6 @@ def _flat(name: str, make: Callable[..., Graph]) -> Callable[[Deployment, dict],
     return builder
 
 
-def _construction_extras(cache: ConstructionCache) -> dict:
-    """Cache-effectiveness accounting shipped with LDel build products.
-
-    Travels in ``extras`` so ``POST /build`` responses surface it and
-    the serving layer can fold the counters into ``GET /metrics``.
-    """
-    return {"construction_cache": cache.snapshot()}
-
-
-def _ldel_builder(deployment: Deployment, params: dict) -> BuildProduct:
-    udg = deployment.udg()
-    cache = ConstructionCache(udg)
-    result = planar_local_delaunay_graph(udg, cache=cache)
-    extras = _construction_extras(cache)
-    if params.get("measure"):
-        extras.update(_measured_extras(result.graph, udg))
-    return BuildProduct("ldel", result.graph, extras=extras)
-
-
-def _ldel1_builder(deployment: Deployment, params: dict) -> BuildProduct:
-    udg = deployment.udg()
-    cache = ConstructionCache(udg)
-    result = local_delaunay_graph(udg, k=params["k"], cache=cache)
-    extras = _construction_extras(cache)
-    if params.get("measure"):
-        extras.update(_measured_extras(result.graph, udg))
-    return BuildProduct("ldel1", result.graph, extras=extras)
-
-
 def _udg_builder(deployment: Deployment, params: dict) -> BuildProduct:
     udg = deployment.udg()
     extras = _measured_extras(udg, udg) if params.get("measure") else {}
@@ -238,20 +208,11 @@ def _backbone_builder(attr: str) -> Callable[[Deployment, dict], BuildProduct]:
             election=params["election"],
             mode=params["mode"],
         )
-        pipeline = result.pipeline
         extras = {
             "messages_per_node_max": result.stats_ldel.max_per_node(),
             "messages_per_node_avg": round(
                 result.stats_ldel.avg_per_node(result.udg.node_count), 3
             ),
-            # Folded into backbone.* on GET /metrics by the server.
-            "backbone": {
-                "mode": pipeline.mode,
-                "phase_seconds": {
-                    name: round(s, 6) for name, s in pipeline.timings.items()
-                },
-                "counters": {"messages_total": result.stats_ldel.total},
-            },
         }
         if params.get("measure"):
             # Backbone rows are measured over UDG-non-adjacent pairs
@@ -271,7 +232,7 @@ _ELECTION_PARAM = ParamSpec("election", str, "smallest-id", choices=ELECTIONS)
 #: Opt-in quality measurement: when true, the build product's extras
 #: carry the paper's Table I metrics for the built graph (degrees +
 #: length/hop/power stretch vs the UDG, through one DistanceOracle)
-#: plus the oracle's cache counters and stage seconds.
+#: plus the oracle's cache counters.
 _MEASURE_PARAM = ParamSpec("measure", bool, False)
 
 #: Construction path for backbone-family pipelines.  The serving
@@ -295,8 +256,7 @@ def _sharded_builder(
 
     ``construct`` returns ``(product, ShardingStats)``; the stats ride
     in ``extras["sharding"]`` so ``POST /build`` responses surface the
-    per-tile timings and the serving layer folds the stitch counters
-    into ``GET /metrics`` under the ``sharding.`` prefix.
+    grid, the executor mode and the stitch counters.
     """
 
     def builder(deployment: Deployment, params: dict) -> BuildProduct:
@@ -348,10 +308,11 @@ def _specs() -> tuple[PipelineSpec, ...]:
         PipelineSpec("gg", "Gabriel graph", (_MEASURE_PARAM,),
                      _flat("gg", gabriel_graph)),
         PipelineSpec("ldel", "planarized localized Delaunay graph PLDel",
-                     (_MEASURE_PARAM,), _ldel_builder),
+                     (_MEASURE_PARAM,),
+                     _flat("ldel", lambda udg: planar_local_delaunay_graph(udg).graph)),
         PipelineSpec("ldel1", "raw k-localized Delaunay graph LDel^k",
                      (ParamSpec("k", int, 1, minimum=1), _MEASURE_PARAM),
-                     _ldel1_builder),
+                     _flat("ldel1", lambda udg, k: local_delaunay_graph(udg, k=k).graph)),
         PipelineSpec("rdg", "restricted Delaunay graph", (_MEASURE_PARAM,),
                      _flat("rdg", restricted_delaunay_graph)),
         PipelineSpec("delaunay", "Delaunay triangulation capped at unit edges",

@@ -45,6 +45,7 @@ import random
 import threading
 from typing import Any, Mapping, Optional
 
+from repro import obs
 from repro.core.route_engine import (
     DEFAULT_CHUNK,
     REASON_STRINGS,
@@ -209,8 +210,6 @@ class SpannerService:
             name, scenario, params, key = self._prepare(payload)
             product, hit = self._build_cached(name, scenario, params, key)
         self.metrics.inc("build.cache_hits" if hit else "build.cache_misses")
-        if not hit:
-            self._record_construction_metrics(product)
         response = {"key": key, "params": params, "cache": "hit" if hit else "miss"}
         response.update(product.summary())
         return response
@@ -218,100 +217,23 @@ class SpannerService:
     def _build_cached(
         self, name: str, scenario: dict, params: dict, key: str
     ) -> tuple[BuildProduct, bool]:
-        def construct() -> BuildProduct:
-            with self.metrics.timer("build.construct"):
-                return build_scenario(name, scenario, params)
+        return self.cache.get_or_build(
+            key, lambda: self._construct(name, scenario, params)
+        )
 
-        return self.cache.get_or_build(key, construct)
+    def _construct(self, name: str, scenario: dict, params: dict) -> BuildProduct:
+        """Build one product under a fresh :func:`repro.obs.recording`
+        and fold the record into the metrics."""
+        with obs.recording() as record, self.metrics.timer("build.construct"):
+            product = build_scenario(name, scenario, params)
+        self._fold(record)
+        return product
 
-    def _record_construction_metrics(self, product: BuildProduct) -> None:
-        """Fold a fresh build's construction-cache counters into metrics.
-
-        LDel-family builders ship a ``construction_cache`` snapshot in
-        their extras (hit/miss counts for the neighborhood and
-        circumcircle layers, triangle-pair statistics); exposing the
-        running totals under ``construction.*`` makes the hot-path
-        cache effectiveness visible on ``GET /metrics``.
-        """
-        counters = product.extras.get("construction_cache")
-        if isinstance(counters, Mapping):
-            self.metrics.merge_counters(dict(counters), prefix="construction.")
-        sharding = product.extras.get("sharding")
-        if isinstance(sharding, Mapping):
-            self._record_sharding_metrics(sharding)
-        backbone = product.extras.get("backbone")
-        if isinstance(backbone, Mapping):
-            self._record_backbone_metrics(backbone)
-        oracle = product.extras.get("oracle")
-        if isinstance(oracle, Mapping):
-            self._record_oracle_metrics(oracle)
-
-    def _record_oracle_metrics(self, oracle: Mapping[str, Any]) -> None:
-        """Fold a measured build's distance-oracle stats into ``oracle.*``.
-
-        ``measure=true`` builds ship the oracle's snapshot in their
-        extras: APSP/snapshot cache hit-miss counters become running
-        totals (``oracle.apsp_hits``, ...), the per-stage wall times
-        (snapshot / apsp / kernel) feed latency histograms under
-        ``oracle.stage.*``, and ``oracle.measurements`` counts measured
-        builds — so ``GET /metrics`` shows how much the memoized
-        matrices and the vectorized kernel save.
-        """
-        self.metrics.inc("oracle.measurements")
-        counters = oracle.get("counters")
-        if isinstance(counters, Mapping):
-            self.metrics.merge_counters(dict(counters), prefix="oracle.")
-        seconds = oracle.get("seconds")
-        if isinstance(seconds, Mapping):
-            for name, value in seconds.items():
-                if isinstance(value, (int, float)):
-                    self.metrics.observe(f"oracle.stage.{name}", float(value))
-
-    def _record_backbone_metrics(self, backbone: Mapping[str, Any]) -> None:
-        """Fold a backbone build's stats into ``backbone.*`` metrics.
-
-        Builds are counted overall and per construction mode
-        (``backbone.mode.fast`` / ``backbone.mode.protocol``), the
-        per-phase wall times (CDS election + connectors, LDel
-        planarization) feed latency histograms, and the build's message
-        ledger total becomes a running counter — so ``GET /metrics``
-        shows directly how much the fast path saves per phase.
-        """
-        self.metrics.inc("backbone.builds")
-        mode = backbone.get("mode")
-        if isinstance(mode, str) and mode:
-            self.metrics.inc(f"backbone.mode.{mode}")
-        phases = backbone.get("phase_seconds")
-        if isinstance(phases, Mapping):
-            for name, seconds in phases.items():
-                if isinstance(seconds, (int, float)):
-                    self.metrics.observe(f"backbone.phase.{name}", float(seconds))
-        counters = backbone.get("counters")
-        if isinstance(counters, Mapping):
-            self.metrics.merge_counters(dict(counters), prefix="backbone.")
-
-    def _record_sharding_metrics(self, sharding: Mapping[str, Any]) -> None:
-        """Fold a sharded build's stats into ``sharding.*`` metrics.
-
-        Stitch counters (accepted/surviving triangles, contests,
-        ``straddle_contests`` — the cross-tile reconciliation work)
-        become running counters; per-tile and per-phase wall times feed
-        latency histograms so ``GET /metrics`` shows tile balance.
-        """
-        counters = sharding.get("counters")
-        if isinstance(counters, Mapping):
-            self.metrics.merge_counters(dict(counters), prefix="sharding.")
-        self.metrics.inc("sharding.builds")
-        self.metrics.inc("sharding.tiles", int(sharding.get("tiles", 0)))
-        for entry in sharding.get("tile_seconds", ()):
-            seconds = entry.get("seconds", {}) if isinstance(entry, Mapping) else {}
-            total = sum(v for v in seconds.values() if isinstance(v, (int, float)))
-            self.metrics.observe("sharding.tile_seconds", total)
-        phases = sharding.get("phase_seconds")
-        if isinstance(phases, Mapping):
-            for phase, seconds in phases.items():
-                if isinstance(seconds, (int, float)):
-                    self.metrics.observe(f"sharding.phase.{phase}", float(seconds))
+    def _fold(self, record: obs.Record) -> None:
+        """One histogram observation per span, one counter bump per count."""
+        for name, seconds in record["spans"]:
+            self.metrics.observe(name, seconds)
+        self.metrics.merge_counters(record["counts"])
 
     # -- batching --------------------------------------------------------
 
@@ -376,12 +298,13 @@ class SpannerService:
                     pending, outcome.outcomes
                 ):
                     if task.ok:
-                        self.cache.put(key, task.value)
-                        self._record_construction_metrics(task.value)
+                        product, record = task.value
+                        self.cache.put(key, product)
+                        self._fold(record)
                         results[i] = {
                             "ok": True, "key": key, "cache": "miss",
                             "elapsed_ms": round(task.duration_s * 1000.0, 3),
-                            **task.value.summary(),
+                            **product.summary(),
                         }
                     else:
                         self.metrics.inc("batch.task_errors")
@@ -771,8 +694,9 @@ class SpannerService:
         except ValueError as exc:
             raise ServiceError(400, str(exc)) from None
         verify = bool(payload.get("verify", False))
-        with self.metrics.timer("incremental.step"):
+        with obs.recording() as record, self.metrics.timer("incremental.step"):
             report = session.step(events, verify=verify)
+        self._fold(record)
         self._record_incremental_metrics(report)
         response = {
             "session": session_id,
@@ -818,11 +742,11 @@ class SpannerService:
     def _record_incremental_metrics(self, report: StepReport) -> None:
         """Fold one maintenance step into the ``incremental.*`` metrics.
 
-        Event/link/repair counts become running counters, the per-phase
-        wall times feed latency histograms under
-        ``incremental.phase.*``, and the step's dirty-node fraction
-        feeds a (unitless) histogram — so ``GET /metrics`` shows how
-        local the maintenance actually stayed.
+        Event/link/repair counts become running counters and the step's
+        dirty-node fraction feeds a (unitless) histogram — so
+        ``GET /metrics`` shows how local the maintenance actually
+        stayed.  The per-phase wall times arrive as
+        ``incremental.phase.*`` spans.
         """
         self.metrics.inc("incremental.steps")
         self.metrics.inc("incremental.events", report.events)
@@ -836,8 +760,6 @@ class SpannerService:
         self.metrics.inc("incremental.edges_added", len(report.edges_added))
         self.metrics.inc("incremental.edges_removed", len(report.edges_removed))
         self.metrics.observe("incremental.dirty_fraction", report.dirty_fraction)
-        for name, seconds in report.phase_seconds.items():
-            self.metrics.observe(f"incremental.phase.{name}", float(seconds))
 
     # -- named deployments -----------------------------------------------
 
@@ -1010,7 +932,13 @@ class SpannerService:
         return {"status": "ok", "uptime_s": self.metrics.snapshot()["uptime_s"]}
 
 
-def _batch_worker(task: tuple[str, dict, dict]) -> BuildProduct:
-    """Process-pool entry point: rebuild by value (name, scenario, params)."""
+def _batch_worker(task: tuple[str, dict, dict]) -> tuple[BuildProduct, obs.Record]:
+    """Pool entry point: rebuild by value (name, scenario, params).
+
+    May run in another thread or process, so it records under its own
+    :func:`repro.obs.recording` and returns the record with the product.
+    """
     name, scenario, params = task
-    return build_scenario(name, scenario, params)
+    with obs.recording() as record:
+        product = build_scenario(name, scenario, params)
+    return product, record

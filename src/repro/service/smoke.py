@@ -9,11 +9,12 @@ and asserts the serving contract end to end:
 * ``GET /healthz`` reports ``ok`` and ``GET /pipelines`` lists both
   the serial and the ``sharded:*`` families;
 * ``POST /build`` constructs a backbone and answers the repeat request
-  from cache;
+  from cache with the same body apart from the ``cache`` marker;
 * a ``sharded:*`` build returns the same edge count as its serial
   counterpart (the halo-exact stitch, exercised over HTTP);
 * ``POST /route`` routes on the cached backbone;
-* ``GET /metrics`` shows the build counters and ``sharding.*`` stats.
+* ``GET /metrics`` shows the build counters, ``sharding.*`` stats and
+  the ``backbone.phase.cds`` / ``sharding.phase.build`` span latencies.
 
 Exit status 0 on success, 1 with a one-line diagnosis on the first
 failed check — CI runs this as a blocking job.
@@ -82,7 +83,11 @@ def run_smoke(url: "str | None" = None, wait: float = 30.0) -> int:
         _check("build backbone", built["cache"] == "miss", f"edges={built['edges']}")
         again = client.build("backbone", SCENARIO)
         _check("build cache hit", again["cache"] == "hit")
-        _check("build deterministic", again["edges"] == built["edges"])
+        _check(
+            "build deterministic",
+            {k: v for k, v in again.items() if k != "cache"}
+            == {k: v for k, v in built.items() if k != "cache"},
+        )
 
         serial = client.build("ldel", SCENARIO)
         sharded = client.build("sharded:ldel", SCENARIO, params={"shards": 4})
@@ -107,6 +112,9 @@ def run_smoke(url: "str | None" = None, wait: float = 30.0) -> int:
         sharding_counters = [k for k in counters if k.startswith("sharding.")]
         _check("metrics: sharding.* counters", bool(sharding_counters),
                ", ".join(sorted(sharding_counters)[:4]))
+        latency = metrics.get("latency", {})
+        for span in ("backbone.phase.cds", "sharding.phase.build"):
+            _check(f"metrics: {span} latency", latency.get(span, {}).get("count", 0) >= 1)
         cache = metrics.get("cache", {})
         lookups = cache.get("hits", 0) + cache.get("misses", 0)
         _check("metrics: cache hit_rate",

@@ -119,12 +119,8 @@ def _build_events(
             with tile_observer(
                 lambda phase, info: events.put(("tile", {"phase": phase, **info}))
             ):
-                with service.metrics.timer("build.construct"):
-                    from repro.service.registry import build_scenario
-
-                    product = build_scenario(name, scenario, params)
+                product = service._construct(name, scenario, params)
             service.cache.put(key, product)
-            service._record_construction_metrics(product)
             events.put(("product", product))
         except Exception as exc:
             events.put(("error", f"{type(exc).__name__}: {exc}"))

@@ -54,11 +54,12 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
+from repro import obs
 from repro.geometry.circle import circumcircle
 from repro.geometry.primitives import Point
 from repro.graphs.graph import Graph
@@ -89,19 +90,23 @@ class ShardingError(RuntimeError):
 
 @dataclass
 class ShardingStats:
-    """Accounting for one sharded build (JSON-ready via :meth:`as_dict`)."""
+    """Accounting for one sharded build (JSON-ready via :meth:`as_dict`).
+
+    Phase and per-tile wall times are spans (``sharding.phase.*``,
+    ``sharding.tile_seconds``; see :mod:`repro.obs`), not fields.
+    """
 
     shards: int
     tiles: int
     grid: tuple[int, int]
     mode: str
     workers: int
-    phase_seconds: dict[str, float] = field(default_factory=dict)
-    tile_seconds: list[dict] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
 
     def count(self, name: str, amount: int = 1) -> None:
+        """Bump ``counters[name]``, also counted as ``sharding.<name>``."""
         self.counters[name] = self.counters.get(name, 0) + amount
+        obs.count(f"sharding.{name}", amount)
 
     def as_dict(self) -> dict:
         return {
@@ -110,8 +115,6 @@ class ShardingStats:
             "grid": list(self.grid),
             "mode": self.mode,
             "workers": self.workers,
-            "phase_seconds": {k: round(v, 6) for k, v in self.phase_seconds.items()},
-            "tile_seconds": self.tile_seconds,
             "counters": dict(self.counters),
         }
 
@@ -149,7 +152,7 @@ def _box_distance(box: tuple[float, float, float, float], p: Point) -> float:
     return math.hypot(dx, dy)
 
 
-def _soa_phase_a_candidates(udg, cache, box, radius):
+def _soa_phase_a_candidates(udg, box, radius):
     """Vectorized per-tile candidate generation; ``None`` defers to scalar.
 
     Proposer selection replicates the scalar loop exactly: the axis
@@ -176,7 +179,7 @@ def _soa_phase_a_candidates(udg, cache, box, radius):
         for u, (dx, dy) in enumerate(zip(gx.tolist(), gy.tolist()))
         if math.hypot(dx, dy) <= radius
     ]
-    return _soa_candidate_arrays(udg, cache, node_ids=proposers)
+    return _soa_candidate_arrays(udg, node_ids=proposers)
 
 
 def _phase_a(payload: tuple) -> dict:
@@ -195,15 +198,12 @@ def _phase_a(payload: tuple) -> dict:
     pos = [Point(x, y) for x, y in coords]
     gid_index = {gid: local for local, gid in enumerate(gids)}
     core = {gid_index[g] for g in core_gids}
-    seconds: dict[str, float] = {}
     out: dict[str, Any] = {
         "tile": tile_key,
         "nodes": {"core": len(core), "halo": len(gids) - len(core)},
     }
 
-    t0 = time.perf_counter()
     udg = UnitDiskGraph(pos, radius, name=f"tile{tile_key}")
-    seconds["udg"] = time.perf_counter() - t0
     cache = ConstructionCache(udg)
 
     if "udg" in stages:
@@ -212,23 +212,18 @@ def _phase_a(payload: tuple) -> dict:
         ]
 
     if "gabriel" in stages:
-        t0 = time.perf_counter()
         gg = gabriel_graph(udg, cache=cache)
-        seconds["gabriel"] = time.perf_counter() - t0
         out["gabriel_edges"] = [
             (gids[u], gids[v]) for u, v in gg.edges() if min(u, v) in core
         ]
 
     if "ldel" in stages:
         r_sq = radius * radius
-        t0 = time.perf_counter()
-        cand_arr = _soa_phase_a_candidates(udg, cache, box, radius)
+        cand_arr = _soa_phase_a_candidates(udg, box, radius)
         if cand_arr is not None:
             from repro.core.compat import get_numpy
 
             np = get_numpy()
-            seconds["candidates"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
             core_mask = np.zeros(len(gids), dtype=bool)
             if core:
                 core_mask[np.fromiter(core, dtype=np.int64, count=len(core))] = True
@@ -243,7 +238,6 @@ def _phase_a(payload: tuple) -> dict:
                     for t in map(tuple, owned.tolist())
                     if is_k_localized_delaunay(udg, t, k, cache)
                 )
-            seconds["filter"] = time.perf_counter() - t0
             out["accepted"] = [
                 (gids[a], gids[b], gids[c]) for a, b, c in accepted
             ]
@@ -257,23 +251,22 @@ def _phase_a(payload: tuple) -> dict:
                     continue
                 local_hood = sorted(cache.k_hop(u, 1))
                 candidates.update(_node_candidates(pos, r_sq, u, local_hood))
-            seconds["candidates"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
             accepted = sorted(
                 t
                 for t in candidates
                 if t[0] in core and is_k_localized_delaunay(udg, t, k, cache)
             )
-            seconds["filter"] = time.perf_counter() - t0
             out["accepted"] = [
                 (gids[a], gids[b], gids[c]) for a, b, c in accepted
             ]
             out["candidates"] = len(candidates)
-
-    out["seconds"] = {name: round(v, 6) for name, v in seconds.items()}
-    out["cache"] = cache.snapshot()
     return out
+
+
+def _timed_phase_a(payload: tuple) -> dict:
+    """:func:`_phase_a` as a sharded tile: one ``sharding.tile_seconds`` span."""
+    with obs.span("sharding.tile_seconds"):
+        return _phase_a(payload)
 
 
 def _election_worker(payload: tuple) -> dict:
@@ -290,7 +283,6 @@ def _election_worker(payload: tuple) -> dict:
     coordinator's exact reconciliation pass.
     """
     tile_key, box, gids, coords, core_gids, radius, _k, _stages = payload
-    t0 = time.perf_counter()
     pos = [Point(x, y) for x, y in coords]
     udg = UnitDiskGraph(pos, radius, name=f"tile{tile_key}")
     halo_r = stage_halo("election") * radius
@@ -309,11 +301,7 @@ def _election_worker(payload: tuple) -> dict:
     for u, gid in enumerate(gids):
         if gid in core:
             verdicts[names[state[u]]].append(gid)
-    return {
-        "tile": tile_key,
-        "seconds": round(time.perf_counter() - t0, 6),
-        **verdicts,
-    }
+    return {"tile": tile_key, **verdicts}
 
 
 def _contest_worker(payload: tuple) -> dict:
@@ -400,6 +388,19 @@ def tile_observer(callback: Callable[[str, dict], None]):
         _TILE_OBSERVER.reset(token)
 
 
+def _recorded(worker, payload: tuple) -> dict:
+    """Run one tile worker under its own :func:`repro.obs.recording`.
+
+    The tile may run in a pool thread or process where the caller's
+    record is not installed; the record rides back in ``"obs"`` and
+    :func:`_run_tiles` merges it.
+    """
+    with obs.recording() as record:
+        out = worker(payload)
+    out["obs"] = record
+    return out
+
+
 def _run_tiles(
     payloads: Sequence[tuple],
     worker,
@@ -409,7 +410,11 @@ def _run_tiles(
     stats: ShardingStats,
     phase: str,
 ) -> list[dict]:
-    """Fan tile payloads over the batch executor; serial when tiny."""
+    """Fan tile payloads over the batch executor; serial when tiny.
+
+    The phase runs under the ``sharding.phase.<phase>`` span, and each
+    tile's record is merged into the caller's.
+    """
     from repro.service.executor import default_workers, run_batch
 
     observer = _TILE_OBSERVER.get()
@@ -430,12 +435,11 @@ def _run_tiles(
 
     workers = max_workers or default_workers()
     mode = executor_mode if (workers > 1 and len(payloads) > 1) else "serial"
-    t0 = time.perf_counter()
-    batch = run_batch(
-        list(payloads), worker,
-        mode=mode, max_workers=workers, on_outcome=on_outcome,
-    )
-    stats.phase_seconds[phase] = time.perf_counter() - t0
+    with obs.span(f"sharding.phase.{phase}"):
+        batch = run_batch(
+            list(payloads), functools.partial(_recorded, worker),
+            mode=mode, max_workers=workers, on_outcome=on_outcome,
+        )
     stats.mode = batch.mode
     stats.workers = batch.workers
     if batch.failed:
@@ -443,7 +447,10 @@ def _run_tiles(
         raise ShardingError(
             f"{batch.failed} tile worker(s) failed in phase {phase!r}: {errors[0]}"
         )
-    return batch.values()
+    values = batch.values()
+    for value in values:
+        obs.merge(value["obs"])
+    return values
 
 
 def _phase_a_payloads(
@@ -494,16 +501,10 @@ def _collect_phase_a(
             assert tri not in seen, f"triangle {tri} claimed by two tiles"
             seen.add(tri)
             accepted.append(tri)  # type: ignore[arg-type]
-        stats.tile_seconds.append(
-            {
-                "tile": list(res["tile"]),
-                **res["nodes"],
-                "seconds": res["seconds"],
-            }
-        )
         stats.count("candidates", res.get("candidates", 0))
+        tile_counts = res["obs"]["counts"]
         for name in ("local_delaunay_calls", "khop_misses", "circumcircle_misses"):
-            stats.count(name, res.get("cache", {}).get(name, 0))
+            stats.count(name, tile_counts.get(f"construction.{name}", 0))
     accepted.sort()
     stats.count("udg_edges", len(udg_edges))
     stats.count("gabriel_edges", len(gabriel))
@@ -527,11 +528,12 @@ def _sharded_phase_a(
         shards=shards, tiles=len(grid), grid=(grid.nx, grid.ny),
         mode="serial", workers=1,
     )
-    t0 = time.perf_counter()
-    payloads = _phase_a_payloads(grid, points, radius, k, stages, halo_cells)
-    stats.phase_seconds["assign"] = time.perf_counter() - t0
+    obs.count("sharding.builds")
+    obs.count("sharding.tiles", stats.tiles)
+    with obs.span("sharding.phase.assign"):
+        payloads = _phase_a_payloads(grid, points, radius, k, stages, halo_cells)
     results = _run_tiles(
-        payloads, _phase_a,
+        payloads, _timed_phase_a,
         executor_mode=executor_mode, max_workers=max_workers,
         stats=stats, phase="build",
     )
@@ -545,11 +547,11 @@ def _sharded_election(
     shards: int,
     max_workers: Optional[int],
     executor_mode: str,
-) -> tuple[frozenset[int], int, int, float]:
+) -> tuple[frozenset[int], int, int]:
     """Tiled smallest-id MIS: certified per tile, reconciled exactly.
 
-    Returns the dominator set (bit-identical to the global election),
-    the certified / unresolved node counts, and the phase wall-clock.
+    Returns the dominator set (bit-identical to the global election)
+    and the certified / unresolved node counts.
     """
     pts = udg.positions
     grid = TileGrid(pts, udg.radius, shards)
@@ -581,12 +583,7 @@ def _sharded_election(
     for u in sorted(unresolved):
         status[u] = not any(status[w] for w in udg.neighbors(u) if w < u)
     dominators = frozenset(gid for gid, is_in in status.items() if is_in)
-    return (
-        dominators,
-        certified,
-        len(unresolved),
-        stats.phase_seconds.get("election", 0.0),
-    )
+    return dominators, certified, len(unresolved)
 
 
 # -- public constructions -----------------------------------------------------
@@ -678,23 +675,22 @@ def sharded_pldel(
     # Phase B: replay the contests per tile over the stitched accepted
     # set.  A tile receives every accepted triangle whose anchor is
     # within 3r of its core and owns those whose anchor it owns.
-    t0 = time.perf_counter()
     contest_halo = stage_halo("pldel") * radius
     payloads = []
-    for tile in grid.tiles:
-        tri_gids: list[Triangle] = []
-        tri_coords = []
-        owned_flags = []
-        for tri in accepted:
-            anchor = points[tri[0]]
-            if tile.box_distance(anchor) > contest_halo:
-                continue
-            tri_gids.append(tri)
-            tri_coords.append(tuple((points[i][0], points[i][1]) for i in tri))
-            owned_flags.append(grid.tile_of(anchor) == tile.key)
-        if tri_gids:
-            payloads.append((tile.key, tri_gids, tri_coords, owned_flags, radius))
-    stats.phase_seconds["contest_assign"] = time.perf_counter() - t0
+    with obs.span("sharding.phase.contest_assign"):
+        for tile in grid.tiles:
+            tri_gids: list[Triangle] = []
+            tri_coords = []
+            owned_flags = []
+            for tri in accepted:
+                anchor = points[tri[0]]
+                if tile.box_distance(anchor) > contest_halo:
+                    continue
+                tri_gids.append(tri)
+                tri_coords.append(tuple((points[i][0], points[i][1]) for i in tri))
+                owned_flags.append(grid.tile_of(anchor) == tile.key)
+            if tri_gids:
+                payloads.append((tile.key, tri_gids, tri_coords, owned_flags, radius))
 
     survivors: list[Triangle] = []
     if payloads:
@@ -715,16 +711,15 @@ def sharded_pldel(
     survivors.sort()
     stats.count("surviving_triangles", len(survivors))
 
-    t0 = time.perf_counter()
-    graph = Graph(points, gabriel, name="PLDel")
-    for u, v, w in survivors:
-        graph.add_edge(u, v)
-        graph.add_edge(v, w)
-        graph.add_edge(u, w)
-    before = graph.edge_count
-    resolve_degenerate_crossings(graph)
+    with obs.span("sharding.phase.stitch"):
+        graph = Graph(points, gabriel, name="PLDel")
+        for u, v, w in survivors:
+            graph.add_edge(u, v)
+            graph.add_edge(v, w)
+            graph.add_edge(u, w)
+        before = graph.edge_count
+        resolve_degenerate_crossings(graph)
     stats.count("resolve_removed_edges", before - graph.edge_count)
-    stats.phase_seconds["stitch"] = time.perf_counter() - t0
     result = LDelResult(
         graph=graph, triangles=tuple(survivors),
         gabriel_edges=frozenset(gabriel), k=1,
@@ -754,30 +749,29 @@ def sharded_backbone(
     """
     pts = [Point(float(p[0]), float(p[1])) for p in points]
     udg = UnitDiskGraph(pts, radius)
-    t0 = time.perf_counter()
-    if udg.node_count:
-        dominators, certified, unresolved, election_s = _sharded_election(
-            udg, shards=shards, max_workers=max_workers,
-            executor_mode=executor_mode,
+    with obs.span("sharding.phase.clustering"):
+        if udg.node_count:
+            dominators, certified, unresolved = _sharded_election(
+                udg, shards=shards, max_workers=max_workers,
+                executor_mode=executor_mode,
+            )
+        else:
+            dominators, certified, unresolved = frozenset(), 0, 0
+        # The certified election pins the same fixed point the protocol
+        # reaches; fabricate its outcome (no messages were simulated) and
+        # let the direct-computation path derive connectors and the family.
+        dominators_of = {
+            w: frozenset(udg.neighbors(w) & dominators)
+            for w in udg.nodes()
+            if w not in dominators
+        }
+        clustering = ClusteringOutcome(
+            dominators=dominators, dominators_of=dominators_of,
+            rounds=0, stats=MessageStats(),
         )
-    else:
-        dominators, certified, unresolved, election_s = frozenset(), 0, 0, 0.0
-    # The certified election pins the same fixed point the protocol
-    # reaches; fabricate its outcome (no messages were simulated) and
-    # let the direct-computation path derive connectors and the family.
-    dominators_of = {
-        w: frozenset(udg.neighbors(w) & dominators)
-        for w in udg.nodes()
-        if w not in dominators
-    }
-    clustering = ClusteringOutcome(
-        dominators=dominators, dominators_of=dominators_of,
-        rounds=0, stats=MessageStats(),
-    )
-    family = build_cds_family(
-        udg, election=election, clustering=clustering, mode="fast"
-    )
-    cluster_s = time.perf_counter() - t0
+        family = build_cds_family(
+            udg, election=election, clustering=clustering, mode="fast"
+        )
 
     backbone = sorted(family.backbone_nodes)
     sub_positions = [udg.positions[orig] for orig in backbone]
@@ -785,8 +779,6 @@ def sharded_backbone(
         sub_positions, radius, shards=shards,
         max_workers=max_workers, executor_mode=executor_mode,
     )
-    stats.phase_seconds["clustering"] = cluster_s
-    stats.phase_seconds["election"] = election_s
     stats.count("election_certified", certified)
     stats.count("election_unresolved", unresolved)
 

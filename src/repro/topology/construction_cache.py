@@ -8,8 +8,9 @@ circumcircle is needed by the k-localized filter and then again by the
 planarization's crossing contest.  A :class:`ConstructionCache` scoped
 to one :class:`~repro.graphs.udg.UnitDiskGraph` memoizes both so each
 neighborhood and circumcircle is computed exactly once per
-construction, and counts hits/misses so the serving layer can report
-cache effectiveness.
+construction, and counts hits/misses as ``construction.*`` counters
+(:func:`repro.obs.count`) so the serving layer can report cache
+effectiveness.
 
 Every entry point in :mod:`repro.topology.ldel` and
 :mod:`repro.topology.gabriel` accepts an optional ``cache``; passing
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro import obs
 from repro.geometry.circle import Circle, circumcircle
 from repro.graphs.udg import UnitDiskGraph
 
@@ -41,22 +43,12 @@ class ConstructionCache:
     accidental reuse across graphs.
     """
 
-    __slots__ = ("udg", "counters", "_khop", "_circles")
+    __slots__ = ("udg", "_khop", "_circles")
 
     def __init__(self, udg: UnitDiskGraph) -> None:
         self.udg = udg
         self._khop: dict[tuple[int, int], frozenset[int]] = {}
         self._circles: dict[Triangle, Optional[Circle]] = {}
-        self.counters: dict[str, int] = {
-            "khop_hits": 0,
-            "khop_misses": 0,
-            "circumcircle_hits": 0,
-            "circumcircle_misses": 0,
-            "local_delaunay_calls": 0,
-            "triangle_pairs_candidate": 0,
-            "triangle_pairs_tested": 0,
-            "triangle_pairs_intersecting": 0,
-        }
 
     @classmethod
     def for_udg(
@@ -67,18 +59,14 @@ class ConstructionCache:
             return cache
         return cls(udg)
 
-    def count(self, name: str, amount: int = 1) -> None:
-        """Bump a named counter (created on first use)."""
-        self.counters[name] = self.counters.get(name, 0) + amount
-
     def k_hop(self, u: int, k: int) -> frozenset[int]:
         """Memoized ``N_k(u)`` (includes ``u``), shared across stages."""
         key = (u, k)
         hood = self._khop.get(key)
         if hood is not None:
-            self.counters["khop_hits"] += 1
+            obs.count("construction.khop_hits")
             return hood
-        self.counters["khop_misses"] += 1
+        obs.count("construction.khop_misses")
         hood = frozenset(self.udg.k_hop_neighborhood(u, k))
         self._khop[key] = hood
         return hood
@@ -87,14 +75,10 @@ class ConstructionCache:
         """Memoized circumcircle of a (sorted) vertex triple."""
         circle = self._circles.get(triangle, _MISSING)
         if circle is not _MISSING:
-            self.counters["circumcircle_hits"] += 1
+            obs.count("construction.circumcircle_hits")
             return circle  # type: ignore[return-value]
-        self.counters["circumcircle_misses"] += 1
+        obs.count("construction.circumcircle_misses")
         pos = self.udg.positions
         circle = circumcircle(pos[triangle[0]], pos[triangle[1]], pos[triangle[2]])
         self._circles[triangle] = circle
         return circle
-
-    def snapshot(self) -> dict[str, int]:
-        """Copy of the counters (JSON-ready)."""
-        return dict(self.counters)

@@ -23,12 +23,10 @@ graph.
 
 Hot-path notes: every stage accepts an optional
 :class:`~repro.topology.construction_cache.ConstructionCache` so
-neighborhoods and circumcircles are computed once per construction,
-and :func:`candidate_triangles` can fan the per-node local
-triangulations out over the batch executor
-(:mod:`repro.service.executor`) with bit-identical output — per-node
-candidate generation is a pure function of the node's 1-hop
-neighborhood, so the union over nodes is order-independent.
+neighborhoods and circumcircles are computed once per construction.
+With numpy available the stages run on the vectorized SoA kernels
+below; the scalar loops are the bit-identical reference they are
+tested against.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro import obs
 from repro.geometry.predicates import segments_cross
 from repro.geometry.primitives import Point, angle_at, dist_sq
 from repro.geometry.triangulation import delaunay
@@ -48,10 +47,6 @@ from repro.topology.construction_cache import ConstructionCache
 from repro.topology.gabriel import gabriel_graph
 
 Triangle = tuple[int, int, int]
-
-#: Below this node count the parallel fan-out costs more than it saves
-#: (pool spin-up plus pickling dominates sub-second constructions).
-PARALLEL_MIN_NODES = 600
 
 #: Minimum angle at the proposing vertex (Algorithm 2's 60° rule).
 _MIN_ANGLE = math.pi / 3.0 - 1e-12
@@ -82,9 +77,10 @@ def _node_candidates(
 ) -> list[Triangle]:
     """Triangles node ``u`` proposes from ``Del(N_1(u))``.
 
-    Shared by the serial and parallel paths so both produce the same
-    triangles by construction.  ``local`` is the sorted 1-hop
-    neighborhood of ``u`` (including ``u``).
+    Shared by the scalar paths and the SoA kernel's fallback queries,
+    so all of them produce the same triangles by construction.
+    ``local`` is the sorted 1-hop neighborhood of ``u`` (including
+    ``u``).
     """
     if len(local) < 3:
         return []
@@ -203,9 +199,7 @@ def _soa_candidate_chunk(np, snap, pos, r_sq, qs):
 
 
 def _soa_candidate_arrays(
-    udg: UnitDiskGraph,
-    cache: ConstructionCache,
-    node_ids: Optional[Sequence[int]] = None,
+    udg: UnitDiskGraph, node_ids: Optional[Sequence[int]] = None
 ):
     """All candidate triples as a sorted-unique (K, 3) array, or ``None``.
 
@@ -231,7 +225,7 @@ def _soa_candidate_arrays(
     else:
         queries = np.asarray(sorted(node_ids), dtype=np.int64)
     deg = snap.indptr[queries + 1] - snap.indptr[queries]
-    cache.count("local_delaunay_calls", int((deg >= 2).sum()))
+    obs.count("construction.local_delaunay_calls", int((deg >= 2).sum()))
     eligible = queries[deg >= 2]  # m = deg + 1 >= 3
 
     parts = []
@@ -330,7 +324,7 @@ def _soa_triangles_intersect(np, xs, ys, tris, pi, pj):
 
 
 def _soa_planarize(
-    udg: UnitDiskGraph, ldel1: "LDelResult", cache: ConstructionCache
+    udg: UnitDiskGraph, ldel1: "LDelResult"
 ) -> Optional["LDelResult"]:
     """Vectorized Algorithm 3; ``None`` defers to the scalar path."""
     from repro.core.compat import get_numpy
@@ -358,17 +352,17 @@ def _soa_planarize(
         bx1 = np.maximum(np.maximum(xs[u], xs[v]), xs[w])
         by1 = np.maximum(np.maximum(ys[u], ys[v]), ys[w])
         pi, pj = bbox_grid_pairs(np, bx0, by0, bx1, by1, udg.radius)
-        cache.count("triangle_pairs_candidate", int(pi.shape[0]))
+        obs.count("construction.triangle_pairs_candidate", int(pi.shape[0]))
         overlap = ~(
             (bx1[pi] < bx0[pj])
             | (bx1[pj] < bx0[pi])
             | (by1[pi] < by0[pj])
             | (by1[pj] < by0[pi])
         )
-        cache.count("triangle_pairs_tested", int(overlap.sum()))
+        obs.count("construction.triangle_pairs_tested", int(overlap.sum()))
         pi, pj = pi[overlap], pj[overlap]
         inter = _soa_triangles_intersect(np, xs, ys, tris, pi, pj)
-        cache.count("triangle_pairs_intersecting", int(inter.sum()))
+        obs.count("construction.triangle_pairs_intersecting", int(inter.sum()))
         pi, pj = pi[inter], pj[inter]
         for mine, other in ((pi, pj), (pj, pi)):
             hit = np.zeros(pi.shape[0], dtype=bool)
@@ -378,10 +372,6 @@ def _soa_planarize(
                     ccx[mine], ccy[mine], rad[mine], xs[vid], ys[vid]
                 )
             removed[mine[hit & valid[mine]]] = True
-    else:
-        cache.count("triangle_pairs_candidate", 0)
-        cache.count("triangle_pairs_tested", 0)
-        cache.count("triangle_pairs_intersecting", 0)
 
     survivors = tuple(
         t for t, gone in zip(triangles, removed.tolist()) if not gone
@@ -401,27 +391,8 @@ def _soa_planarize(
     )
 
 
-def _candidate_chunk(
-    payload: tuple[Sequence[Point], float, list[tuple[int, list[int]]]]
-) -> list[Triangle]:
-    """Process-pool worker: candidates for a chunk of nodes.
-
-    Module-level and addressed purely by value so it pickles cleanly.
-    """
-    pos, r_sq, items = payload
-    out: list[Triangle] = []
-    for u, local in items:
-        out.extend(_node_candidates(pos, r_sq, u, local))
-    return out
-
-
 def candidate_triangles(
-    udg: UnitDiskGraph,
-    *,
-    cache: Optional[ConstructionCache] = None,
-    parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
-    executor_mode: str = "process",
+    udg: UnitDiskGraph, *, cache: Optional[ConstructionCache] = None
 ) -> set[Triangle]:
     """Triangles proposed by the per-node local Delaunay triangulations.
 
@@ -435,69 +406,25 @@ def candidate_triangles(
     protocol also makes tie-breaking identical on exactly-cocircular
     inputs, where "the" local Delaunay triangulation is not unique.
 
-    With numpy available the vectorized SoA kernel handles everything
-    in-process (one lockstep triangulation beats the fan-out), unless
-    ``parallel=True`` explicitly forces the executor path — which, like
-    the serial scalar loop (numpy masked out), remains the
-    bit-identical reference the SoA kernel is tested against.
-    ``parallel=None`` (auto) falls back to the executor for large
-    deployments only when numpy is unavailable.
+    With numpy available the vectorized SoA kernel handles everything;
+    the scalar loop (numpy masked out) is the bit-identical reference
+    the kernel is tested against.
     """
+    arr = _soa_candidate_arrays(udg)
+    if arr is not None:
+        return set(map(tuple, arr.tolist()))
     cache = ConstructionCache.for_udg(udg, cache)
     r_sq = udg.radius * udg.radius
     pos = udg.positions
-    if parallel is not True:
-        arr = _soa_candidate_arrays(udg, cache)
-        if arr is not None:
-            return set(map(tuple, arr.tolist()))
     nodes = [(u, sorted(cache.k_hop(u, 1))) for u in udg.nodes()]
-    cache.count("local_delaunay_calls", sum(1 for _, local in nodes if len(local) >= 3))
-
-    if parallel or (parallel is None and len(nodes) >= PARALLEL_MIN_NODES):
-        chunk_results = _parallel_candidates(pos, r_sq, nodes, max_workers, executor_mode)
-        if chunk_results is not None:
-            cache.count("parallel_chunks", len(chunk_results))
-            candidates: set[Triangle] = set()
-            for chunk in chunk_results:
-                candidates.update(chunk)
-            return candidates
-
-    candidates = set()
+    obs.count(
+        "construction.local_delaunay_calls",
+        sum(1 for _, local in nodes if len(local) >= 3),
+    )
+    candidates: set[Triangle] = set()
     for u, local in nodes:
         candidates.update(_node_candidates(pos, r_sq, u, local))
     return candidates
-
-
-def _parallel_candidates(
-    pos: Sequence[Point],
-    r_sq: float,
-    nodes: list[tuple[int, list[int]]],
-    max_workers: Optional[int],
-    executor_mode: str,
-) -> Optional[list[list[Triangle]]]:
-    """Fan node chunks over the executor; ``None`` means "run serially".
-
-    Imported lazily so the topology layer only touches the serving
-    layer when parallelism is actually requested.
-    """
-    from repro.service.executor import default_workers, run_batch
-
-    workers = max_workers or default_workers()
-    if workers < 2:
-        return None
-    chunk_size = max(1, math.ceil(len(nodes) / (workers * 4)))
-    payloads = [
-        (pos, r_sq, nodes[i : i + chunk_size])
-        for i in range(0, len(nodes), chunk_size)
-    ]
-    batch = run_batch(
-        payloads, _candidate_chunk, mode=executor_mode, max_workers=workers
-    )
-    if batch.failed:
-        # A broken pool or pickling failure: the serial path is always
-        # correct, so degrade rather than surface executor internals.
-        return None
-    return batch.values()
 
 
 def is_k_localized_delaunay(
@@ -523,23 +450,20 @@ def local_delaunay_graph(
     k: int = 1,
     *,
     cache: Optional[ConstructionCache] = None,
-    parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
 ) -> LDelResult:
     """Construct LDel^k over the unit disk graph.
 
     Returns the graph (Gabriel edges plus localized-Delaunay-triangle
     edges), the accepted triangles, and the Gabriel edge set.  Pass a
     shared ``cache`` to reuse neighborhoods/circumcircles across
-    stages, and ``parallel`` to control the candidate fan-out (see
-    :func:`candidate_triangles`).
+    stages.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     cache = ConstructionCache.for_udg(udg, cache)
     accepted: Optional[tuple[Triangle, ...]] = None
-    if parallel is not True and k == 1:
-        arr = _soa_candidate_arrays(udg, cache)
+    if k == 1:
+        arr = _soa_candidate_arrays(udg)
         if arr is not None:
             mask = _soa_filter_k1(udg, arr)
             if mask is not None:
@@ -547,9 +471,7 @@ def local_delaunay_graph(
                 # the masked rows are already the sorted accepted list.
                 accepted = tuple(map(tuple, arr[mask].tolist()))
     if accepted is None:
-        candidates = candidate_triangles(
-            udg, cache=cache, parallel=parallel, max_workers=max_workers
-        )
+        candidates = candidate_triangles(udg, cache=cache)
         accepted = tuple(
             sorted(t for t in candidates if is_k_localized_delaunay(udg, t, k, cache))
         )
@@ -703,7 +625,7 @@ def planarize_ldel1(
     if ldel1.k != 1:
         raise ValueError("planarization applies to LDel^1")
     cache = ConstructionCache.for_udg(udg, cache)
-    soa = _soa_planarize(udg, ldel1, cache)
+    soa = _soa_planarize(udg, ldel1)
     if soa is not None:
         return soa
     pos = udg.positions
@@ -733,9 +655,9 @@ def planarize_ldel1(
             removed[i] = True
         if cj is not None and any(cj.contains(pos[x]) for x in triangles[i]):
             removed[j] = True
-    cache.count("triangle_pairs_candidate", len(pairs))
-    cache.count("triangle_pairs_tested", tested)
-    cache.count("triangle_pairs_intersecting", intersecting)
+    obs.count("construction.triangle_pairs_candidate", len(pairs))
+    obs.count("construction.triangle_pairs_tested", tested)
+    obs.count("construction.triangle_pairs_intersecting", intersecting)
 
     survivors = tuple(t for t, gone in zip(triangles, removed) if not gone)
     graph = Graph(udg.positions, ldel1.gabriel_edges, name="PLDel")
@@ -756,8 +678,6 @@ def planar_local_delaunay_graph(
     udg: UnitDiskGraph,
     *,
     cache: Optional[ConstructionCache] = None,
-    parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
 ) -> LDelResult:
     """Convenience: LDel^1 followed by Algorithm 3 planarization.
 
@@ -765,7 +685,5 @@ def planar_local_delaunay_graph(
     planarization's circumcircle lookups are all hits.
     """
     cache = ConstructionCache.for_udg(udg, cache)
-    ldel1 = local_delaunay_graph(
-        udg, k=1, cache=cache, parallel=parallel, max_workers=max_workers
-    )
+    ldel1 = local_delaunay_graph(udg, k=1, cache=cache)
     return planarize_ldel1(udg, ldel1, cache=cache)

@@ -1,5 +1,6 @@
 """Tests for the CDS family builder and the paper's structural claims."""
 
+import pytest
 
 from repro.geometry.primitives import Point
 from repro.graphs.graph import Graph
@@ -8,6 +9,7 @@ from repro.graphs.planarity import is_planar_embedding
 from repro.graphs.udg import UnitDiskGraph
 from repro.protocols.cds import build_cds_family, induced_udg_subgraph
 from repro.sim.messages import STATUS
+from repro.workloads.corpus import get_instance
 
 
 class TestFamilyStructure:
@@ -102,6 +104,15 @@ class TestInducedSubgraph:
         assert g.has_edge(0, 1) and g.has_edge(1, 2)
         assert not g.has_edge(0, 2)
         assert g.degree(3) == 0
+
+    @pytest.mark.parametrize("entry", ["quasi-field", "quasi-hotspots"])
+    def test_quasi_icds_keeps_only_radio_links(self, entry):
+        # The disk rule would resurrect the gray-zone links the
+        # quasi-UDG dropped; ICDS and ICDS' may use radio links only.
+        udg = get_instance(entry).udg()
+        family = build_cds_family(udg, mode="fast")
+        assert family.icds.edge_set() <= udg.edge_set()
+        assert family.icds_prime.edge_set() <= udg.edge_set()
 
 
 class TestFigure5Counterexample:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.spanner import build_backbone
 from repro.graphs.udg import UnitDiskGraph
 from repro.protocols.cds import build_cds_family
@@ -126,7 +127,8 @@ class TestFastPipeline:
     def test_full_pipeline_bit_identical(self, deployment, election):
         points = [tuple(p) for p in deployment.positions]
         protocol = build_backbone(points, RADIUS, election=election)
-        fast = build_backbone(points, RADIUS, election=election, mode="fast")
+        with obs.recording() as record:
+            fast = build_backbone(points, RADIUS, election=election, mode="fast")
         assert fast.dominators == protocol.dominators
         assert fast.connectors == protocol.connectors
         for attr in ("cds", "cds_prime", "icds", "icds_prime",
@@ -136,7 +138,9 @@ class TestFastPipeline:
             assert_same_stats(getattr(fast, attr), getattr(protocol, attr))
         assert protocol.pipeline.mode == "protocol"
         assert fast.pipeline.mode == "fast"
-        assert set(fast.pipeline.timings) == {"cds", "ldel"}
+        assert {name for name, _ in record["spans"]} == {
+            "backbone.phase.cds", "backbone.phase.ldel",
+        }
 
     def test_unknown_mode_rejected(self):
         udg = UnitDiskGraph([(0.0, 0.0)], RADIUS)
@@ -199,12 +203,13 @@ class TestShardedElection:
         from repro.sharding.build import sharded_backbone
 
         pts = [p for p in DEPLOYMENTS["boundary"]()]
-        _, stats = sharded_backbone(
-            [tuple(p) for p in pts], RADIUS, shards=4, executor_mode="serial"
-        )
+        with obs.recording() as record:
+            _, stats = sharded_backbone(
+                [tuple(p) for p in pts], RADIUS, shards=4, executor_mode="serial"
+            )
         assert "election_certified" in stats.counters
         assert "election_unresolved" in stats.counters
-        assert "election" in stats.phase_seconds
+        assert "sharding.phase.election" in {name for name, _ in record["spans"]}
         total = (
             stats.counters["election_certified"]
             + stats.counters["election_unresolved"]

@@ -1,7 +1,7 @@
 """Equivalence tests for the hot-path optimizations.
 
 Every optimization in the construction pipeline — the per-UDG
-neighborhood/circumcircle cache, the parallel candidate fan-out, the
+neighborhood/circumcircle cache, the
 circumcircle prefilter in the triangulator, the bulk grid pair
 enumeration — promises *bit-identical* output to the straightforward
 path.  These tests hold it to that on the inputs where shortcuts are
@@ -14,16 +14,13 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.core import compat
 from repro.geometry.primitives import Point, dist_sq
 from repro.geometry.triangulation import delaunay
 from repro.graphs.udg import GridIndex, UnitDiskGraph
 from repro.topology.construction_cache import ConstructionCache
-from repro.topology.ldel import (
-    candidate_triangles,
-    local_delaunay_graph,
-    planar_local_delaunay_graph,
-)
+from repro.topology.ldel import local_delaunay_graph, planar_local_delaunay_graph
 
 
 def _random_udg(n=60, side=60.0, radius=18.0, seed=7):
@@ -72,12 +69,12 @@ class TestCachedEqualsUncached:
         # The k-hop cache is the *reference* path's memoization; the SoA
         # kernels never consult it, so pin this test to the scalar path.
         cache = ConstructionCache(udg)
-        with compat.numpy_disabled():
+        with compat.numpy_disabled(), obs.recording() as record:
             planar_local_delaunay_graph(udg, cache=cache)
-        snap = cache.snapshot()
-        assert snap["khop_hits"] > 0
+        counts = record["counts"]
+        assert counts["construction.khop_hits"] > 0
         # Every neighborhood and circumcircle computed at most once.
-        assert snap["khop_misses"] <= udg.node_count
+        assert counts["construction.khop_misses"] <= udg.node_count
 
     def test_foreign_cache_rejected(self, udg):
         other = _random_udg(seed=99)
@@ -87,27 +84,6 @@ class TestCachedEqualsUncached:
         result = local_delaunay_graph(udg, k=1, cache=cache)
         plain = local_delaunay_graph(udg, k=1)
         assert result.graph.edge_set() == plain.graph.edge_set()
-
-
-class TestSerialEqualsParallel:
-    def test_candidates_identical(self, udg):
-        serial = candidate_triangles(udg, parallel=False)
-        parallel = candidate_triangles(
-            udg, parallel=True, max_workers=2, executor_mode="thread"
-        )
-        assert serial == parallel
-
-    def test_pldel_identical_parallel(self, udg):
-        serial = planar_local_delaunay_graph(udg, parallel=False)
-        parallel = planar_local_delaunay_graph(udg, parallel=True, max_workers=2)
-        assert serial.graph.edge_set() == parallel.graph.edge_set()
-        assert serial.triangles == parallel.triangles
-
-    def test_single_worker_degrades_to_serial(self, udg):
-        # workers < 2 must fall back rather than spin up a useless pool.
-        serial = candidate_triangles(udg, parallel=False)
-        forced = candidate_triangles(udg, parallel=True, max_workers=1)
-        assert serial == forced
 
 
 class TestDelaunayPrefilter:

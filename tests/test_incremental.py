@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.geometry.primitives import Point
 from repro.incremental.connectors import IncrementalConnectors
 from repro.incremental.engine import IncrementalMaintainer
@@ -181,18 +182,22 @@ class TestMaintainerEquivalence:
     def test_report_shape(self):
         dep, maintainer = make_maintainer(n=60, seed=4)
         p = maintainer.udg.positions[10]
-        report = maintainer.apply(
-            [Event("move", node=10, x=p.x + 20.0, y=p.y)]
-        )
+        with obs.recording() as record:
+            report = maintainer.apply(
+                [Event("move", node=10, x=p.x + 20.0, y=p.y)]
+            )
         data = report.as_dict()
         for key in (
             "events", "node_count", "appeared_links", "vanished_links",
             "role_changes", "repairs_certified", "repairs_fallback",
             "dirty_tiles", "contest_tiles", "dirty_nodes", "dirty_fraction",
-            "edges_added", "edges_removed", "phase_seconds",
+            "edges_added", "edges_removed",
         ):
             assert key in data
         assert data["events"] == 1
+        spans = {name for name, _ in record["spans"]}
+        for phase in ("udg", "election", "roles", "pldel", "assemble"):
+            assert f"incremental.phase.{phase}" in spans
         assert 0.0 <= data["dirty_fraction"] <= 1.0
 
 

@@ -3,6 +3,7 @@
 
 import pytest
 
+from repro import obs
 from repro.service.cache import ResultCache, scenario_key
 from repro.service.executor import run_batch
 from repro.service.metrics import LatencyHistogram, MetricsRegistry, percentile
@@ -33,7 +34,8 @@ class TestRegistry:
         assert spec.canonicalize({"k": 8}) == {"k": 8, "measure": False}
 
     def test_measured_build_ships_metrics_and_oracle_extras(self):
-        product = build_scenario("gg", SCENARIO, {"measure": True})
+        with obs.recording() as record:
+            product = build_scenario("gg", SCENARIO, {"measure": True})
         metrics = product.extras["metrics"]
         assert metrics["length_stretch"]["avg"] >= 1.0
         assert metrics["hop_stretch"]["pairs"] > 0
@@ -43,7 +45,11 @@ class TestRegistry:
         # each: 6 misses, and the baseline matrices are reused.
         assert oracle["counters"]["apsp_misses"] == 6
         assert oracle["counters"]["stretch_calls"] == 3
-        assert set(oracle["seconds"]) == {"snapshot", "apsp", "kernel"}
+        assert set(oracle) == {"counters", "entries"}
+        assert {name for name, _ in record["spans"]} == {
+            "oracle.stage.snapshot", "oracle.stage.apsp", "oracle.stage.kernel",
+        }
+        assert record["counts"]["oracle.apsp_misses"] == 6
         bare = build_scenario("gg", SCENARIO)
         assert "metrics" not in bare.extras and "oracle" not in bare.extras
 

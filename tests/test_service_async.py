@@ -69,59 +69,37 @@ def async_server(tmp_path_factory):
         yield server
 
 
-def scrub_timings(value):
-    """Drop wall-clock keys — the only fields two independent builds
-    can legitimately disagree on."""
-    if isinstance(value, dict):
-        return {
-            key: scrub_timings(item)
-            for key, item in value.items()
-            if key not in ("phase_seconds", "seconds")
-        }
-    if isinstance(value, list):
-        return [scrub_timings(item) for item in value]
-    return value
-
-
 class TestParity:
     """Same request -> same bytes, over HTTP vs in-process (the tripwire).
 
-    ``exact=False`` marks the one endpoint (``/build``) whose body
-    embeds wall-clock phase timings; there the comparison is canonical
-    JSON with timing keys scrubbed, still field-for-field strict.
+    Every body compares byte for byte, ``/build`` included: wall time
+    goes to ``GET /metrics`` only, never into a response body.
     """
 
     CASES = [
-        ("GET", "/pipelines", None, True),
-        ("POST", "/build", {"pipeline": "backbone", "scenario": SCENARIO}, False),
-        ("POST", "/build", {"pipeline": "backbone", "scenario": SCENARIO}, False),
+        ("GET", "/pipelines", None),
+        ("POST", "/build", {"pipeline": "backbone", "scenario": SCENARIO}),
+        ("POST", "/build", {"pipeline": "backbone", "scenario": SCENARIO}),
         ("POST", "/route", {"pipeline": "backbone", "scenario": SCENARIO,
-                            "source": 0, "target": 20}, True),
+                            "source": 0, "target": 20}),
         ("POST", "/route_batch", {"pipeline": "backbone", "scenario": SCENARIO,
-                                  "count": 40, "seed": 3, "mode": "gpsr"}, True),
-        ("POST", "/build", {"pipeline": "nope", "scenario": SCENARIO}, True),
-        ("POST", "/build", None, True),
-        ("GET", "/no/such/path", None, True),
-        ("DELETE", "/session/ghost", None, True),
+                                  "count": 40, "seed": 3, "mode": "gpsr"}),
+        ("POST", "/build", {"pipeline": "nope", "scenario": SCENARIO}),
+        ("POST", "/build", None),
+        ("GET", "/no/such/path", None),
+        ("DELETE", "/session/ghost", None),
     ]
 
     def test_byte_identical_responses(self, async_server):
         service = SpannerService(executor_mode="serial")
         mismatches = []
-        for method, path, payload, exact in self.CASES:
+        for method, path, payload in self.CASES:
             raw = json.dumps(payload).encode() if payload is not None else None
             expected = dispatch(service, method, path, raw)
             d_status, d_body = expected.status, expected.encode()
             a_status, _, a_body = raw_request(
                 async_server.url, method, path, payload
             )
-            if not exact:
-                d_body = json.dumps(
-                    scrub_timings(json.loads(d_body)), sort_keys=True
-                ).encode()
-                a_body = json.dumps(
-                    scrub_timings(json.loads(a_body)), sort_keys=True
-                ).encode()
             if (d_status, d_body) != (a_status, a_body):
                 mismatches.append((method, path, d_status, a_status, d_body, a_body))
         service.close()

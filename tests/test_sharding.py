@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.core.spanner import build_backbone
 from repro.geometry.primitives import Point
 from repro.graphs.udg import UnitDiskGraph
@@ -176,15 +177,17 @@ class TestThreadFanout:
 class TestShardingStats:
     def test_counters_and_phases(self):
         points = _dense_points()
-        _, stats = sharded_pldel(points, RADIUS, shards=4, executor_mode="serial")
+        with obs.recording() as record:
+            _, stats = sharded_pldel(points, RADIUS, shards=4, executor_mode="serial")
         assert stats.tiles >= 1
         assert stats.grid[0] * stats.grid[1] == stats.tiles
         assert stats.counters["accepted_triangles"] >= stats.counters[
             "surviving_triangles"
         ]
+        spans = [name for name, _ in record["spans"]]
         for phase in ("assign", "build", "stitch"):
-            assert phase in stats.phase_seconds
-        assert len(stats.tile_seconds) == stats.tiles
+            assert f"sharding.phase.{phase}" in spans
+        assert spans.count("sharding.tile_seconds") == stats.tiles
         doc = stats.as_dict()
         assert doc["counters"] == stats.counters
         assert doc["grid"] == list(stats.grid)
@@ -296,7 +299,8 @@ class TestServiceIntegration:
         assert sharded.graph.edge_set() == serial.graph.edge_set()
         sharding = sharded.extras["sharding"]
         assert sharding["tiles"] >= 1
-        assert "phase_seconds" in sharding
+        # Wall time goes to spans, never into the build product.
+        assert set(sharding) == {"shards", "tiles", "grid", "mode", "workers", "counters"}
 
     def test_sharded_backbone_pipeline(self):
         from repro.service.registry import build_scenario

@@ -25,7 +25,11 @@ from repro.incremental import IncrementalMaintainer
 from repro.incremental.events import Event
 from repro.sharding.build import sharded_pldel
 from repro.topology.gabriel import gabriel_graph
-from repro.topology.ldel import local_delaunay_graph, planar_local_delaunay_graph
+from repro.topology.ldel import (
+    candidate_triangles,
+    local_delaunay_graph,
+    planar_local_delaunay_graph,
+)
 from repro.workloads.generators import connected_udg_instance
 
 pytestmark = pytest.mark.skipif(
@@ -98,6 +102,12 @@ class TestSerialPipeline:
         with compat.numpy_disabled():
             ref = UnitDiskGraph(points, RADIUS)
         assert soa.edge_set() == ref.edge_set()
+
+    def test_candidate_triangles_identical(self, points):
+        soa = candidate_triangles(UnitDiskGraph(points, RADIUS))
+        with compat.numpy_disabled():
+            ref = candidate_triangles(UnitDiskGraph(points, RADIUS))
+        assert soa == ref
 
     def test_gabriel_and_ldel1_identical(self, points):
         udg = UnitDiskGraph(points, RADIUS)
