@@ -110,6 +110,10 @@ def induced_radio_subgraph(
     ]
     for a, b in doomed:
         sub.remove_edge(a, b)
-    if doomed and getattr(sub, "_soa_snapshot", None) is not None:
-        del sub._soa_snapshot
+    if doomed:
+        # Like the parent, the subgraph no longer follows the disk
+        # rule; kernels must not assume it does.
+        sub.adjacency_is_disk_rule = False
+        if getattr(sub, "_soa_snapshot", None) is not None:
+            del sub._soa_snapshot
     return sub

@@ -12,7 +12,10 @@ road not taken, so the trade-off is measurable:
   circumcircle is empty of its **2-hop** neighborhood (angle >= 60
   degrees at the proposer, as in Algorithm 2);
 * round 4 — the other two vertices accept or reject against *their*
-  2-hop neighborhoods; a triangle stands when all three agree.
+  2-hop neighborhoods (rejecting outright when they do not hear both
+  other corners); a triangle stands when all three agree.
+
+Gabriel edges are assembled as in LDel^1: both endpoints must pass.
 
 The result equals the centralized ``LDel^2``
 (:func:`repro.topology.ldel.local_delaunay_graph` with ``k=2``) —
@@ -30,6 +33,7 @@ from repro.geometry.primitives import Point, angle_at, dist_sq
 from repro.geometry.triangulation import delaunay
 from repro.graphs.graph import Graph
 from repro.graphs.udg import UnitDiskGraph
+from repro.protocols.ldel_protocol import agreed_gabriel_edges
 from repro.sim.messages import ACCEPT, LOCATION, PROPOSAL, REJECT, Message
 from repro.sim.network import SyncNetwork
 from repro.sim.protocol import NodeProcess
@@ -71,7 +75,10 @@ class LDel2Process(NodeProcess):
             return self.position
         return self._neighbor_pos[v]
 
-    def _circumcircle_empty_of_two_hop(self, t: Triangle) -> bool:
+    def _accepts(self, t: Triangle) -> bool:
+        """Other corners heard directly, circumcircle empty of 2 hops."""
+        if not all(v == self.node_id or v in self._neighbor_pos for v in t):
+            return False
         pts = tuple(self._pos_of(v) for v in t)
         circle = circumcircle(*pts)
         if circle is None:
@@ -103,7 +110,7 @@ class LDel2Process(NodeProcess):
             verdicts = self._verdicts.setdefault(t, {v: None for v in t})
             verdicts[message.sender] = True
             if self.node_id in t and verdicts.get(self.node_id) is None:
-                mine = self._circumcircle_empty_of_two_hop(t)
+                mine = self._accepts(t)
                 verdicts[self.node_id] = mine
                 self.broadcast(ACCEPT if mine else REJECT, triangle=t)
         elif kind in (ACCEPT, REJECT):
@@ -134,7 +141,8 @@ class LDel2Process(NodeProcess):
             self._done = True
 
     def _compute_and_propose(self) -> None:
-        # Gabriel edges are unchanged by k (blockers are 1-hop-local).
+        # Gabriel edges are unchanged by k (blockers are 1-hop-local);
+        # the run keeps an edge only when both endpoints marked it.
         for v, pv in self._neighbor_pos.items():
             if gabriel_disk_empty(self.position, pv, self._neighbor_pos.values()):
                 self.gabriel_edges.add(_edge(self.node_id, v))
@@ -166,7 +174,7 @@ class LDel2Process(NodeProcess):
                 continue
             if ang < math.pi / 3.0 - 1e-12:
                 continue
-            if not self._circumcircle_empty_of_two_hop(t):
+            if not self._accepts(t):
                 continue
             verdicts = self._verdicts.setdefault(t, {v: None for v in t})
             if verdicts.get(self.node_id) is None:
@@ -197,10 +205,9 @@ def run_ldel2_protocol(
         stats=stats,
     )
     rounds = net.run(max_rounds=16)
-    gabriel: set[tuple[int, int]] = set()
+    gabriel = agreed_gabriel_edges(net.processes)
     confirmed: set[Triangle] = set()
     for proc in net.processes:
-        gabriel |= proc.gabriel_edges  # type: ignore[attr-defined]
         confirmed |= proc.accepted  # type: ignore[attr-defined]
     graph = Graph(udg.positions, gabriel, name="LDel2")
     for u, v, w in confirmed:

@@ -9,19 +9,20 @@ message ledger.
 
 The protocol's schedule is rigid (locations → proposals → responses →
 structure → prune → confirm, one phase per round), so every message is
-a pure function of the geometry:
+a pure function of the geometry, and every decision comes from the
+LDel^1 functions of :mod:`repro.topology.ldel`:
 
 * ``Location``, ``Structure`` and ``Kept`` are one broadcast per node,
   unconditionally.
-* ``Proposal`` — node ``u`` proposes exactly the incident triangles of
-  ``Del(N_1(u))`` with unit sides and a >= 60° angle at ``u``, which is
-  precisely :func:`repro.topology.ldel._node_candidates` (the two
-  paths share ``delaunay`` on the same sorted point list, so
+* ``Proposal`` — node ``u`` proposes exactly the triangles
+  :func:`~repro.topology.ldel.proposed_triangles` marks ``u`` as a
+  proposer of (both paths triangulate the same sorted point list, so
   tie-breaking matches even on degenerate inputs).
-* ``Accept``/``Reject`` — each non-proposing vertex of a proposed
-  triangle responds once, positively exactly when the circumcircle is
-  empty of its own 1-hop neighborhood (a proposal implies acceptance,
-  so proposers never respond).
+* ``Accept``/``Reject`` — each non-proposing corner of a proposed
+  triangle responds once, with its
+  :func:`~repro.topology.ldel.corner_verdicts` verdict (a proposal
+  implies acceptance, so proposers never respond).  A triangle is
+  accepted when every corner that did not propose it accepts it.
 * the prune/confirm phases yield the same surviving set as the
   centralized :func:`repro.topology.ldel.planarize_ldel1` — the
   equivalence the protocol module's test suite already pins down.
@@ -33,11 +34,11 @@ empty one.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
-from repro.graphs.graph import Graph
 from repro.graphs.udg import UnitDiskGraph
-from repro.protocols.ldel_protocol import LDelProtocolOutcome, Triangle
+from repro.protocols.ldel_protocol import LDelProtocolOutcome
 from repro.sim.messages import (
     ACCEPT,
     KEPT,
@@ -47,9 +48,13 @@ from repro.sim.messages import (
     STRUCTURE,
 )
 from repro.sim.stats import MessageStats
-from repro.topology.construction_cache import ConstructionCache
 from repro.topology.gabriel import gabriel_graph
-from repro.topology.ldel import LDelResult, _node_candidates, planarize_ldel1
+from repro.topology.ldel import (
+    LDelResult,
+    corner_verdicts,
+    planarize_ldel1,
+    proposed_triangles,
+)
 
 __all__ = ["fast_ldel_protocol"]
 
@@ -58,73 +63,50 @@ def fast_ldel_protocol(
     udg: UnitDiskGraph,
     *,
     stats: Optional[MessageStats] = None,
-    cache: Optional[ConstructionCache] = None,
 ) -> LDelProtocolOutcome:
     """Compute the LDel protocol's fixed point directly.
 
     Bit-identical to
     :func:`~repro.protocols.ldel_protocol.run_ldel_protocol` on every
-    field.  Pass a shared ``cache`` to reuse neighborhoods and
-    circumcircles with surrounding construction stages.
+    field.
     """
     ledger = stats if stats is not None else MessageStats()
-    n = udg.node_count
-    cache = ConstructionCache.for_udg(udg, cache)
-    pos = udg.positions
-    r_sq = udg.radius * udg.radius
+    triangles, proposed = proposed_triangles(udg)
+    verdicts = corner_verdicts(udg, triangles)
 
-    # Phase 1-2: locations out, then every node proposes its local
-    # Delaunay triangles (Algorithm 2's angle-disciplined generation).
-    proposers: dict[Triangle, set[int]] = {}
-    for u in udg.nodes():
-        ledger.record(u, LOCATION)
-        local = sorted(cache.k_hop(u, 1))
-        cands = set(_node_candidates(pos, r_sq, u, local))
-        if cands:
-            ledger.record(u, PROPOSAL, len(cands))
-            for t in cands:
-                proposers.setdefault(t, set()).add(u)
-
-    # Phase 3: each non-proposing vertex answers the first proposal it
-    # hears — Accept exactly when the circumcircle is empty of its own
-    # neighborhood.  A triangle is accepted when all three verdicts are
-    # positive (proposing counts as accepting).
-    accepted: list[Triangle] = []
-    for t in sorted(proposers):
-        circle = cache.circumcircle_of(t)
-        verdict_all = True
-        for v in t:
-            if v in proposers[t]:
-                continue
-            witnesses = udg.neighbors(v) - set(t)
-            mine = circle is not None and not any(
-                circle.contains(pos[x]) for x in witnesses
-            )
-            ledger.record(v, ACCEPT if mine else REJECT)
-            verdict_all = verdict_all and mine
-        if verdict_all:
+    # Phases 2-3: one Proposal per (triangle, proposing corner), one
+    # Accept/Reject per (triangle, other corner), read off the same rows.
+    sent: Counter = Counter()
+    accepted = []
+    for t, by, ok in zip(triangles, proposed, verdicts):
+        for node, proposer, verdict in zip(t, by, ok):
+            if proposer:
+                sent[node, PROPOSAL] += 1
+            else:
+                sent[node, ACCEPT if verdict else REJECT] += 1
+        if all(proposer or verdict for proposer, verdict in zip(by, ok)):
             accepted.append(t)
-
-    # Phases 4-6: structure exchange, prune, confirm.  One Structure
-    # and one Kept broadcast per node; the surviving triangle set is
-    # the centralized Algorithm 3 replay on the accepted set.
     for u in udg.nodes():
-        ledger.record(u, STRUCTURE)
-        ledger.record(u, KEPT)
+        for kind in (LOCATION, STRUCTURE, KEPT):
+            ledger.record(u, kind)
+    for (node, kind), count in sorted(sent.items()):
+        ledger.record(node, kind, count)
 
-    gabriel = gabriel_graph(udg, cache=cache)
+    # Phases 4-6: structure exchange, prune, confirm — the surviving
+    # triangle set is the centralized Algorithm 3 replay on the
+    # accepted set.
+    gabriel = gabriel_graph(udg)
     ldel1 = LDelResult(
-        graph=Graph(udg.positions, gabriel.edges(), name="LDel1"),
+        graph=gabriel,
         triangles=tuple(accepted),
         gabriel_edges=gabriel.edge_set(),
         k=1,
     )
-    pruned = planarize_ldel1(udg, ldel1, cache=cache)
-    graph = Graph(udg.positions, pruned.graph.edges(), name="PLDel")
+    pruned = planarize_ldel1(udg, ldel1)
     return LDelProtocolOutcome(
-        graph=graph,
+        graph=pruned.graph,
         triangles=pruned.triangles,
         gabriel_edges=pruned.gabriel_edges,
-        rounds=5 if n else 0,
+        rounds=5 if udg.node_count else 0,
         stats=ledger,
     )

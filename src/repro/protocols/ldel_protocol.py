@@ -6,9 +6,10 @@ its Gabriel edges, and *proposes* each incident local-Delaunay
 triangle whose sides fit in one transmission radius and whose angle at
 the proposer is at least 60 degrees (every triangle has such a vertex,
 so proposals cover all candidates).  The other two vertices accept
-exactly when the triangle is Delaunay in *their* neighborhoods; a
-triangle joins ``LDel^1`` when all three vertices are positive.  A
-vertex proposing a triangle counts as accepting it.
+exactly when they hear both other corners and the triangle is
+Delaunay in *their* neighborhoods; a triangle joins ``LDel^1`` when
+all three vertices are positive.  A vertex proposing a triangle counts
+as accepting it.  A Gabriel edge needs both endpoints' tests to pass.
 
 Algorithm 3 (planarize to ``PLDel``): every node broadcasts its
 Gabriel edges and accepted triangles (with vertex coordinates, so
@@ -29,6 +30,7 @@ instances; what this module adds is the message accounting.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -104,9 +106,16 @@ class LDelProcess(NodeProcess):
     def _tri_points(self, t: Triangle) -> tuple[Point, Point, Point]:
         return (self._pos_of(t[0]), self._pos_of(t[1]), self._pos_of(t[2]))
 
-    def _is_local_delaunay(self, t: Triangle, pts: tuple[Point, Point, Point]) -> bool:
-        """Circumcircle of ``t`` empty of this node's 1-hop neighborhood."""
-        circle = circumcircle(*pts)
+    def _accepts(self, t: Triangle) -> bool:
+        """This corner's verdict on ``t``.
+
+        Accept only when the other two corners are radio neighbours
+        (a side this node never heard from is not a link) and the
+        circumcircle is empty of this node's 1-hop neighborhood.
+        """
+        if not all(v == self.node_id or v in self._neighbor_pos for v in t):
+            return False
+        circle = circumcircle(*self._tri_points(t))
         if circle is None:
             return False
         for w, pw in self._neighbor_pos.items():
@@ -130,8 +139,7 @@ class LDelProcess(NodeProcess):
             verdicts = self._verdicts.setdefault(t, {v: None for v in t})
             verdicts[message.sender] = True  # proposing implies accepting
             if self.node_id in t and verdicts.get(self.node_id) is None:
-                pts = self._tri_points(t)
-                mine = self._is_local_delaunay(t, pts)
+                mine = self._accepts(t)
                 verdicts[self.node_id] = mine
                 self.broadcast(ACCEPT if mine else REJECT, triangle=t)
         elif kind in (ACCEPT, REJECT):
@@ -178,8 +186,9 @@ class LDelProcess(NodeProcess):
         pts = [self._pos_of(i) for i in ids]
         r_sq = self.radius * self.radius
 
-        # Gabriel edges incident on me (any blocker is a common
-        # neighbor, so testing against my neighborhood is exact).
+        # Gabriel edges incident on me, tested against my own
+        # neighborhood; the run keeps an edge only when both endpoints
+        # marked it (agreed_gabriel_edges).
         for v, pv in self._neighbor_pos.items():
             if gabriel_disk_empty(
                 self.position, pv, self._neighbor_pos.values()
@@ -275,6 +284,20 @@ def _edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def agreed_gabriel_edges(processes) -> set[tuple[int, int]]:
+    """Edges both endpoints marked Gabriel in their own neighborhood.
+
+    Each endpoint tests the diameter disk against its own neighbors;
+    under the disk model the two tests agree (a blocker is a neighbor
+    of both), under a quasi-UDG gray zone either may see a blocker the
+    other cannot hear, and the edge needs both.
+    """
+    marks = Counter(
+        e for proc in processes for e in proc.gabriel_edges  # type: ignore[attr-defined]
+    )
+    return {e for e, votes in marks.items() if votes == 2}
+
+
 def _triangles_cross(
     t1: Triangle,
     pts1: tuple[Point, Point, Point],
@@ -310,10 +333,9 @@ def run_ldel_protocol(
     )
     rounds = net.run(max_rounds=32)
 
-    gabriel: set[tuple[int, int]] = set()
+    gabriel = agreed_gabriel_edges(net.processes)
     confirmed: set[Triangle] = set()
     for proc in net.processes:
-        gabriel |= proc.gabriel_edges  # type: ignore[attr-defined]
         confirmed |= proc.final  # type: ignore[attr-defined]
 
     graph = Graph(udg.positions, gabriel, name="PLDel")

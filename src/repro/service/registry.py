@@ -45,7 +45,7 @@ from repro.topology.rng import relative_neighborhood_graph
 from repro.topology.yao import yao_graph
 from repro.topology.yao_sink import yao_sink_graph
 from repro.topology.yao_yao import yao_yao_graph
-from repro.workloads.generators import Deployment, connected_udg_instance
+from repro.workloads.generators import Deployment, QuasiDeployment, connected_udg_instance
 
 
 class RegistryError(ValueError):
@@ -123,6 +123,18 @@ class PipelineSpec:
     builder: Callable[[Deployment, dict], BuildProduct]
     routable: bool = False
 
+    def check(self, deployment: Deployment) -> None:
+        """Refuse a radio model this pipeline cannot honour.
+
+        The sharded builders tile from points and radius alone, so they
+        would silently read a quasi-UDG deployment as a sharp disk graph.
+        """
+        if self.name.startswith("sharded:") and isinstance(deployment, QuasiDeployment):
+            raise RegistryError(
+                f"pipeline {self.name!r} builds the sharp-disk UDG; "
+                "quasi-UDG deployments are not supported"
+            )
+
     def canonicalize(self, params: Optional[Mapping[str, Any]]) -> dict:
         """Validated params with defaults filled in, in schema order."""
         supplied = dict(params or {})
@@ -138,6 +150,7 @@ class PipelineSpec:
         return canonical
 
     def build(self, deployment: Deployment, params: Optional[Mapping[str, Any]] = None) -> BuildProduct:
+        self.check(deployment)
         return self.builder(deployment, self.canonicalize(params))
 
 

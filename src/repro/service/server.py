@@ -68,6 +68,7 @@ from repro.service.registry import (
     resolve_scenario,
 )
 from repro.service.store import DeploymentStore, StoreError
+from repro.workloads.generators import QuasiDeployment
 
 #: Route traversal modes accepted by ``POST /route``.
 ROUTE_MODES = ("gpsr", "greedy")
@@ -195,6 +196,10 @@ class SpannerService:
         except RegistryError as exc:
             raise ServiceError(400, str(exc)) from None
         deployment = self._resolve(scenario)
+        try:
+            spec.check(deployment)
+        except RegistryError as exc:
+            raise ServiceError(400, str(exc)) from None
         key = scenario_key(deployment.points, deployment.radius, name, params)
         resolved = {
             "points": [[p.x, p.y] for p in deployment.points],
@@ -643,6 +648,12 @@ class SpannerService:
         if isinstance(tile_cells, bool) or not isinstance(tile_cells, int) or tile_cells < 1:
             raise ServiceError(400, "'tile_cells' must be a positive integer")
         deployment = self._resolve(scenario)
+        if isinstance(deployment, QuasiDeployment):
+            raise ServiceError(
+                400,
+                "sessions maintain the sharp-disk UDG; "
+                "quasi-UDG deployments are not supported",
+            )
         self.metrics.inc("incremental.sessions")
         with self.metrics.timer("incremental.open"):
             maintainer = IncrementalMaintainer(

@@ -44,7 +44,12 @@ accepted set (halo ``3r``) — the contest for an owned triangle needs
 every accepted triangle that can intersect it, and those sit within
 ``3r`` of the anchor.  Contests whose two triangles are owned by
 different tiles are counted as ``straddle_contests``: they are the
-cross-tile reconciliation work the halo pays for.  A final global
+cross-tile reconciliation work the halo pays for.  Neither phase
+decides anything itself: phase A calls
+:func:`~repro.topology.ldel.proposed_triangles` and
+:func:`~repro.topology.ldel.corner_verdicts`, phase B
+:func:`~repro.topology.ldel.contest_triangles` — the serial
+construction's own functions.  A final global
 :func:`~repro.topology.ldel.resolve_degenerate_crossings` sweep (cheap,
 and deterministic in the edge set) breaks exactly-cocircular ties the
 same way the serial pipeline does.
@@ -60,7 +65,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro import obs
-from repro.geometry.circle import circumcircle
 from repro.geometry.primitives import Point
 from repro.graphs.graph import Graph
 from repro.graphs.udg import UnitDiskGraph
@@ -68,18 +72,13 @@ from repro.protocols.cds import build_cds_family
 from repro.protocols.clustering import ClusteringOutcome
 from repro.sharding.tiles import TileGrid, stage_halo
 from repro.sim.stats import MessageStats
-from repro.topology.construction_cache import ConstructionCache
 from repro.topology.gabriel import gabriel_graph
 from repro.topology.ldel import (
     LDelResult,
     Triangle,
-    _nearby_triangle_pairs,
-    _node_candidates,
-    _soa_candidate_arrays,
-    _soa_filter_k1,
-    _triangle_edges,
-    _triangles_intersect,
-    is_k_localized_delaunay,
+    contest_triangles,
+    corner_verdicts,
+    proposed_triangles,
     resolve_degenerate_crossings,
 )
 
@@ -152,36 +151,6 @@ def _box_distance(box: tuple[float, float, float, float], p: Point) -> float:
     return math.hypot(dx, dy)
 
 
-def _soa_phase_a_candidates(udg, box, radius):
-    """Vectorized per-tile candidate generation; ``None`` defers to scalar.
-
-    Proposer selection replicates the scalar loop exactly: the axis
-    gaps come out of array arithmetic (``max`` is an exact operation),
-    but the final ``hypot`` comparison runs through ``math.hypot`` per
-    node so borderline proposers match :func:`_box_distance` bit for
-    bit.  The candidate union is then one call into the shared SoA
-    kernel restricted to those proposers.
-    """
-    from repro.core.compat import get_numpy
-    from repro.core.soa import snapshot_for
-
-    np = get_numpy()
-    if np is None:
-        return None
-    snap = snapshot_for(udg)
-    if snap is None:
-        return None
-    x0, y0, x1, y1 = box
-    gx = np.maximum(np.maximum(x0 - snap.xs, 0.0), snap.xs - x1)
-    gy = np.maximum(np.maximum(y0 - snap.ys, 0.0), snap.ys - y1)
-    proposers = [
-        u
-        for u, (dx, dy) in enumerate(zip(gx.tolist(), gy.tolist()))
-        if math.hypot(dx, dy) <= radius
-    ]
-    return _soa_candidate_arrays(udg, node_ids=proposers)
-
-
 def _phase_a(payload: tuple) -> dict:
     """Per-tile construction: UDG / Gabriel / LDel^k acceptance.
 
@@ -204,7 +173,6 @@ def _phase_a(payload: tuple) -> dict:
     }
 
     udg = UnitDiskGraph(pos, radius, name=f"tile{tile_key}")
-    cache = ConstructionCache(udg)
 
     if "udg" in stages:
         out["udg_edges"] = [
@@ -212,54 +180,25 @@ def _phase_a(payload: tuple) -> dict:
         ]
 
     if "gabriel" in stages:
-        gg = gabriel_graph(udg, cache=cache)
+        gg = gabriel_graph(udg)
         out["gabriel_edges"] = [
             (gids[u], gids[v]) for u, v in gg.edges() if min(u, v) in core
         ]
 
     if "ldel" in stages:
-        r_sq = radius * radius
-        cand_arr = _soa_phase_a_candidates(udg, box, radius)
-        if cand_arr is not None:
-            from repro.core.compat import get_numpy
-
-            np = get_numpy()
-            core_mask = np.zeros(len(gids), dtype=bool)
-            if core:
-                core_mask[np.fromiter(core, dtype=np.int64, count=len(core))] = True
-            # Anchor-owned rows; unique-key order keeps them sorted.
-            owned = cand_arr[core_mask[cand_arr[:, 0]]]
-            fmask = _soa_filter_k1(udg, owned) if k == 1 else None
-            if fmask is not None:
-                accepted = [tuple(t) for t in owned[fmask].tolist()]
-            else:
-                accepted = sorted(
-                    t
-                    for t in map(tuple, owned.tolist())
-                    if is_k_localized_delaunay(udg, t, k, cache)
-                )
-            out["accepted"] = [
-                (gids[a], gids[b], gids[c]) for a, b, c in accepted
-            ]
-            out["candidates"] = int(cand_arr.shape[0])
-        else:
-            candidates: set[Triangle] = set()
-            for u in range(len(gids)):
-                # Only nodes within r of the core can be a vertex of an
-                # owned triangle, hence the only useful proposers.
-                if _box_distance(box, pos[u]) > radius:
-                    continue
-                local_hood = sorted(cache.k_hop(u, 1))
-                candidates.update(_node_candidates(pos, r_sq, u, local_hood))
-            accepted = sorted(
-                t
-                for t in candidates
-                if t[0] in core and is_k_localized_delaunay(udg, t, k, cache)
-            )
-            out["accepted"] = [
-                (gids[a], gids[b], gids[c]) for a, b, c in accepted
-            ]
-            out["candidates"] = len(candidates)
+        # Only nodes within r of the core can be a vertex of an owned
+        # (core-anchored) triangle, hence the only useful proposers.
+        proposers = [
+            u for u in range(len(gids)) if _box_distance(box, pos[u]) <= radius
+        ]
+        candidates, _ = proposed_triangles(udg, proposers)
+        owned = [t for t in candidates if t[0] in core]
+        out["accepted"] = [
+            (gids[a], gids[b], gids[c])
+            for (a, b, c), ok in zip(owned, corner_verdicts(udg, owned, k))
+            if all(ok)
+        ]
+        out["candidates"] = len(candidates)
     return out
 
 
@@ -309,11 +248,13 @@ def _contest_worker(payload: tuple) -> dict:
 
     Receives every accepted triangle within ``3r`` of the tile core
     (vertex global ids + coordinates + whether this tile owns it) and
-    replays the serial contest rule; reports which *owned* triangles
-    survive.  The rule is per-pair independent — a triangle is removed
-    exactly when some intersecting accepted triangle has one of its
-    vertices strictly inside the triangle's circumcircle — so per-tile
-    replay with a complete 3r context is exact.
+    replays the serial contest
+    (:func:`~repro.topology.ldel.contest_triangles`); reports which
+    *owned* triangles survive.  The rule is per-pair independent — a
+    triangle is removed exactly when some intersecting accepted
+    triangle has one of its vertices strictly inside the triangle's
+    circumcircle — so per-tile replay with a complete 3r context is
+    exact.
     """
     tile_key, tri_gids, tri_coords, owned_flags, radius = payload
     # Local position table over the distinct vertices involved.
@@ -330,30 +271,7 @@ def _contest_worker(payload: tuple) -> dict:
             local.append(idx)
         triangles.append(tuple(local))  # type: ignore[arg-type]
 
-    circles = [circumcircle(pos[a], pos[b], pos[c]) for a, b, c in triangles]
-    boxes = []
-    for a, b, c in triangles:
-        (x1, y1), (x2, y2), (x3, y3) = pos[a], pos[b], pos[c]
-        boxes.append(
-            (min(x1, x2, x3), min(y1, y2, y3), max(x1, x2, x3), max(y1, y2, y3))
-        )
-    edge_data = [_triangle_edges(pos, t) for t in triangles]
-    removed = [False] * len(triangles)
-    contests = straddle = 0
-    for i, j in _nearby_triangle_pairs(pos, triangles, radius):
-        bi, bj = boxes[i], boxes[j]
-        if bi[2] < bj[0] or bj[2] < bi[0] or bi[3] < bj[1] or bj[3] < bi[1]:
-            continue
-        if not _triangles_intersect(edge_data[i], edge_data[j]):
-            continue
-        contests += 1
-        if owned_flags[i] != owned_flags[j]:
-            straddle += 1
-        ci, cj = circles[i], circles[j]
-        if ci is not None and any(ci.contains(pos[x]) for x in triangles[j]):
-            removed[i] = True
-        if cj is not None and any(cj.contains(pos[x]) for x in triangles[i]):
-            removed[j] = True
+    removed, pairs = contest_triangles(pos, triangles, radius)
     survivors = [
         tri_gids[idx]
         for idx in range(len(triangles))
@@ -362,8 +280,8 @@ def _contest_worker(payload: tuple) -> dict:
     return {
         "tile": tile_key,
         "survivors": survivors,
-        "contests": contests,
-        "straddle_contests": straddle,
+        "contests": len(pairs),
+        "straddle_contests": sum(owned_flags[i] != owned_flags[j] for i, j in pairs),
     }
 
 

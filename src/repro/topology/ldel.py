@@ -16,17 +16,25 @@ of the other is dropped (Li et al. prove at least one of the two
 always is).  The surviving graph, called **PLDel** here, is the planar
 structure the paper applies on top of the ICDS backbone.
 
-This module is the *centralized reference*; the message-passing
+This module is the one place that decides LDel^1.  Three functions
+hold the decisions: :func:`proposed_triangles` (Algorithm 2's
+proposals, with the corners that proposed each triangle),
+:func:`corner_verdicts` (each corner's accept/reject) and
+:func:`contest_triangles` (Algorithm 3's contest).  The centralized
+construction below, the fast protocol
+(:mod:`repro.protocols.ldel_fast`) and the sharded tile workers
+(:mod:`repro.sharding.build`) compose them.  The message-passing
 protocol (paper Algorithms 2 and 3 verbatim) lives in
 :mod:`repro.protocols.ldel_protocol` and is tested to produce the same
 graph.
 
-Hot-path notes: every stage accepts an optional
+Hot-path notes: each of the three functions picks its kernel itself.
+With numpy available it runs the vectorized SoA kernel; otherwise the
+scalar loop, which is the bit-identical reference the kernel is tested
+against.  No other module branches on numpy for LDel.  The scalar
+paths, and the k >= 2 verdicts, take an optional
 :class:`~repro.topology.construction_cache.ConstructionCache` so
 neighborhoods and circumcircles are computed once per construction.
-With numpy available the stages run on the vectorized SoA kernels
-below; the scalar loops are the bit-identical reference they are
-tested against.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro import obs
+from repro.geometry.circle import circumcircle
 from repro.geometry.predicates import segments_cross
 from repro.geometry.primitives import Point, angle_at, dist_sq
 from repro.geometry.triangulation import delaunay
@@ -107,9 +116,10 @@ def _node_candidates(
 
 # -- vectorized construction core (SoA kernels) -------------------------------
 #
-# With numpy available, candidate generation, the k=1 filter and the
-# Algorithm 3 planarization all run over the deployment's shared
-# :class:`~repro.core.soa.SoaSnapshot`.  Every kernel replicates its
+# With numpy available, the proposals and the k=1 corner verdicts run
+# over the deployment's shared :class:`~repro.core.soa.SoaSnapshot`,
+# and the Algorithm 3 contest over the coordinates it is handed.
+# Every kernel replicates its
 # scalar counterpart's float expressions elementwise and routes rows
 # the replication cannot decide (ambiguous predicates, duplicate
 # coordinates, degenerate angle arms) to the scalar code, so the
@@ -122,7 +132,11 @@ _SOA_CHUNK = 8192
 
 
 def _soa_candidate_chunk(np, snap, pos, r_sq, qs):
-    """Candidate triples for one block of query nodes; (K, 3) int64."""
+    """Candidate rows for one block of query nodes.
+
+    Returns parallel lists of (K, 3) ascending id triples and the (K,)
+    query node that proposed each row.
+    """
     from repro.core.soa import gather_csr_rows
     from repro.geometry.triangulation import delaunay_stars_batch
 
@@ -144,7 +158,7 @@ def _soa_candidate_chunk(np, snap, pos, r_sq, qs):
     iu = np.nonzero(self_flag[order])[0] - base  # local index of q
 
     res = delaunay_stars_batch(xs, ys, indptr_q, members_flat)
-    parts = []
+    parts, proposers = [], []
     if res.owner.shape[0]:
         own = res.owner
         la, lb, lc = res.tris[:, 0], res.tris[:, 1], res.tris[:, 2]
@@ -184,8 +198,8 @@ def _soa_candidate_chunk(np, snap, pos, r_sq, qs):
                 continue
             accept[row] = angle >= _MIN_ANGLE
         keep &= accept
-        if keep.any():
-            parts.append(np.stack([ga[keep], gb[keep], gc[keep]], axis=1))
+        parts.append(np.stack([ga[keep], gb[keep], gc[keep]], axis=1))
+        proposers.append(u_arr[keep])
 
     for q in res.fallback.tolist():
         u = int(qs[q])
@@ -193,20 +207,17 @@ def _soa_candidate_chunk(np, snap, pos, r_sq, qs):
         tris = _node_candidates(pos, r_sq, u, local)
         if tris:
             parts.append(np.array(tris, dtype=np.int64))
-    if not parts:
-        return np.zeros((0, 3), dtype=np.int64)
-    return np.concatenate(parts, axis=0)
+            proposers.append(np.full(len(tris), u, dtype=np.int64))
+    return parts, proposers
 
 
-def _soa_candidate_arrays(
-    udg: UnitDiskGraph, node_ids: Optional[Sequence[int]] = None
-):
-    """All candidate triples as a sorted-unique (K, 3) array, or ``None``.
+def _soa_proposals(udg: UnitDiskGraph, node_ids: Optional[Sequence[int]]):
+    """Vectorized :func:`proposed_triangles` as arrays, or ``None``.
 
-    ``node_ids`` restricts the proposing nodes (the sharded build
-    passes each tile's proposer set); default is every node.  The
-    triple set equals the union of :func:`_node_candidates` over the
-    same nodes — fallback queries literally run it.
+    Returns ``(tris, proposed)``: sorted unique (K, 3) triples and a
+    (K, 3) bool mask of the corners that proposed each.  Fallback
+    queries run :func:`_node_candidates` itself, so the triple set and
+    the proposer sets equal the scalar loop's.
     """
     from repro.core.compat import get_numpy
     from repro.core.soa import snapshot_for
@@ -217,45 +228,44 @@ def _soa_candidate_arrays(
     snap = snapshot_for(udg)
     if snap is None:
         return None
-    n = snap.n
     r_sq = udg.radius * udg.radius
-    pos = udg.positions
     if node_ids is None:
-        queries = np.arange(n, dtype=np.int64)
+        queries = np.arange(snap.n, dtype=np.int64)
     else:
         queries = np.asarray(sorted(node_ids), dtype=np.int64)
     deg = snap.indptr[queries + 1] - snap.indptr[queries]
     obs.count("construction.local_delaunay_calls", int((deg >= 2).sum()))
     eligible = queries[deg >= 2]  # m = deg + 1 >= 3
 
-    parts = []
+    parts = [np.zeros((0, 3), dtype=np.int64)]
+    proposers = [np.zeros(0, dtype=np.int64)]
     for s in range(0, eligible.shape[0], _SOA_CHUNK):
-        part = _soa_candidate_chunk(
-            np, snap, pos, r_sq, eligible[s: s + _SOA_CHUNK]
+        chunk_tris, chunk_props = _soa_candidate_chunk(
+            np, snap, udg.positions, r_sq, eligible[s: s + _SOA_CHUNK]
         )
-        if part.shape[0]:
-            parts.append(part)
-    if not parts:
-        return np.zeros((0, 3), dtype=np.int64)
-    allt = np.concatenate(parts, axis=0)
-    if n < 2_000_000:  # key packing fits int64 up to n^3
-        from repro.core.soa import sorted_unique
-
-        key = (allt[:, 0] * n + allt[:, 1]) * n + allt[:, 2]
-        ukey = sorted_unique(np, key)
-        return np.stack(
-            [ukey // (n * n), (ukey // n) % n, ukey % n], axis=1
-        )
-    return np.unique(allt, axis=0)
+        parts += chunk_tris
+        proposers += chunk_props
+    tris = np.concatenate(parts, axis=0)
+    props = np.concatenate(proposers)
+    corner = np.argmax(tris == props[:, None], axis=1)
+    order = np.lexsort((corner, tris[:, 2], tris[:, 1], tris[:, 0]))
+    tris, corner = tris[order], corner[order]
+    first = np.ones(tris.shape[0], dtype=bool)
+    first[1:] = (tris[1:] != tris[:-1]).any(axis=1)
+    proposed = np.zeros((int(first.sum()), 3), dtype=bool)
+    proposed[np.cumsum(first) - 1, corner] = True
+    return tris[first], proposed
 
 
-def _soa_filter_k1(udg: UnitDiskGraph, tris):
-    """Vectorized 1-localized Delaunay filter; bool mask over ``tris``.
+def _soa_corner_verdicts(udg: UnitDiskGraph, triangles):
+    """Vectorized k=1 :func:`corner_verdicts` as a (K, 3) array, or ``None``.
 
-    Replicates :func:`is_k_localized_delaunay` for ``k=1``: the batched
-    circumcircle (exact-rescued rows identical to the scalar cache's),
-    witnesses ``N_1(u) | N_1(v) | N_1(w)`` minus the corners by id, and
-    the same tolerance-shrunk open-disk containment.
+    One ragged gather of every corner's CSR row, keyed by
+    ``triangle * 3 + corner``: rows naming the other two corners count
+    toward the radio rule, every other row is a witness tested against
+    the batched circumcircle (exact-rescued rows identical to the
+    scalar :func:`~repro.geometry.circle.circumcircle`) with the same
+    tolerance-shrunk open-disk containment as ``Circle.contains``.
     """
     from repro.core.compat import get_numpy
     from repro.core.soa import gather_csr_rows, snapshot_for
@@ -267,28 +277,32 @@ def _soa_filter_k1(udg: UnitDiskGraph, tris):
     snap = snapshot_for(udg)
     if snap is None:
         return None
-    if tris.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
+    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    count = tris.shape[0]
+    if count == 0:
+        return np.zeros((0, 3), dtype=bool)
     xs, ys = snap.xs, snap.ys
     u, v, w = tris[:, 0], tris[:, 1], tris[:, 2]
     valid, ccx, ccy, rad = circumcircles_batch(
         xs[u], ys[u], xs[v], ys[v], xs[w], ys[w]
     )
-    own_parts, wit_parts = [], []
-    for col in (u, v, w):
-        o, vals = gather_csr_rows(np, snap.indptr, snap.indices, col)
-        own_parts.append(o)
+    slot_parts, wit_parts = [], []
+    for corner in range(3):
+        owner, vals = gather_csr_rows(np, snap.indptr, snap.indices, tris[:, corner])
+        slot_parts.append(owner * 3 + corner)
         wit_parts.append(vals)
-    owner = np.concatenate(own_parts)
+    slot = np.concatenate(slot_parts)
     wit = np.concatenate(wit_parts)
-    keep = (wit != u[owner]) & (wit != v[owner]) & (wit != w[owner])
-    owner, wit = owner[keep], wit[keep]
+    owner = slot // 3
+    is_corner = (wit == u[owner]) | (wit == v[owner]) | (wit == w[owner])
+    hears_both = np.bincount(slot[is_corner], minlength=3 * count) == 2
+    slot, owner, wit = slot[~is_corner], owner[~is_corner], wit[~is_corner]
     r = rad[owner] - 1e-9
     dxw = ccx[owner] - xs[wit]
     dyw = ccy[owner] - ys[wit]
     inside = valid[owner] & (r > 0.0) & (dxw * dxw + dyw * dyw < r * r)
-    blocked = np.bincount(owner[inside], minlength=tris.shape[0]) > 0
-    return valid & ~blocked
+    blocked = np.bincount(slot[inside], minlength=3 * count) > 0
+    return valid[:, None] & (hears_both & ~blocked).reshape(count, 3)
 
 
 def _soa_triangles_intersect(np, xs, ys, tris, pi, pj):
@@ -323,72 +337,179 @@ def _soa_triangles_intersect(np, xs, ys, tris, pi, pj):
     return inter
 
 
-def _soa_planarize(
-    udg: UnitDiskGraph, ldel1: "LDelResult"
-) -> Optional["LDelResult"]:
-    """Vectorized Algorithm 3; ``None`` defers to the scalar path."""
+def _soa_contest(positions: Sequence[Point], triangles, cell: float):
+    """Vectorized :func:`contest_triangles`; ``None`` defers to scalar.
+
+    Returns ``(removed, pi, pj)`` arrays: the removal mask and the
+    intersecting index pairs (``pi < pj``, sorted).
+    """
     from repro.core.compat import get_numpy
-    from repro.core.soa import bbox_grid_pairs, snapshot_for
+    from repro.core.soa import bbox_grid_pairs
     from repro.geometry.circle import circumcircles_batch, contains_batch
 
     np = get_numpy()
     if np is None:
         return None
-    snap = snapshot_for(udg)
-    if snap is None:
-        return None
-    triangles = list(ldel1.triangles)
-    count = len(triangles)
-    removed = np.zeros(count, dtype=bool)
-    if count:
-        xs, ys = snap.xs, snap.ys
-        tris = np.array(triangles, dtype=np.int64)
-        u, v, w = tris[:, 0], tris[:, 1], tris[:, 2]
-        valid, ccx, ccy, rad = circumcircles_batch(
-            xs[u], ys[u], xs[v], ys[v], xs[w], ys[w]
-        )
-        bx0 = np.minimum(np.minimum(xs[u], xs[v]), xs[w])
-        by0 = np.minimum(np.minimum(ys[u], ys[v]), ys[w])
-        bx1 = np.maximum(np.maximum(xs[u], xs[v]), xs[w])
-        by1 = np.maximum(np.maximum(ys[u], ys[v]), ys[w])
-        pi, pj = bbox_grid_pairs(np, bx0, by0, bx1, by1, udg.radius)
-        obs.count("construction.triangle_pairs_candidate", int(pi.shape[0]))
-        overlap = ~(
-            (bx1[pi] < bx0[pj])
-            | (bx1[pj] < bx0[pi])
-            | (by1[pi] < by0[pj])
-            | (by1[pj] < by0[pi])
-        )
-        obs.count("construction.triangle_pairs_tested", int(overlap.sum()))
-        pi, pj = pi[overlap], pj[overlap]
-        inter = _soa_triangles_intersect(np, xs, ys, tris, pi, pj)
-        obs.count("construction.triangle_pairs_intersecting", int(inter.sum()))
-        pi, pj = pi[inter], pj[inter]
-        for mine, other in ((pi, pj), (pj, pi)):
-            hit = np.zeros(pi.shape[0], dtype=bool)
-            for corner in range(3):
-                vid = tris[other, corner]
-                hit |= contains_batch(
-                    ccx[mine], ccy[mine], rad[mine], xs[vid], ys[vid]
-                )
-            removed[mine[hit & valid[mine]]] = True
+    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    removed = np.zeros(tris.shape[0], dtype=bool)
+    coords = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    xs, ys = coords[:, 0], coords[:, 1]
+    u, v, w = tris[:, 0], tris[:, 1], tris[:, 2]
+    valid, ccx, ccy, rad = circumcircles_batch(
+        xs[u], ys[u], xs[v], ys[v], xs[w], ys[w]
+    )
+    bx0 = np.minimum(np.minimum(xs[u], xs[v]), xs[w])
+    by0 = np.minimum(np.minimum(ys[u], ys[v]), ys[w])
+    bx1 = np.maximum(np.maximum(xs[u], xs[v]), xs[w])
+    by1 = np.maximum(np.maximum(ys[u], ys[v]), ys[w])
+    pi, pj = bbox_grid_pairs(np, bx0, by0, bx1, by1, cell)
+    obs.count("construction.triangle_pairs_candidate", int(pi.shape[0]))
+    overlap = ~(
+        (bx1[pi] < bx0[pj])
+        | (bx1[pj] < bx0[pi])
+        | (by1[pi] < by0[pj])
+        | (by1[pj] < by0[pi])
+    )
+    obs.count("construction.triangle_pairs_tested", int(overlap.sum()))
+    pi, pj = pi[overlap], pj[overlap]
+    inter = _soa_triangles_intersect(np, xs, ys, tris, pi, pj)
+    obs.count("construction.triangle_pairs_intersecting", int(inter.sum()))
+    pi, pj = pi[inter], pj[inter]
+    for mine, other in ((pi, pj), (pj, pi)):
+        hit = np.zeros(pi.shape[0], dtype=bool)
+        for corner in range(3):
+            vid = tris[other, corner]
+            hit |= contains_batch(ccx[mine], ccy[mine], rad[mine], xs[vid], ys[vid])
+        removed[mine[hit & valid[mine]]] = True
+    return removed, pi, pj
 
-    survivors = tuple(
-        t for t, gone in zip(triangles, removed.tolist()) if not gone
-    )
-    graph = Graph(udg.positions, ldel1.gabriel_edges, name="PLDel")
-    graph.add_edges_bulk(
-        pair
-        for tu, tv, tw in survivors
-        for pair in ((tu, tv), (tv, tw), (tu, tw))
-    )
-    resolve_degenerate_crossings(graph)
-    return LDelResult(
-        graph=graph,
-        triangles=survivors,
-        gabriel_edges=ldel1.gabriel_edges,
-        k=1,
-    )
+
+# -- the three LDel^1 decisions -----------------------------------------------
+#
+# Every LDel path — the centralized reference below, the fast protocol
+# (:mod:`repro.protocols.ldel_fast`), the sharded tile workers
+# (:mod:`repro.sharding.build`) — composes these three functions; each
+# picks the SoA kernel or the scalar reference itself.
+
+
+def proposed_triangles(
+    udg: UnitDiskGraph,
+    node_ids: Optional[Sequence[int]] = None,
+    *,
+    cache: Optional[ConstructionCache] = None,
+) -> tuple[list[Triangle], list[tuple[bool, ...]]]:
+    """Algorithm 2's proposals: candidate triangles and who proposed them.
+
+    A node proposes exactly the incident triangles of ``Del(N_1(u))``
+    with all sides at most the radius and an angle of at least 60
+    degrees at ``u`` (:func:`_node_candidates`).  Returns the sorted
+    distinct triangles and, per triangle, which of its three (sorted)
+    corners proposed it.  ``node_ids`` restricts the proposing nodes
+    (a sharded tile passes the nodes near its core); default is every
+    node.
+    """
+    soa = _soa_proposals(udg, node_ids)
+    if soa is not None:
+        tris, proposed = soa
+        return list(map(tuple, tris.tolist())), list(map(tuple, proposed.tolist()))
+    cache = ConstructionCache.for_udg(udg, cache)
+    r_sq = udg.radius * udg.radius
+    pos = udg.positions
+    by: dict[Triangle, list[bool]] = {}
+    calls = 0
+    for u in udg.nodes() if node_ids is None else node_ids:
+        local = sorted(cache.k_hop(u, 1))
+        calls += len(local) >= 3
+        for t in _node_candidates(pos, r_sq, u, local):
+            by.setdefault(t, [False, False, False])[t.index(u)] = True
+    obs.count("construction.local_delaunay_calls", calls)
+    triangles = sorted(by)
+    return triangles, [tuple(by[t]) for t in triangles]
+
+
+def corner_verdicts(
+    udg: UnitDiskGraph,
+    triangles: Sequence[Triangle],
+    k: int = 1,
+    *,
+    cache: Optional[ConstructionCache] = None,
+) -> list[tuple[bool, ...]]:
+    """Each corner's verdict on each triangle, as Algorithm 2 responds.
+
+    Corner ``c`` accepts when the other two corners are its radio
+    neighbours and the circumcircle is empty of ``N_k(c)``.  The radio
+    rule is what keeps a quasi-UDG gray-zone side that the model
+    dropped out of LDel; under the disk model every side of a proposed
+    triangle is a link, so it never fires there.
+    """
+    soa = _soa_corner_verdicts(udg, triangles) if k == 1 else None
+    if soa is not None:
+        return list(map(tuple, soa.tolist()))
+    cache = ConstructionCache.for_udg(udg, cache)
+    pos = udg.positions
+    out = []
+    for t in triangles:
+        circle = cache.circumcircle_of(t)
+        row = []
+        for c in t:
+            hears = all(x == c or udg.has_edge(c, x) for x in t)
+            row.append(
+                circle is not None
+                and hears
+                and not any(
+                    circle.contains(pos[x]) for x in cache.k_hop(c, k) if x not in t
+                )
+            )
+        out.append(tuple(row))
+    return out
+
+
+def contest_triangles(
+    positions: Sequence[Point], triangles: Sequence[Triangle], cell: float
+) -> tuple[list[bool], list[tuple[int, int]]]:
+    """Algorithm 3's contest over ``triangles`` (ids into ``positions``).
+
+    Whenever two triangles intersect, a triangle whose circumcircle
+    contains a vertex of the other is removed.  Returns the removal
+    mask and the sorted intersecting index pairs ``(i, j)``, ``i < j``.
+    Candidate pairs come from a uniform grid of side ``cell`` over the
+    bounding boxes; a box-overlap test rejects most before the nine-way
+    segment-crossing test runs.
+    """
+    soa = _soa_contest(positions, triangles, cell)
+    if soa is not None:
+        removed, pi, pj = soa
+        return removed.tolist(), list(zip(pi.tolist(), pj.tolist()))
+    pos = positions
+    circles = [circumcircle(pos[u], pos[v], pos[w]) for u, v, w in triangles]
+    boxes = []
+    for u, v, w in triangles:
+        (x1, y1), (x2, y2), (x3, y3) = pos[u], pos[v], pos[w]
+        boxes.append(
+            (min(x1, x2, x3), min(y1, y2, y3), max(x1, x2, x3), max(y1, y2, y3))
+        )
+    edge_data = [_triangle_edges(pos, t) for t in triangles]
+    removed = [False] * len(triangles)
+    candidates = _nearby_triangle_pairs(pos, triangles, cell)
+    tested = 0
+    pairs: list[tuple[int, int]] = []
+    for i, j in sorted(candidates):
+        bi, bj = boxes[i], boxes[j]
+        if bi[2] < bj[0] or bj[2] < bi[0] or bi[3] < bj[1] or bj[3] < bi[1]:
+            continue  # disjoint bounding boxes cannot intersect
+        tested += 1
+        if not _triangles_intersect(edge_data[i], edge_data[j]):
+            continue
+        pairs.append((i, j))
+        ci, cj = circles[i], circles[j]
+        if ci is not None and any(ci.contains(pos[x]) for x in triangles[j]):
+            removed[i] = True
+        if cj is not None and any(cj.contains(pos[x]) for x in triangles[i]):
+            removed[j] = True
+    obs.count("construction.triangle_pairs_candidate", len(candidates))
+    obs.count("construction.triangle_pairs_tested", tested)
+    obs.count("construction.triangle_pairs_intersecting", len(pairs))
+    return removed, pairs
 
 
 def candidate_triangles(
@@ -396,35 +517,15 @@ def candidate_triangles(
 ) -> set[Triangle]:
     """Triangles proposed by the per-node local Delaunay triangulations.
 
-    A node generates exactly the triangles Algorithm 2 would have it
-    *propose*: incident triangles of ``Del(N_1(u))`` with all sides at
-    most the radius and an angle of at least 60 degrees at ``u``.
-    Every triangle has such a vertex and a k-localized Delaunay
-    triangle appears in that vertex's local triangulation (its
-    circumcircle is empty of the neighborhood), so generation is
-    complete.  Applying the same angle discipline as the distributed
-    protocol also makes tie-breaking identical on exactly-cocircular
-    inputs, where "the" local Delaunay triangulation is not unique.
-
-    With numpy available the vectorized SoA kernel handles everything;
-    the scalar loop (numpy masked out) is the bit-identical reference
-    the kernel is tested against.
+    Every triangle has a vertex with an angle of at least 60 degrees,
+    and a k-localized Delaunay triangle appears in that vertex's local
+    triangulation (its circumcircle is empty of the neighborhood), so
+    generation is complete.  Applying the same angle discipline as the
+    distributed protocol also makes tie-breaking identical on
+    exactly-cocircular inputs, where "the" local Delaunay triangulation
+    is not unique.
     """
-    arr = _soa_candidate_arrays(udg)
-    if arr is not None:
-        return set(map(tuple, arr.tolist()))
-    cache = ConstructionCache.for_udg(udg, cache)
-    r_sq = udg.radius * udg.radius
-    pos = udg.positions
-    nodes = [(u, sorted(cache.k_hop(u, 1))) for u in udg.nodes()]
-    obs.count(
-        "construction.local_delaunay_calls",
-        sum(1 for _, local in nodes if len(local) >= 3),
-    )
-    candidates: set[Triangle] = set()
-    for u, local in nodes:
-        candidates.update(_node_candidates(pos, r_sq, u, local))
-    return candidates
+    return set(proposed_triangles(udg, cache=cache)[0])
 
 
 def is_k_localized_delaunay(
@@ -434,15 +535,7 @@ def is_k_localized_delaunay(
     cache: Optional[ConstructionCache] = None,
 ) -> bool:
     """Whether ``triangle`` satisfies the k-localized Delaunay property."""
-    cache = ConstructionCache.for_udg(udg, cache)
-    u, v, w = triangle
-    pos = udg.positions
-    circle = cache.circumcircle_of(triangle)
-    if circle is None:
-        return False
-    witnesses = (cache.k_hop(u, k) | cache.k_hop(v, k) | cache.k_hop(w, k)) - {u, v, w}
-    contains = circle.contains
-    return not any(contains(pos[x]) for x in witnesses)
+    return all(corner_verdicts(udg, [triangle], k, cache=cache)[0])
 
 
 def local_delaunay_graph(
@@ -453,28 +546,18 @@ def local_delaunay_graph(
 ) -> LDelResult:
     """Construct LDel^k over the unit disk graph.
 
+    A proposed triangle is accepted when all three corners accept it.
     Returns the graph (Gabriel edges plus localized-Delaunay-triangle
     edges), the accepted triangles, and the Gabriel edge set.  Pass a
     shared ``cache`` to reuse neighborhoods/circumcircles across
-    stages.
+    stages on the scalar path.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     cache = ConstructionCache.for_udg(udg, cache)
-    accepted: Optional[tuple[Triangle, ...]] = None
-    if k == 1:
-        arr = _soa_candidate_arrays(udg)
-        if arr is not None:
-            mask = _soa_filter_k1(udg, arr)
-            if mask is not None:
-                # Unique-key rows come out lexicographically sorted, so
-                # the masked rows are already the sorted accepted list.
-                accepted = tuple(map(tuple, arr[mask].tolist()))
-    if accepted is None:
-        candidates = candidate_triangles(udg, cache=cache)
-        accepted = tuple(
-            sorted(t for t in candidates if is_k_localized_delaunay(udg, t, k, cache))
-        )
+    triangles, _ = proposed_triangles(udg, cache=cache)
+    verdicts = corner_verdicts(udg, triangles, k, cache=cache)
+    accepted = tuple(t for t, ok in zip(triangles, verdicts) if all(ok))
     gabriel = gabriel_graph(udg, cache=cache)
     graph = Graph(udg.positions, gabriel.edges(), name=f"LDel{k}")
     graph.add_edges_bulk(
@@ -613,58 +696,21 @@ def planarize_ldel1(
 
     For every pair of intersecting 1-localized Delaunay triangles, a
     triangle whose circumcircle contains a vertex of the other is
-    removed; Li et al. prove this leaves a planar graph.  Gabriel
-    edges are always retained.
-
-    Candidate pairs come from a uniform grid over triangle bounding
-    boxes; a cheap bounding-box overlap test then rejects most of them
-    before the nine-way segment-crossing test runs.  Circumcircles are
-    served from the shared ``cache`` (the k-localized filter already
-    computed every one of them).
+    removed (:func:`contest_triangles`); Li et al. prove this leaves a
+    planar graph.  Gabriel edges are always retained.  ``cache`` is
+    accepted so callers can pass one cache through every stage; the
+    contest needs no memo.
     """
     if ldel1.k != 1:
         raise ValueError("planarization applies to LDel^1")
-    cache = ConstructionCache.for_udg(udg, cache)
-    soa = _soa_planarize(udg, ldel1)
-    if soa is not None:
-        return soa
-    pos = udg.positions
-    triangles = list(ldel1.triangles)
-    circles = [cache.circumcircle_of(t) for t in triangles]
-    removed = [False] * len(triangles)
-    boxes: list[tuple[float, float, float, float]] = []
-    for u, v, w in triangles:
-        (x1, y1), (x2, y2), (x3, y3) = pos[u], pos[v], pos[w]
-        boxes.append(
-            (min(x1, x2, x3), min(y1, y2, y3), max(x1, x2, x3), max(y1, y2, y3))
-        )
-    edge_data = [_triangle_edges(pos, t) for t in triangles]
-
-    pairs = _nearby_triangle_pairs(pos, triangles, udg.radius)
-    tested = intersecting = 0
-    for i, j in pairs:
-        bi, bj = boxes[i], boxes[j]
-        if bi[2] < bj[0] or bj[2] < bi[0] or bi[3] < bj[1] or bj[3] < bi[1]:
-            continue  # disjoint bounding boxes cannot intersect
-        tested += 1
-        if not _triangles_intersect(edge_data[i], edge_data[j]):
-            continue
-        intersecting += 1
-        ci, cj = circles[i], circles[j]
-        if ci is not None and any(ci.contains(pos[x]) for x in triangles[j]):
-            removed[i] = True
-        if cj is not None and any(cj.contains(pos[x]) for x in triangles[i]):
-            removed[j] = True
-    obs.count("construction.triangle_pairs_candidate", len(pairs))
-    obs.count("construction.triangle_pairs_tested", tested)
-    obs.count("construction.triangle_pairs_intersecting", intersecting)
-
-    survivors = tuple(t for t, gone in zip(triangles, removed) if not gone)
+    removed, _ = contest_triangles(udg.positions, ldel1.triangles, udg.radius)
+    survivors = tuple(t for t, gone in zip(ldel1.triangles, removed) if not gone)
     graph = Graph(udg.positions, ldel1.gabriel_edges, name="PLDel")
-    for u, v, w in survivors:
-        graph.add_edge(u, v)
-        graph.add_edge(v, w)
-        graph.add_edge(u, w)
+    graph.add_edges_bulk(
+        pair
+        for tu, tv, tw in survivors
+        for pair in ((tu, tv), (tv, tw), (tu, tw))
+    )
     resolve_degenerate_crossings(graph)
     return LDelResult(
         graph=graph,

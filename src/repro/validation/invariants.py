@@ -9,8 +9,8 @@ quasi-UDG variants scale them by the gray-zone parameter ``epsilon``
 longer than the reliable-zone radius the proofs assume).
 
 Paper-bound invariants are exact claims; the bit-identity invariants
-(sharded-vs-serial, SoA-vs-reference) are the implementation's own
-contracts from PRs 3-7, promoted to nightly tripwires.
+(sharded-vs-serial, SoA-vs-reference, fast-vs-protocol) are the
+implementation's own contracts, promoted to tripwires.
 """
 
 from __future__ import annotations
@@ -307,6 +307,60 @@ def _soa_identity(ctx: "PipelineBuild") -> Check:
     )
 
 
+def _radio_links(ctx: "PipelineBuild") -> Check:
+    # Every structure is a subgraph of the radio graph: a construction
+    # may drop links, never invent one (a quasi gray-zone side the
+    # model dropped, or a disk-rule rebuild, would).
+    if ctx.pipeline == "backbone":
+        family = ctx.backbone.family
+        graphs = (
+            family.cds, family.cds_prime, family.icds, family.icds_prime,
+            ctx.backbone.ldel_icds, ctx.backbone.ldel_icds_prime,
+        )
+    else:
+        graphs = (ctx.graph,)
+    links = ctx.udg.edge_set()
+    extra = {g.name: len(g.edge_set() - links) for g in graphs}
+    bad = sorted((name, count) for name, count in extra.items() if count)
+    return Check(
+        passed=not bad,
+        value=float(sum(count for _, count in bad)),
+        bound=0.0,
+        detail="" if not bad else "non-radio edges: " + ", ".join(
+            f"{name} {count}" for name, count in bad
+        ),
+    )
+
+
+def _fast_identity(ctx: "PipelineBuild") -> Check:
+    from repro.graphs.quasi import induced_radio_subgraph
+    from repro.protocols.ldel_fast import fast_ldel_protocol
+    from repro.protocols.ldel_protocol import run_ldel_protocol
+
+    sub = induced_radio_subgraph(
+        ctx.udg, sorted(ctx.backbone.family.backbone_nodes), name="ICDS-sub"
+    )
+    fast = fast_ldel_protocol(sub)
+    protocol = run_ldel_protocol(sub)
+    differs = [
+        name
+        for name, a, b in (
+            ("graph", fast.graph.edge_set(), protocol.graph.edge_set()),
+            ("triangles", fast.triangles, protocol.triangles),
+            ("gabriel", fast.gabriel_edges, protocol.gabriel_edges),
+            ("rounds", fast.rounds, protocol.rounds),
+            ("ledger", fast.stats.per_node_kind, protocol.stats.per_node_kind),
+        )
+        if a != b
+    ]
+    return Check(
+        passed=not differs,
+        value=float(len(differs)),
+        bound=0.0,
+        detail="" if not differs else "fast vs protocol differ in " + ", ".join(differs),
+    )
+
+
 def _udg_edge_rule(ctx: "PipelineBuild") -> Check:
     from repro.geometry.primitives import dist_sq
 
@@ -381,6 +435,13 @@ INVARIANTS: tuple[Invariant, ...] = (
         kind="boolean",
     ),
     Invariant(
+        name="radio-links",
+        description="every edge of every output graph is a radio link",
+        pipelines=("gg", "ldel", "backbone"),
+        metric=_radio_links,
+        kind="boolean",
+    ),
+    Invariant(
         name="domination",
         description="every node is in the backbone or hears a dominator",
         pipelines=("backbone",),
@@ -444,6 +505,13 @@ INVARIANTS: tuple[Invariant, ...] = (
         description="SoA-kernel PLDel is bit-identical to the pure-python reference",
         pipelines=("ldel",),
         metric=_soa_identity,
+        kind="identity",
+    ),
+    Invariant(
+        name="fast-identity",
+        description="fast LDel protocol is bit-identical to the message-passing run",
+        pipelines=("backbone",),
+        metric=_fast_identity,
         kind="identity",
     ),
 )

@@ -31,6 +31,7 @@ from repro.protocols.connectors import run_connectors
 from repro.protocols.ldel_fast import fast_ldel_protocol
 from repro.protocols.ldel_protocol import run_ldel_protocol
 from repro.sim.stats import MessageStats
+from repro.workloads.corpus import get_instance
 from test_sharding import DEPLOYMENTS
 
 RADIUS = 25.0
@@ -110,16 +111,26 @@ class TestFastConnectors:
             fast_connectors(udg, fast_clustering(udg), election="coin-flip")
 
 
+def assert_fast_ldel_matches_protocol(udg: UnitDiskGraph) -> None:
+    protocol = run_ldel_protocol(udg)
+    fast = fast_ldel_protocol(udg)
+    assert fast.graph.edge_set() == protocol.graph.edge_set()
+    assert fast.graph.name == protocol.graph.name
+    assert fast.triangles == protocol.triangles
+    assert fast.gabriel_edges == protocol.gabriel_edges
+    assert fast.rounds == protocol.rounds
+    assert_same_stats(fast.stats, protocol.stats)
+
+
 class TestFastLDel:
     def test_bit_identical(self, deployment):
-        protocol = run_ldel_protocol(deployment)
-        fast = fast_ldel_protocol(deployment)
-        assert fast.graph.edge_set() == protocol.graph.edge_set()
-        assert fast.graph.name == protocol.graph.name
-        assert fast.triangles == protocol.triangles
-        assert fast.gabriel_edges == protocol.gabriel_edges
-        assert fast.rounds == protocol.rounds
-        assert_same_stats(fast.stats, protocol.stats)
+        assert_fast_ldel_matches_protocol(deployment)
+
+    @pytest.mark.parametrize("entry", ["quasi-field", "quasi-hotspots"])
+    def test_bit_identical_quasi(self, entry):
+        # Gray-zone sides the radio model dropped: every corner applies
+        # the same radio rule on both paths.
+        assert_fast_ldel_matches_protocol(get_instance(entry).udg())
 
 
 class TestFastPipeline:

@@ -107,6 +107,14 @@ class TestSessionValidation:
             service.session_create({"scenario": {"corpus": "no-such-corpus"}})
         assert err.value.status == 400
 
+    def test_quasi_deployment_rejected(self, service):
+        # The maintainer keeps a sharp-disk UDG; a quasi deployment
+        # would silently lose its gray zone, so it is refused.
+        with pytest.raises(ServiceError) as err:
+            service.session_create({"scenario": {"corpus": "quasi-field"}})
+        assert err.value.status == 400
+        assert "quasi-UDG" in str(err.value)
+
     def test_bad_tile_cells_rejected(self, service):
         with pytest.raises(ServiceError) as err:
             service.session_create({"scenario": SCENARIO, "tile_cells": 0})

@@ -323,6 +323,26 @@ class TestServiceIntegration:
         assert counters["sharding.tiles"] >= 1
         assert any(k.startswith("sharding.") for k in counters)
 
+    @pytest.mark.parametrize(
+        "pipeline",
+        ["sharded:udg", "sharded:gg", "sharded:ldel1", "sharded:ldel", "sharded:backbone"],
+    )
+    def test_quasi_deployment_refused(self, pipeline):
+        # Tiles rebuild a sharp disk graph from points and radius, which
+        # would silently drop the gray zone; the service answers 400.
+        from repro.service.registry import RegistryError, build_scenario
+        from repro.service.server import ServiceError, SpannerService
+
+        scenario = {"corpus": "quasi-field"}
+        with pytest.raises(RegistryError, match="quasi-UDG"):
+            build_scenario(pipeline, scenario)
+        service = SpannerService(executor_mode="serial")
+        with pytest.raises(ServiceError) as err:
+            service.build({"pipeline": pipeline, "scenario": scenario})
+        assert err.value.status == 400
+        assert "quasi-UDG" in str(err.value)
+        service.close()
+
     def test_unknown_param_rejected(self):
         from repro.service.registry import RegistryError, get_pipeline
 

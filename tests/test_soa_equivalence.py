@@ -150,6 +150,7 @@ class TestBackbone:
         assert soa.icds.edge_set() == ref.icds.edge_set()
         assert soa.ldel_icds.edge_set() == ref.ldel_icds.edge_set()
         assert soa.ldel_icds_prime.edge_set() == ref.ldel_icds_prime.edge_set()
+        assert soa.stats_ldel.per_node_kind == ref.stats_ldel.per_node_kind
 
 
 class TestIncrementalPipeline:
