@@ -1312,15 +1312,13 @@ class BackboneRouter:
         mode: str = "gpsr",
         max_hops: Optional[int] = None,
         keep_paths: bool = True,
-        use_cache: bool = True,
         count_unreachable: bool = True,
     ) -> BatchRouteResult:
         """Batch backbone routing; scalar-identical paths for gpsr/greedy.
 
         Stitched lengths can differ from the scalar left-to-right fold
         by float summation order only (paths, hops and reasons are
-        exact).  ``use_cache=False`` bypasses the per-mode core route
-        memo (the bench uses it for honest cold timings).
+        exact).
         """
         if mode not in self.MODES:
             raise ValueError(f"unknown mode {mode!r}; known: {self.MODES}")
@@ -1382,7 +1380,6 @@ class BackboneRouter:
                 mode=mode,
                 max_hops=max_hops,
                 keep_paths=keep_paths,
-                use_cache=use_cache,
             )
             core_reason[u_idx] = ur[inv]
             core_hops[u_idx] = uh[inv]
@@ -1473,7 +1470,6 @@ class BackboneRouter:
         mode: str,
         max_hops: Optional[int],
         keep_paths: bool,
-        use_cache: bool,
     ) -> Tuple[Any, Any, Any, List[Any]]:
         """Route the deduplicated (entry, exit) cores, memoized per mode."""
         m = usrc.shape[0]
@@ -1481,18 +1477,15 @@ class BackboneRouter:
         uh = np.zeros(m, dtype=np.int64)
         ul = np.zeros(m, dtype=np.float64)
         up: List[Any] = [None] * m
-        cache = self._cache.setdefault(mode, {}) if use_cache else None
+        cache = self._cache.setdefault(mode, {})
         miss: List[int] = []
-        if cache is not None:
-            for j in range(m):
-                rec = cache.get((int(usrc[j]), int(udst[j])))
-                if rec is None or (keep_paths and rec[3] is None):
-                    miss.append(j)
-                else:
-                    ur[j], uh[j], ul[j] = rec[0], rec[1], rec[2]
-                    up[j] = rec[3]
-        else:
-            miss = list(range(m))
+        for j in range(m):
+            rec = cache.get((int(usrc[j]), int(udst[j])))
+            if rec is None or (keep_paths and rec[3] is None):
+                miss.append(j)
+            else:
+                ur[j], uh[j], ul[j] = rec[0], rec[1], rec[2]
+                up[j] = rec[3]
         if miss:
             mi = np.asarray(miss, dtype=np.int64)
             if mode == "shortest":
@@ -1516,15 +1509,14 @@ class BackboneRouter:
                 uh[j] = rh[jj]
                 ul[j] = rl[jj]
                 up[j] = rp[jj]
-                if cache is not None:
-                    if len(cache) >= self._cache_entries:
-                        cache.clear()
-                    cache[(int(usrc[j]), int(udst[j]))] = (
-                        int(rr[jj]),
-                        int(rh[jj]),
-                        float(rl[jj]),
-                        rp[jj],
-                    )
+                if len(cache) >= self._cache_entries:
+                    cache.clear()
+                cache[(int(usrc[j]), int(udst[j]))] = (
+                    int(rr[jj]),
+                    int(rh[jj]),
+                    float(rl[jj]),
+                    rp[jj],
+                )
         return ur, uh, ul, up
 
     def _shortest_cores(

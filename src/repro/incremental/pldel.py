@@ -16,14 +16,16 @@ changed), and recomputes exactly the invalidation footprint:
   ``stage_halo('pldel') = 3r`` of the tile box, so the contest-dirty
   set is the set of tiles whose accepted output actually changed —
   different triangle ids, or a dirty id among their vertices — dilated
-  by ``3r`` of box-to-box distance;
+  by ``3r`` of box-to-box distance; every contest-dirty tile is
+  replayed by one shared :func:`repro.topology.ldel.contest_triangles`
+  call per step;
 * **stitching** keeps a multiset of edge contributions (Gabriel edges
   plus surviving-triangle edges, per tile), a bucket index over the
   live edges, and the set of properly-crossing edge pairs, all updated
   from the per-tile output diffs; the degenerate-crossing resolution
-  then replays :func:`repro.topology.ldel.resolve_degenerate_crossings`
-  over just that crossing set (deterministic in the edge set, so the
-  replay is bit-identical to the global sweep).
+  then applies :func:`repro.topology.ldel.degenerate_crossing_losers`
+  to just that crossing set (deterministic in the edge set, so the
+  result is bit-identical to the global sweep).
 
 Clean tiles keep their cached outputs verbatim.  That retention is
 exact: a tile's owned outputs mention only nodes within its halo, so
@@ -37,11 +39,6 @@ re-indexing preserves id order, every id comparison the construction
 makes (triangle anchors, min-endpoint edge ownership, crossing
 tie-breaks) gives the same answer in either id space, so maintaining
 in original ids avoids re-indexing churn without breaking bit-identity.
-
-The geometry cached per accepted triangle (circumcircle, edge
-descriptors, bounding box, bucket cells) is computed once at tile
-recompute time and reused by every contest that consumes the triangle
-as context — the dominant cost of the sharded contest phase.
 """
 
 from __future__ import annotations
@@ -52,12 +49,15 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro import obs
-from repro.geometry.circle import circumcircle
 from repro.geometry.predicates import segments_cross
 from repro.geometry.primitives import Point, dist
 from repro.sharding.build import _phase_a
 from repro.sharding.tiles import DynamicTileGrid, stage_halo
-from repro.topology.ldel import Triangle, _triangle_edges, _triangles_intersect
+from repro.topology.ldel import (
+    Triangle,
+    contest_triangles,
+    degenerate_crossing_losers,
+)
 
 if TYPE_CHECKING:
     from repro.incremental.udg import DynamicUdg
@@ -71,25 +71,8 @@ class PldelStepStats:
     """Accounting for one planarizer maintenance step."""
 
     dirty_tiles: int = 0
-    changed_tiles: int = 0
     contest_tiles: int = 0
     dirty_members: int = 0
-    contests: int = 0
-    straddle_contests: int = 0
-    surviving_triangles: int = 0
-    edges_added: int = 0
-    edges_removed: int = 0
-
-
-@dataclass(frozen=True)
-class _TriRecord:
-    """An accepted triangle plus its cached contest geometry."""
-
-    tri: Triangle
-    bbox: tuple[float, float, float, float]
-    cells: tuple[tuple[int, int], ...]
-    circle: object
-    edges: tuple
 
 
 class IncrementalPLDel:
@@ -100,8 +83,8 @@ class IncrementalPLDel:
         self.grid = DynamicTileGrid(udg.radius, tile_cells=tile_cells)
         #: tile -> owned Gabriel edges (normalized id pairs).
         self._gabriel: dict[TileKey, list[Edge]] = {}
-        #: tile -> owned accepted triangles with cached geometry.
-        self._accepted: dict[TileKey, list[_TriRecord]] = {}
+        #: tile -> owned accepted triangles.
+        self._accepted: dict[TileKey, list[Triangle]] = {}
         #: tile -> owned triangles surviving the contests.
         self._survivors: dict[TileKey, list[Triangle]] = {}
         #: tile -> its current edge contributions (with multiplicity).
@@ -114,7 +97,6 @@ class IncrementalPLDel:
         #: properly-crossing live pairs, normalized and orderable.
         self._crossings: set[tuple[Edge, Edge]] = set()
         self._edges: frozenset[Edge] = frozenset()
-        self._survivor_total = 0
 
     # -- the maintenance step --------------------------------------------
 
@@ -131,7 +113,6 @@ class IncrementalPLDel:
         if not dirty_points and not dirty_ids:
             # No member position, role, or id changed: every cached
             # output is a function of unchanged inputs.
-            stats.surviving_triangles = self._survivor_total
             return self._edges, stats
         radius = self.udg.radius
         acceptance_halo = stage_halo("ldel", 1) * radius
@@ -146,20 +127,17 @@ class IncrementalPLDel:
                 dirty_a, acceptance_halo, membership, dirty_ids, dirty_members
             )
         stats.dirty_tiles = len(dirty_a)
-        stats.changed_tiles = len(changed)
         stats.dirty_members = len(dirty_members)
 
         with obs.span("incremental.phase.pldel_contest"):
             dirty_b: set[TileKey] = set()
             for key in changed:
                 dirty_b.update(self.grid.keys_near_key(key, contest_halo))
-            for key in sorted(dirty_b):
-                self._recompute_contest(key, contest_halo, stats)
+            self._recompute_contests(dirty_b, contest_halo)
         stats.contest_tiles = len(dirty_b)
 
         with obs.span("incremental.phase.pldel_stitch"):
-            self._restitch(dirty_a | dirty_b, dirty_ids, stats)
-        stats.surviving_triangles = self._survivor_total
+            self._restitch(dirty_a | dirty_b, dirty_ids)
         return self._edges, stats
 
     # -- phase A ----------------------------------------------------------
@@ -216,7 +194,7 @@ class IncrementalPLDel:
 
         changed: set[TileKey] = set()
         for key in dirty_a:
-            old_tris = [rec.tri for rec in self._accepted.get(key, ())]
+            old_tris = self._accepted.get(key, [])
             new_tris = tile_tris.get(key, [])
             gabriel = sorted(tile_gabriel.get(key, []))
             if gabriel:
@@ -224,7 +202,7 @@ class IncrementalPLDel:
             else:
                 self._gabriel.pop(key, None)
             if new_tris:
-                self._accepted[key] = [self._record(t) for t in new_tris]
+                self._accepted[key] = new_tris
             else:
                 self._accepted.pop(key, None)
             if old_tris != new_tris or any(
@@ -261,99 +239,49 @@ class IncrementalPLDel:
             clusters.append(cluster)
         return clusters
 
-    def _record(self, tri: Triangle) -> _TriRecord:
-        pos = self.udg.positions
-        (x1, y1), (x2, y2), (x3, y3) = pos[tri[0]], pos[tri[1]], pos[tri[2]]
-        bbox = (min(x1, x2, x3), min(y1, y2, y3), max(x1, x2, x3), max(y1, y2, y3))
-        cell = self.udg.radius
-        cells = tuple(
-            (cx, cy)
-            for cx in range(math.floor(bbox[0] / cell), math.floor(bbox[2] / cell) + 1)
-            for cy in range(math.floor(bbox[1] / cell), math.floor(bbox[3] / cell) + 1)
-        )
-        return _TriRecord(
-            tri=tri,
-            bbox=bbox,
-            cells=cells,
-            circle=circumcircle(pos[tri[0]], pos[tri[1]], pos[tri[2]]),
-            edges=_triangle_edges(pos, tri),
-        )
-
     # -- phase B ----------------------------------------------------------
 
-    def _recompute_contest(
-        self, key: TileKey, halo_r: float, stats: PldelStepStats
-    ) -> None:
-        """Replay Algorithm 3's contests for one tile from cached geometry.
+    def _recompute_contests(self, dirty_b: set[TileKey], halo_r: float) -> None:
+        """Replay Algorithm 3 for every contest-dirty tile in one call.
 
-        Same rule as :func:`repro.sharding.build._contest_worker` —
-        an owned triangle is removed exactly when some intersecting
-        accepted triangle has a vertex strictly inside its circumcircle
-        — evaluated over the reference's context (every accepted
-        triangle whose anchor is within ``3r`` of the tile box) with
-        the per-triangle geometry computed once in phase A.
+        One :func:`~repro.topology.ldel.contest_triangles` call runs
+        over every accepted triangle in the tiles within ``halo_r``
+        (``3r``) of a dirty tile that owns triangles; each dirty tile
+        keeps its owned triangles that were not removed.  This is
+        exact: the rule is per pair, so a triangle's fate depends only
+        on the accepted triangles that intersect it, and all of those
+        have anchors within ``2r`` of its own, inside its tile's ``3r``
+        context.  The union is a superset of every dirty tile's
+        context and holds only real accepted triangles, so it removes
+        exactly what the global contest removes.
         """
-        owned_count = len(self._accepted.get(key, ()))
-        if not owned_count:
-            self._survivors.pop(key, None)
+        if not dirty_b:
             return
-        pos = self.udg.positions
-        records: list[_TriRecord] = []
-        owned_flags: list[bool] = []
-        for src in sorted(self.grid.keys_near_key(key, halo_r)):
-            for rec in self._accepted.get(src, ()):
-                if self.grid.box_distance(key, pos[rec.tri[0]]) > halo_r:
-                    continue
-                records.append(rec)
-                owned_flags.append(src == key)
-
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for idx, rec in enumerate(records):
-            for cell in rec.cells:
-                buckets.setdefault(cell, []).append(idx)
-        # Only the owned triangles' removal flags reach the output, and
-        # the rule is per-pair independent, so pairs of two context
-        # triangles need not be contested at all.
-        pairs: set[tuple[int, int]] = set()
-        for members in buckets.values():
-            owned_members = [i for i in members if owned_flags[i]]
-            if not owned_members:
-                continue
-            for i in owned_members:
-                for j in members:
-                    if i != j:
-                        pairs.add((i, j) if i < j else (j, i))
-
-        removed = [False] * len(records)
-        for i, j in pairs:
-            bi, bj = records[i].bbox, records[j].bbox
-            if bi[2] < bj[0] or bj[2] < bi[0] or bi[3] < bj[1] or bj[3] < bi[1]:
-                continue
-            if not _triangles_intersect(records[i].edges, records[j].edges):
-                continue
-            stats.contests += 1
-            if owned_flags[i] != owned_flags[j]:
-                stats.straddle_contests += 1
-            ci, cj = records[i].circle, records[j].circle
-            if ci is not None and any(
-                ci.contains(pos[x]) for x in records[j].tri  # type: ignore[attr-defined]
-            ):
-                removed[i] = True
-            if cj is not None and any(
-                cj.contains(pos[x]) for x in records[i].tri  # type: ignore[attr-defined]
-            ):
-                removed[j] = True
-        self._survivors[key] = [
-            records[idx].tri
-            for idx in range(len(records))
-            if owned_flags[idx] and not removed[idx]
-        ]
+        context: set[TileKey] = set()
+        for key in dirty_b:
+            if key in self._accepted:
+                context.update(self.grid.keys_near_key(key, halo_r))
+        keys = sorted(k for k in context if k in self._accepted)
+        triangles = [t for k in keys for t in self._accepted[k]]
+        removed, _ = contest_triangles(
+            self.udg.positions, triangles, self.udg.radius
+        )
+        offset = 0
+        for key in keys:
+            owned = self._accepted[key]
+            if key in dirty_b:
+                flags = removed[offset: offset + len(owned)]
+                self._survivors[key] = [
+                    t for t, gone in zip(owned, flags) if not gone
+                ]
+            offset += len(owned)
+        for key in dirty_b:
+            if key not in self._accepted:
+                self._survivors.pop(key, None)
 
     # -- stitching ---------------------------------------------------------
 
-    def _restitch(
-        self, touched_tiles: set[TileKey], dirty_ids: set[int], stats: PldelStepStats
-    ) -> None:
+    def _restitch(self, touched_tiles: set[TileKey], dirty_ids: set[int]) -> None:
         """Fold the recomputed tiles into the live union and re-resolve."""
         affected: dict[Edge, bool] = {}
         for key in touched_tiles:
@@ -387,8 +315,6 @@ class IncrementalPLDel:
             e for e, was_live in affected.items()
             if not was_live and e in self._counts
         ]
-        stats.edges_added = len(added)
-        stats.edges_removed = len(removed)
         for edge in removed:
             self._index_remove(edge)
         refresh = []
@@ -403,8 +329,6 @@ class IncrementalPLDel:
         for edge in sorted(set(added) | set(refresh)):
             if edge in self._counts:
                 self._index_insert(edge)
-
-        self._survivor_total = sum(len(t) for t in self._survivors.values())
         self._edges = self._resolve()
 
     def _index_remove(self, edge: Edge) -> None:
@@ -448,22 +372,19 @@ class IncrementalPLDel:
             self._cell_edges.setdefault(c, set()).add(edge)
 
     def _resolve(self) -> frozenset[Edge]:
-        """Replay the degenerate-crossing sweep over the live pairs.
+        """Remove the degenerate-crossing losers among the live edges.
 
         Identical to running
         :func:`repro.topology.ldel.resolve_degenerate_crossings` on the
-        stitched graph: that sweep is a function of the edge set alone
-        (pairs processed in sorted order, loser = lexicographically
-        larger ``(length, ids)``), and ``self._crossings`` *is* its
-        crossing-pair set.
+        stitched graph: both apply
+        :func:`~repro.topology.ldel.degenerate_crossing_losers`, a
+        function of the crossing-pair set alone, and
+        ``self._crossings`` *is* that set.
         """
         live = frozenset(self._counts)
         if not self._crossings:
             return live
         pos = self.udg.positions
-        dead: set[Edge] = set()
-        for e1, e2 in sorted(self._crossings):
-            if e1 in dead or e2 in dead:
-                continue
-            dead.add(max((e1, e2), key=lambda e: (dist(pos[e[0]], pos[e[1]]), e)))
-        return live - dead
+        return live - degenerate_crossing_losers(
+            self._crossings, lambda u, v: dist(pos[u], pos[v])
+        )

@@ -196,10 +196,14 @@ class SpannerService:
         except RegistryError as exc:
             raise ServiceError(400, str(exc)) from None
         deployment = self._resolve(scenario)
-        try:
-            spec.check(deployment)
-        except RegistryError as exc:
-            raise ServiceError(400, str(exc)) from None
+        if isinstance(deployment, QuasiDeployment):
+            # Workers and the cache key see bare points and radius, which
+            # would silently rebuild the sharp disk graph.
+            raise ServiceError(
+                400,
+                f"pipeline {name!r} is served from points and radius; "
+                "quasi-UDG deployments are not supported",
+            )
         key = scenario_key(deployment.points, deployment.radius, name, params)
         resolved = {
             "points": [[p.x, p.y] for p in deployment.points],

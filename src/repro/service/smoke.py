@@ -12,6 +12,8 @@ and asserts the serving contract end to end:
   from cache with the same body apart from the ``cache`` marker;
 * a ``sharded:*`` build returns the same edge count as its serial
   counterpart (the halo-exact stitch, exercised over HTTP);
+* a quasi-UDG corpus entry on a serial ``POST /build`` answers 400
+  instead of silently building the sharp disk graph;
 * ``POST /route`` routes on the cached backbone;
 * ``GET /metrics`` shows the build counters, ``sharding.*`` stats and
   the ``backbone.phase.cds`` / ``sharding.phase.build`` span latencies.
@@ -96,6 +98,15 @@ def run_smoke(url: "str | None" = None, wait: float = 30.0) -> int:
             sharded["edges"] == serial["edges"],
             f"edges={sharded['edges']} tiles={sharded['sharding']['tiles']}",
         )
+
+        try:
+            client.build("ldel", {"corpus": "quasi-field"})
+            refused = None
+        except ClientError as exc:
+            refused = exc
+        _check("quasi deployment refused",
+               refused is not None and refused.status == 400
+               and "quasi-UDG" in refused.message, str(refused))
 
         routed = client.route(0, built["nodes"] - 1, key=built["key"])
         _check("route on cached backbone", routed.get("delivered") is True,

@@ -20,10 +20,12 @@ This module is the one place that decides LDel^1.  Three functions
 hold the decisions: :func:`proposed_triangles` (Algorithm 2's
 proposals, with the corners that proposed each triangle),
 :func:`corner_verdicts` (each corner's accept/reject) and
-:func:`contest_triangles` (Algorithm 3's contest).  The centralized
-construction below, the fast protocol
-(:mod:`repro.protocols.ldel_fast`) and the sharded tile workers
-(:mod:`repro.sharding.build`) compose them.  The message-passing
+:func:`contest_triangles` (Algorithm 3's contest), and
+:func:`degenerate_crossing_losers` holds the tie-break for exactly
+cocircular crossings.  The centralized construction below, the fast
+protocol (:mod:`repro.protocols.ldel_fast`), the sharded tile workers
+(:mod:`repro.sharding.build`) and the incremental maintainer
+(:mod:`repro.incremental.pldel`) compose them.  The message-passing
 protocol (paper Algorithms 2 and 3 verbatim) lives in
 :mod:`repro.protocols.ldel_protocol` and is tested to produce the same
 graph.
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro import obs
 from repro.geometry.circle import circumcircle
@@ -56,6 +58,7 @@ from repro.topology.construction_cache import ConstructionCache
 from repro.topology.gabriel import gabriel_graph
 
 Triangle = tuple[int, int, int]
+Edge = tuple[int, int]
 
 #: Minimum angle at the proposing vertex (Algorithm 2's 60° rule).
 _MIN_ANGLE = math.pi / 3.0 - 1e-12
@@ -388,8 +391,10 @@ def _soa_contest(positions: Sequence[Point], triangles, cell: float):
 #
 # Every LDel path — the centralized reference below, the fast protocol
 # (:mod:`repro.protocols.ldel_fast`), the sharded tile workers
-# (:mod:`repro.sharding.build`) — composes these three functions; each
-# picks the SoA kernel or the scalar reference itself.
+# (:mod:`repro.sharding.build`), the incremental maintainer
+# (:mod:`repro.incremental.pldel`, contests only) — composes these
+# three functions; each picks the SoA kernel or the scalar reference
+# itself.
 
 
 def proposed_triangles(
@@ -649,6 +654,25 @@ def _nearby_triangle_pairs(
     return pairs
 
 
+def degenerate_crossing_losers(
+    pairs: Iterable[tuple[Edge, Edge]], length: Callable[[int, int], float]
+) -> set[Edge]:
+    """The edges the degenerate-crossing tie-break removes.
+
+    ``pairs`` are crossing edge pairs, each ordered ``(e1, e2)`` with
+    ``e1 <= e2``.  They are taken in sorted order; a pair whose two
+    edges both still stand loses the edge with the lexicographically
+    larger ``(length, ids)``.  The result is a function of the pair
+    set alone.
+    """
+    dead: set[Edge] = set()
+    for e1, e2 in sorted(pairs):
+        if e1 in dead or e2 in dead:
+            continue  # already resolved via an earlier pair
+        dead.add(max((e1, e2), key=lambda e: (length(*e), e)))
+    return dead
+
+
 def resolve_degenerate_crossings(graph: Graph) -> Graph:
     """Break exactly-cocircular ties so the output is always planar.
 
@@ -656,32 +680,26 @@ def resolve_degenerate_crossings(graph: Graph) -> Graph:
     violates that (e.g. nodes on a perfect grid), two crossing
     diagonals of a cocircular quad can both pass the open-disk Gabriel
     test.  This sweep removes one edge of every surviving crossing
-    deterministically — the lexicographically larger (length, ids)
-    edge loses — leaving the graph unchanged on general-position
-    input.
+    deterministically (:func:`degenerate_crossing_losers`), leaving
+    the graph unchanged on general-position input.
 
     One scan suffices: removing an edge never *creates* a crossing, so
     every crossing pair among the surviving edges was already in the
     initial list — and any pair whose two edges both survive to the
     end was processed with both edges present, which would have removed
-    one of them.  The previous implementation re-scanned the whole
-    graph after each sweep; the incremental argument makes that second
-    scan provably empty, so it is gone.
+    one of them.
 
     Pairs are processed in sorted order so the outcome is a function of
     the edge *set* alone, not of set-iteration order.  When crossings
     chain (edge B crosses both A and C), which edges survive depends on
     processing order; sorting pins it down, which is what lets the
-    sharded construction stitch tiles into a graph bit-identical to the
-    serial pipeline's.
+    sharded and incremental constructions stitch tiles into a graph
+    bit-identical to the serial pipeline's.
     """
-    pairs = sorted(
+    pairs = [
         (e1, e2) if e1 <= e2 else (e2, e1) for e1, e2 in crossing_pairs(graph)
-    )
-    for e1, e2 in pairs:
-        if not (graph.has_edge(*e1) and graph.has_edge(*e2)):
-            continue  # already resolved via an earlier pair
-        loser = max((e1, e2), key=lambda e: (graph.edge_length(*e), e))
+    ]
+    for loser in sorted(degenerate_crossing_losers(pairs, graph.edge_length)):
         graph.remove_edge(*loser)
     return graph
 

@@ -6,6 +6,7 @@ batch, the maintained UDG, roles, and backbone graphs must be
 (`IncrementalMaintainer.verify`).
 """
 
+import contextlib
 import math
 import random
 
@@ -199,6 +200,65 @@ class TestMaintainerEquivalence:
         for phase in ("udg", "election", "roles", "pldel", "assemble"):
             assert f"incremental.phase.{phase}" in spans
         assert 0.0 <= data["dirty_fraction"] <= 1.0
+
+
+class TestContestReplay:
+    def test_one_contest_call_per_step(self, monkeypatch):
+        import repro.incremental.pldel as pldel_module
+
+        calls = []
+        real = pldel_module.contest_triangles
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(pldel_module, "contest_triangles", counting)
+        _, maintainer = make_maintainer(n=90, seed=5)
+        rng = random.Random(3)
+        contested = 0
+        for _ in range(6):
+            backbone = sorted(maintainer.snapshot().backbone_nodes)
+            node = rng.choice(backbone)
+            p = maintainer.udg.positions[node]
+            calls.clear()
+            report = maintainer.apply(
+                [Event("move", node=node, x=p.x + rng.uniform(-15.0, 15.0),
+                       y=p.y + rng.uniform(-15.0, 15.0))]
+            )
+            assert len(calls) == (1 if report.contest_tiles else 0)
+            contested += bool(report.contest_tiles)
+        assert contested
+        assert_identical(maintainer)
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_sliver_loses_the_contest(self, scalar):
+        # The crafted pair of the sharded contest test: the sliver's
+        # huge circumcircle swallows a vertex of the crossing triangle,
+        # whose own circumcircle holds no sliver vertex.  Uniform
+        # deployments never accept such a pair, so the two triangles
+        # are planted as accepted outputs of their anchor tiles.
+        from repro.core import compat
+        from repro.incremental.pldel import IncrementalPLDel
+        from repro.incremental.udg import DynamicUdg
+        from repro.sharding.tiles import stage_halo
+
+        radius = 25.0
+        points = [(0.0, 0.0), (10.0, 0.0), (5.0, 0.5),
+                  (5.0, -9.0), (6.0, -9.0), (5.5, 0.2)]
+        pldel = IncrementalPLDel(DynamicUdg(points, radius))
+        sliver, crossing = (0, 1, 2), (3, 4, 5)
+        for tri in (sliver, crossing):
+            key = pldel.grid.key_of(pldel.udg.positions[tri[0]])
+            pldel._accepted.setdefault(key, []).append(tri)
+        dirty = set(pldel._accepted)
+        assert len(dirty) == 2  # the contest straddles two tiles
+        with compat.numpy_disabled() if scalar else contextlib.nullcontext():
+            pldel._recompute_contests(dirty, stage_halo("pldel") * radius)
+            pldel._restitch(dirty, set())
+        survivors = [t for tris in pldel._survivors.values() for t in tris]
+        assert survivors == [crossing]
+        assert pldel._edges == {(3, 4), (4, 5), (3, 5)}
 
 
 class TestIncrementalConnectors:

@@ -219,7 +219,7 @@ def test_backbone_shortest_matches_dijkstra_reference(backbone_world):
 def test_backbone_core_cache_is_transparent(backbone_world):
     result, pairs = backbone_world
     router = BackboneRouter(result)
-    cold = router.route_pairs(pairs, mode="gpsr", use_cache=False)
+    cold = BackboneRouter(result).route_pairs(pairs, mode="gpsr")
     warm = router.route_pairs(pairs, mode="gpsr")
     again = router.route_pairs(pairs, mode="gpsr")
     for i in range(len(pairs)):

@@ -73,6 +73,33 @@ class TestEndpoints:
         excinfo.value.close()
         assert excinfo.value.code == 400
 
+    def test_quasi_deployment_400(self, client):
+        # Workers build from points and radius alone, so serving a quasi
+        # corpus entry would silently build the sharp disk graph under a
+        # key that cannot tell the two radio models apart.
+        with pytest.raises(ClientError) as excinfo:
+            client.build("ldel", {"corpus": "quasi-field"})
+        assert excinfo.value.status == 400
+        assert "quasi-UDG" in excinfo.value.message
+
+    def test_quasi_deployment_refused_on_every_build_path(self):
+        service = SpannerService(executor_mode="serial")
+        request = {
+            "pipeline": "backbone",
+            "scenario": {"corpus": "quasi-field"},
+            "source": 0,
+            "target": 1,
+            "pairs": [[0, 1]],
+        }
+        for endpoint in (service.build, service.route, service.route_batch):
+            with pytest.raises(ServiceError) as excinfo:
+                endpoint(request)
+            assert excinfo.value.status == 400
+            assert "quasi-UDG" in str(excinfo.value)
+        result = service.batch({"requests": [request]})["results"][0]
+        assert result["ok"] is False and "quasi-UDG" in result["error"]
+        service.close()
+
 
 class TestBuildRouteRoundTrip:
     def test_build_then_route_matches_library(self, client):

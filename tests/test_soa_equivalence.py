@@ -6,10 +6,15 @@ bit for bit.  This suite holds every consumer to that on the
 deployments where vectorized shortcuts are most likely to diverge:
 random clouds at two sizes, exact grids (cocircular quadruples
 everywhere), collinear lines, the tile-boundary stress set from the
-sharding suite (nodes exactly on tile lines), and a dense cloud where
-planarization actually removes triangles.  Each test builds once with
-the kernels active and once under
+sharding suite (nodes exactly on tile lines), and a denser cloud.
+Each test builds once with the kernels active and once under
 :func:`repro.core.compat.numpy_disabled` and compares the outputs.
+
+Accepted LDel^1 triangles almost never intersect, so none of these
+deployments makes Algorithm 3 remove a triangle (the dense cloud keeps
+all 282 of its LDel^1 triangles).  :class:`TestContest` therefore
+compares the contest kernel directly on generated triangle sets that
+do intersect.
 """
 
 import math
@@ -27,6 +32,7 @@ from repro.sharding.build import sharded_pldel
 from repro.topology.gabriel import gabriel_graph
 from repro.topology.ldel import (
     candidate_triangles,
+    contest_triangles,
     local_delaunay_graph,
     planar_local_delaunay_graph,
 )
@@ -124,6 +130,44 @@ class TestSerialPipeline:
         with compat.numpy_disabled():
             ref = planar_local_delaunay_graph(UnitDiskGraph(points, RADIUS))
         _assert_same_result(soa, ref)
+
+
+def _crossing_triangle_sets(count=30):
+    """Random short-sided triangles packed tightly enough to intersect.
+
+    A few exact lattice points add shared, collinear and cocircular
+    corners, so degenerate circumcircles and touching edges occur too.
+    """
+    lattice = [Point(float(x), float(y)) for x in (10, 20, 30) for y in (10, 20)]
+    for seed in range(count):
+        rng = random.Random(seed)
+        pts = lattice + [
+            Point(rng.uniform(0.0, 40.0), rng.uniform(0.0, 40.0)) for _ in range(24)
+        ]
+        tris = set()
+        while len(tris) < 30:
+            a, b, c = sorted(rng.sample(range(len(pts)), 3))
+            if max(
+                math.dist(pts[a], pts[b]),
+                math.dist(pts[b], pts[c]),
+                math.dist(pts[a], pts[c]),
+            ) <= RADIUS:
+                tris.add((a, b, c))
+        yield pts, sorted(tris)
+
+
+class TestContest:
+    def test_contest_matches_scalar_on_intersecting_sets(self):
+        removals = 0
+        for pts, tris in _crossing_triangle_sets():
+            soa_removed, soa_pairs = contest_triangles(pts, tris, RADIUS)
+            with compat.numpy_disabled():
+                ref_removed, ref_pairs = contest_triangles(pts, tris, RADIUS)
+            assert ref_pairs, "generated set has no intersecting pair"
+            assert soa_removed == ref_removed
+            assert soa_pairs == ref_pairs
+            removals += sum(ref_removed)
+        assert removals > 0
 
 
 class TestShardedPipeline:
