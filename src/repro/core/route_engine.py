@@ -33,7 +33,8 @@ path):
   the per-edge table and the face-entry reference — is computed with
   ``math.atan2`` exactly as the scalar walker does (``np.arctan2``
   rounds some inputs a ulp apart), and GPSR's resume test compares
-  squared distances built from the same op sequence on both sides.
+  squared distances built from the same op sequence on both sides
+  (never a rounded root squared back, which could resume on a tie).
 
 Parity contract: paths, hop counts, and terminal reasons are
 hop-for-hop identical to the scalar reference.  Engine path lengths
@@ -105,6 +106,14 @@ _COMPASS_BITSET_BYTES = 48 << 20
 _BAIL_ACTIVE = 32
 _BAIL_ROUNDS = 192
 
+#: Neighbor entries one greedy step gathers at a time.  A dense UDG
+#: round over 10k queries gathers ~190k entries; a dozen temporaries of
+#: that size can fall outside the allocator's reused heap (whether they
+#: do depends on the largest blocks freed earlier in the process) and
+#: then cost fresh zeroed pages every round.  Slices of this many
+#: entries stay in the reused heap and in cache.
+_STEP_ENTRIES = 1 << 15
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -123,19 +132,6 @@ def _atan2_exact(np: Any, ys: Any, xs: Any) -> Any:
     atan2 = math.atan2
     for i in range(out.shape[0]):
         out[i] = atan2(ys[i], xs[i])
-    return out
-
-
-def _hypot_exact(np: Any, xs: Any, ys: Any) -> Any:
-    """Elementwise ``math.hypot`` over arrays (see :func:`_atan2_exact`).
-
-    Used where the result feeds an *ordering* (GPSR's resume distance);
-    plain length accumulation stays on ``np.hypot``.
-    """
-    out = np.empty(xs.shape[0], dtype=np.float64)
-    hypot = math.hypot
-    for i in range(out.shape[0]):
-        out[i] = hypot(xs[i], ys[i])
     return out
 
 
@@ -679,11 +675,27 @@ def _greedy_step(np: Any, snap: SoaSnapshot, cur: Any, tx: Any, ty: Any) -> Any:
 
     Exactly the scalar scan: minimum squared distance among neighbors
     strictly closer than the current node, ties to the lowest id.
+    Queries are independent, so they run in slices of about
+    :data:`_STEP_ENTRIES` gathered neighbors.
     """
+    indptr = snap.indptr
+    deg = indptr[cur + 1] - indptr[cur]
+    k = cur.shape[0]
+    nxt = np.empty(k, dtype=np.int64)
+    step = max(1, _STEP_ENTRIES * k // max(int(deg.sum()), 1))
+    for lo in range(0, k, step):
+        part = slice(lo, lo + step)
+        nxt[part] = _greedy_rows(np, snap, cur[part], tx[part], ty[part], deg[part])
+    return nxt
+
+
+def _greedy_rows(
+    np: Any, snap: SoaSnapshot, cur: Any, tx: Any, ty: Any, deg: Any
+) -> Any:
+    """One slice of :func:`_greedy_step`; ``deg`` is each query's degree."""
     xs, ys = snap.xs, snap.ys
     indptr, indices = snap.indptr, snap.indices
     nxt = np.full(cur.shape[0], -1, dtype=np.int64)
-    deg = indptr[cur + 1] - indptr[cur]
     nz = np.nonzero(deg > 0)[0]
     if not nz.shape[0]:
         return nxt
@@ -982,7 +994,7 @@ def _gpsr_kernel(
     switches = np.zeros(k, dtype=np.int64)
     leg_cap = np.zeros(k, dtype=np.int64)
     leg_src = np.full(k, -1, dtype=np.int64)
-    resume_d = np.zeros(k, dtype=np.float64)
+    resume_d2 = np.zeros(k, dtype=np.float64)
     tx, ty = xs[tgt], ys[tgt]
     leftover = np.zeros(0, dtype=np.int64)
     rounds = 0
@@ -1033,9 +1045,9 @@ def _gpsr_kernel(
                 first_v[sidx] = -1
                 switches[sidx] = 0
                 leg_cap[sidx] = budget[sidx]
-                resume_d[sidx] = _hypot_exact(
-                    np, xs[sc] - tx[sidx], ys[sc] - ty[sidx]
-                )
+                rdx = xs[sc] - tx[sidx]
+                rdy = ys[sc] - ty[sidx]
+                resume_d2[sidx] = rdx * rdx + rdy * rdy
                 g = g[~stuck]
                 nxt = nxt[~stuck]
             if g.shape[0]:
@@ -1063,7 +1075,7 @@ def _gpsr_kernel(
             dxr = xs[cur[f]] - tx[f]
             dyr = ys[cur[f]] - ty[f]
             resume = (cur[f] != leg_src[f]) & (
-                dxr * dxr + dyr * dyr < resume_d[f] * resume_d[f]
+                dxr * dxr + dyr * dyr < resume_d2[f]
             )
             if resume.any():
                 mode[f[resume]] = 0  # greedy resumes next round, no hop

@@ -161,8 +161,8 @@ def _strictly_inside(p: Point, q: Point, r: Point) -> bool:
 #   arithmetic elementwise (IEEE-identical, no fallback needed);
 # * the triangulator's _orient_sign / _in_circumcircle are adaptively
 #   exact — the batch versions reuse the same float determinant and the
-#   same error band, and route only the ambiguous rows to the existing
-#   Fraction-exact predicates.  The error-band filter can only *defer*
+#   same error band, and route only the ambiguous rows to exact
+#   (Fraction or integer) arithmetic.  The error-band filter can only *defer*
 #   to exact arithmetic, never contradict it, which the hypothesis
 #   property suite asserts row by row.
 
@@ -177,14 +177,18 @@ def _exact_orient_row(ax, ay, bx, by, cx, cy) -> int:
 
 
 def _exact_incircle_row(ax, ay, bx, by, cx, cy, dx, dy) -> int:
-    from fractions import Fraction
-
-    adx = Fraction(ax) - Fraction(dx)
-    ady = Fraction(ay) - Fraction(dy)
-    bdx = Fraction(bx) - Fraction(dx)
-    bdy = Fraction(by) - Fraction(dy)
-    cdx = Fraction(cx) - Fraction(dx)
-    cdy = Fraction(cy) - Fraction(dy)
+    # Exact in integers: every float is an integer over a power of two,
+    # so scaling all eight by the largest denominator makes them
+    # integers, and the determinant (homogeneous of degree 4 in the
+    # differences) keeps its sign.  Several times cheaper than Fraction
+    # arithmetic, which renormalizes by a gcd at every step; exactly
+    # cocircular grids send thousands of rows here.
+    ratios = [float(v).as_integer_ratio() for v in (ax, ay, bx, by, cx, cy, dx, dy)]
+    den = max(d for _, d in ratios)
+    ax, ay, bx, by, cx, cy, dx, dy = (n * (den // d) for n, d in ratios)
+    adx, ady = ax - dx, ay - dy
+    bdx, bdy = bx - dx, by - dy
+    cdx, cdy = cx - dx, cy - dy
     ad2 = adx * adx + ady * ady
     bd2 = bdx * bdx + bdy * bdy
     cd2 = cdx * cdx + cdy * cdy

@@ -66,13 +66,15 @@ def angle_at(apex: Point, p: Point, q: Point) -> float:
     """Angle ``p–apex–q`` in radians, in ``[0, pi]``.
 
     Raises :class:`ValueError` when either arm is degenerate (``p`` or
-    ``q`` coincides with ``apex``) because the angle is then undefined.
+    ``q`` coincides with ``apex``) because the angle is then undefined,
+    and when the arms are so short that the product of their lengths
+    underflows to zero, so the cosine cannot be formed.
     """
     ax, ay = p[0] - apex[0], p[1] - apex[1]
     bx, by = q[0] - apex[0], q[1] - apex[1]
     na = math.hypot(ax, ay)
     nb = math.hypot(bx, by)
-    if na == 0.0 or nb == 0.0:
+    if na * nb == 0.0:
         raise ValueError("angle undefined: an arm of the angle has zero length")
     cosine = (ax * bx + ay * by) / (na * nb)
     cosine = max(-1.0, min(1.0, cosine))

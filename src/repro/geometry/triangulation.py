@@ -5,12 +5,17 @@ compute the Delaunay triangulation of its 1-hop neighborhood, so the
 triangulator is called once per node on a few dozen points.  The
 incremental Bowyer–Watson scheme here is O(m^2) per call, which is far
 below the cost of anything else in the pipeline at those sizes, and is
-cross-validated against :mod:`scipy.spatial` in the test suite.
+cross-validated against :mod:`scipy.spatial` in the test suite.  The
+SoA construction core needs only each node's own star and takes it
+directly (:func:`delaunay_stars_by_inversion`); the queries that kernel
+routes run the lockstep batch (:func:`delaunay_stars_batch`), and the
+ones the lockstep cannot mirror this scalar :func:`delaunay`.
 
 Robustness: the cavity in-circle test is **adaptively exact** — the
 fast float determinant decides whenever its magnitude exceeds a
 conservative rounding-error bound, and borderline cases are recomputed
-with :class:`fractions.Fraction` (exact for any float input).  That is
+exactly (:class:`fractions.Fraction` for orientation, Python integers
+for the in-circle sign; both exact for any float input).  That is
 what keeps degenerate inputs correct: collinear runs of points, exact
 cocircular quadruples (grid deployments are full of both), and points
 landing exactly on existing edges.  Exactly-cocircular point sets are
@@ -31,7 +36,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from repro.geometry.predicates import Orientation, orientation, orientation_value
+from repro.geometry.predicates import (
+    Orientation,
+    _exact_incircle_row,
+    orientation,
+    orientation_value,
+)
 from repro.geometry.primitives import Point
 
 
@@ -92,22 +102,8 @@ def _orient_sign_exact(a: Point, b: Point, c: Point) -> int:
 
 
 def _incircle_sign_exact(a: Point, b: Point, c: Point, d: Point) -> int:
-    """Exact sign of the in-circle determinant (Fraction arithmetic)."""
-    adx = Fraction(a[0]) - Fraction(d[0])
-    ady = Fraction(a[1]) - Fraction(d[1])
-    bdx = Fraction(b[0]) - Fraction(d[0])
-    bdy = Fraction(b[1]) - Fraction(d[1])
-    cdx = Fraction(c[0]) - Fraction(d[0])
-    cdy = Fraction(c[1]) - Fraction(d[1])
-    ad2 = adx * adx + ady * ady
-    bd2 = bdx * bdx + bdy * bdy
-    cd2 = cdx * cdx + cdy * cdy
-    det = (
-        adx * (bdy * cd2 - cdy * bd2)
-        - ady * (bdx * cd2 - cdx * bd2)
-        + ad2 * (bdx * cdy - cdx * bdy)
-    )
-    return _sign(det)
+    """Exact sign of the in-circle determinant (integer arithmetic)."""
+    return _exact_incircle_row(a[0], a[1], b[0], b[1], c[0], c[1], d[0], d[1])
 
 
 def _orient_sign(a: Point, b: Point, c: Point) -> int:
@@ -260,7 +256,7 @@ def _triangle_record(
 #   circumcenter, near/far bands) is computed with the same float
 #   expressions elementwise — numpy float64 arithmetic is IEEE-
 #   identical to the scalar code — and ambiguous rows go to the same
-#   Fraction-exact predicates;
+#   exact predicates;
 # * the cavity classification, boundary counting and replacement rule
 #   are pure combinatorics on identical predicate outcomes.
 #
@@ -273,17 +269,40 @@ def _triangle_record(
 
 @dataclass
 class StarBatchResult:
-    """Output of :func:`delaunay_stars_batch`.
+    """Output of :func:`delaunay_stars_batch` and :func:`delaunay_stars_by_inversion`.
 
     ``owner[i]`` is the query index of row ``i`` of ``tris``; triangle
     vertices are ascending *local* indices into the query's member
-    list.  ``fallback`` lists query indices the caller must run through
-    the scalar :func:`delaunay` path.
+    list.  ``fallback`` lists query indices the kernel did not decide:
+    the caller runs the inversion kernel's through
+    :func:`delaunay_stars_batch` and the lockstep's through the scalar
+    :func:`delaunay` path.
     """
 
     owner: object
     tris: object
     fallback: object
+
+
+def _noncollinear_queries(np, flat_x, flat_y, base, owner_flat, pos_in_seg):
+    """Which queries escape :func:`delaunay`'s all-collinear early-out.
+
+    Replicates it elementwise: a query (at least three members) whose
+    every later member is eps-collinear (:func:`orientation`) with its
+    first two yields no triangles.
+    """
+    from repro.geometry.predicates import orientation_codes_batch
+
+    tail = pos_in_seg >= 2
+    t_owner = owner_flat[tail]
+    codes = orientation_codes_batch(
+        flat_x[base][t_owner], flat_y[base][t_owner],
+        flat_x[base + 1][t_owner], flat_y[base + 1][t_owner],
+        flat_x[tail], flat_y[tail],
+    )
+    out = np.zeros(base.shape[0], dtype=bool)
+    out[t_owner[codes != 0]] = True
+    return out
 
 
 def _records_batch(np, ax, ay, bx, by, cx, cy):
@@ -339,10 +358,7 @@ def delaunay_stars_batch(xs, ys, members_indptr, members_flat):
     ``None`` when numpy is masked out.
     """
     from repro.core.compat import get_numpy
-    from repro.geometry.predicates import (
-        incircle_signs_batch,
-        orientation_codes_batch,
-    )
+    from repro.geometry.predicates import incircle_signs_batch
 
     np = get_numpy()
     if np is None:
@@ -367,20 +383,9 @@ def delaunay_stars_batch(xs, ys, members_indptr, members_flat):
     dup_q = np.zeros(B, dtype=bool)
     dup_q[so[1:][same]] = True
 
-    # All-collinear queries (per the eps-snapped orientation, exactly
-    # as the scalar early-out) yield no triangles; skip them outright.
     pos_in_seg = np.arange(total) - base[owner_flat]
-    tail = pos_in_seg >= 2
-    t_owner = owner_flat[tail]
-    codes = orientation_codes_batch(
-        flat_x[base][t_owner], flat_y[base][t_owner],
-        flat_x[base + 1][t_owner], flat_y[base + 1][t_owner],
-        flat_x[tail], flat_y[tail],
-    )
-    noncollinear = np.zeros(B, dtype=bool)
-    noncollinear[t_owner[codes != 0]] = True
-
-    eligible = noncollinear & ~dup_q
+    eligible = _noncollinear_queries(np, flat_x, flat_y, base, owner_flat, pos_in_seg)
+    eligible &= ~dup_q
     failed = np.zeros(B, dtype=bool)
     q_ids = np.nonzero(eligible)[0]
     if q_ids.shape[0] == 0:
@@ -552,6 +557,182 @@ def delaunay_stars_batch(xs, ys, members_indptr, members_flat):
     return StarBatchResult(owner, tris, fallback)
 
 
+# -- Delaunay stars by inversion ----------------------------------------------
+#
+# Algorithm 2 uses only the proposer's own star in Del(N_1(u)), so the
+# kernel below finds that star directly, in O(deg) predicates per
+# round instead of triangulating the whole neighbourhood.  It decides
+# only general-position queries; the rest go to the lockstep above.
+
+#: Angular gaps within this many radians of 0 or pi (duplicate
+#: coordinates, collinear rays through the center) are ties.
+_STAR_ANGLE_TIE = 1e-9
+
+#: Star triangles whose circumradius exceeds this multiple of the
+#: query's extent (at least 1) are routed.  The lockstep's super
+#: triangle sits 1e9 such extents out, so it keeps every Delaunay
+#: triangle below this bound.
+_STAR_MAX_RADIUS = 1e6
+
+
+def _cyclic_neighbours(np, group):
+    """Cyclic predecessor and successor of each row within its group.
+
+    ``group`` is sorted, so each group is one contiguous block.
+    """
+    n = group.shape[0]
+    idx = np.arange(n)
+    start = np.ones(n, dtype=bool)
+    start[1:] = group[1:] != group[:-1]
+    end = np.ones(n, dtype=bool)
+    end[:-1] = start[1:]
+    first = np.maximum.accumulate(np.where(start, idx, 0))
+    last = np.minimum.accumulate(np.where(end, idx, n)[::-1])[::-1]
+    return np.where(start, last, idx - 1), np.where(end, first, idx + 1)
+
+
+def delaunay_stars_by_inversion(xs, ys, members_indptr, members_flat, center):
+    """The triangles of ``Del(members)`` at one member, for many queries.
+
+    Query ``q``'s point set is laid out as in
+    :func:`delaunay_stars_batch`; ``center[q]`` is the local index of
+    its star's center ``u``.  Returns a :class:`StarBatchResult`
+    holding, for every query the kernel decides, exactly the triangles
+    incident on ``u`` that :func:`delaunay` returns.  ``fallback``
+    lists the queries it routes to :func:`delaunay_stars_batch`.
+    Returns ``None`` when numpy is masked out.
+
+    Why it is exact: inversion about ``u``, ``x' = (x - u) / |x - u|^2``,
+    maps every circle through ``u`` to a line and the open disk it
+    bounds to the open half-plane away from the origin.  So ``uvw`` is
+    a Delaunay triangle, its circumcircle empty of the other members,
+    exactly when every other ``x'`` lies on the origin's side of line
+    ``v'w'``: ``v'w'`` is an edge of the hull of the inverted
+    neighbours (with the origin) that faces away from the origin.
+    Inversion keeps directions, so the kernel takes that hull by a
+    Graham-style scan over the neighbours sorted by angle:
+
+    1. If one angular gap exceeds pi, ``u`` is on the hull, the star is
+       an open chain and its two end points (``u``'s hull neighbours)
+       stay fixed; otherwise the star is a cycle.
+    2. Every vertex ``w`` whose inverted image is reflex between its
+       current angular neighbours ``p`` and ``n`` (for a wedge under
+       pi: ``w`` strictly outside ``circle(u, p, n)``) is removed, all
+       at once.  Removing them together is sound: a reflex vertex of
+       the star-shaped polygon the survivors form (with the origin) is
+       never a vertex of its hull, so no hull vertex is ever removed.
+    3. Step 2 repeats on the vertices whose neighbours changed until
+       nothing is removed.  The survivors then form a strictly convex
+       polygon, the hull itself, and consecutive survivors ``v, w``
+       are the star triangles ``uvw``.
+
+    The in-circle signs come from the exact-rescued
+    :func:`~repro.geometry.predicates.incircle_signs_batch`.  A query
+    leaves the kernel when the answer could differ from
+    :func:`delaunay`'s: an angular tie (a gap within
+    ``_STAR_ANGLE_TIE`` of 0 or pi, which covers duplicates and
+    collinear rays), an in-circle sign of exactly zero (cocircular
+    members, where the Delaunay triangulation is not unique), or a star
+    triangle with circumradius above ``_STAR_MAX_RADIUS`` extents,
+    near enough to the super triangle that the lockstep could drop it.
+    Queries :func:`delaunay` short-cuts as all-collinear yield nothing,
+    as there.
+    """
+    from repro.core.compat import get_numpy
+    from repro.geometry.predicates import incircle_signs_batch
+
+    np = get_numpy()
+    if np is None:
+        return None
+    base = members_indptr[:-1]
+    m = (members_indptr[1:] - base).astype(np.int64)
+    B = int(m.shape[0])
+    empty = np.zeros(0, dtype=np.int64)
+    if B == 0:
+        return StarBatchResult(empty, empty.reshape(0, 3), empty)
+    total = int(members_indptr[-1])
+    flat_x = xs[members_flat]
+    flat_y = ys[members_flat]
+    owner_flat = np.repeat(np.arange(B), m)
+    pos_in_seg = np.arange(total) - base[owner_flat]
+    decided = _noncollinear_queries(np, flat_x, flat_y, base, owner_flat, pos_in_seg)
+
+    # Neighbours (every member but the center), sorted by angle.
+    nb = pos_in_seg != center[owner_flat]
+    own, loc = owner_flat[nb], pos_in_seg[nb]
+    vx, vy = flat_x[nb], flat_y[nb]
+    ux, uy = flat_x[base + center], flat_y[base + center]
+    dx, dy = vx - ux[own], vy - uy[own]
+    ang = np.arctan2(dy, dx)
+    order = np.argsort(ang)
+    order = order[np.argsort(own[order], kind="stable")]
+    own, loc, vx, vy, dx, dy, ang = (
+        a[order] for a in (own, loc, vx, vy, dx, dy, ang)
+    )
+    _, nxt = _cyclic_neighbours(np, own)
+    gap = ang[nxt] - ang
+    gap[nxt <= np.arange(own.shape[0])] += 2.0 * math.pi
+    tie = (
+        (gap < _STAR_ANGLE_TIE)
+        | (np.abs(gap - math.pi) < _STAR_ANGLE_TIE)
+        | ((dx == 0.0) & (dy == 0.0))
+    )
+    routed = np.bincount(own[tie], minlength=B) > 0
+    decided &= ~routed
+    extent = np.maximum(
+        np.maximum.reduceat(np.maximum(np.abs(dx), np.abs(dy)), base - np.arange(B)),
+        1.0,
+    )
+
+    keep = decided[own]
+    own, loc, vx, vy, gap = own[keep], loc[keep], vx[keep], vy[keep], gap[keep]
+    prv, _ = _cyclic_neighbours(np, own)
+    # An open chain's big gap runs from its last vertex to its first.
+    chain_last = gap > math.pi
+    fixed = chain_last | chain_last[prv]
+
+    alive = np.ones(own.shape[0], dtype=bool)
+    dirty = ~fixed
+    while dirty.any():
+        active = np.zeros(B, dtype=bool)
+        active[own[dirty]] = True
+        ids = np.nonzero(alive & active[own])[0]
+        prv, nxt = _cyclic_neighbours(np, own[ids])
+        j = np.nonzero(dirty[ids])[0]
+        w, p, n = ids[j], ids[prv[j]], ids[nxt[j]]
+        q = own[w]
+        # in_circle(u, p, w, n) > 0 exactly when w' turns clockwise
+        # between p' and n' (the lifting identity): w is reflex.
+        signs, _ = incircle_signs_batch(
+            ux[q], uy[q], vx[p], vy[p], vx[w], vy[w], vx[n], vy[n]
+        )
+        tied = np.zeros(B, dtype=bool)
+        tied[q[signs == 0]] = True
+        routed |= tied
+        reflex = j[(signs > 0) & ~tied[q]]
+        alive[ids[reflex]] = False
+        alive &= ~tied[own]
+        dirty[:] = False
+        dirty[ids[prv[reflex]]] = True
+        dirty[ids[nxt[reflex]]] = True
+        dirty &= alive & ~fixed
+
+    ids = np.nonzero(alive)[0]
+    _, nxt = _cyclic_neighbours(np, own[ids])
+    rows = ~chain_last[ids]
+    v, w = ids[rows], ids[nxt[rows]]
+    q = own[v]
+    bx, by = vx[v] - ux[q], vy[v] - uy[q]
+    cx, cy = vx[w] - ux[q], vy[w] - uy[q]
+    sides = np.hypot(bx, by) * np.hypot(cx, cy) * np.hypot(vx[w] - vx[v], vy[w] - vy[v])
+    far = ~(sides < 2.0 * np.abs(bx * cy - by * cx) * _STAR_MAX_RADIUS * extent[q])
+    routed[q[far]] = True
+    star = ~routed[q]
+    q = q[star]
+    tris = np.sort(np.stack([center[q], loc[v[star]], loc[w[star]]], axis=1), axis=1)
+    return StarBatchResult(q, tris, np.nonzero(routed)[0].astype(np.int64))
+
+
 def _collinear_path(points: Sequence[Point], index_of: dict[Point, int]) -> Triangulation:
     """Degenerate triangulation for collinear input: a sorted path."""
     tri = Triangulation(points=list(points))
@@ -591,7 +772,7 @@ def delaunay(points: Sequence[Point]) -> Triangulation:
     # triangle's circumcircle swallows a super vertex and the triangle
     # is wrongly dropped; 1e9 x span tolerates hull slivers down to
     # ~1e-9 relative flatness, and the adaptively exact predicates
-    # stay correct at any magnitude (Fraction arithmetic is exact).
+    # stay correct at any magnitude (their rescue is exact).
     min_x = min(p[0] for p in distinct)
     max_x = max(p[0] for p in distinct)
     min_y = min(p[1] for p in distinct)

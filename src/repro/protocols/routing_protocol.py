@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.geometry.primitives import Point, dist, dist_sq
+from repro.geometry.primitives import Point, dist_sq
 from repro.routing.face import _direction, _rhr_next_positions, _segment_crossing_point
 from repro.sim.messages import Message
 from repro.sim.network import SyncNetwork
@@ -169,7 +169,7 @@ class RoutingProcess(NodeProcess):
 
     def _perimeter_step(self, header: dict[str, Any], target_pos: Point) -> None:
         stuck_pos = Point(*header["stuck_pos"])
-        if dist(self.position, target_pos) < dist(stuck_pos, target_pos):
+        if dist_sq(self.position, target_pos) < dist_sq(stuck_pos, target_pos):
             # Closer than the point where greedy failed: resume greedy.
             header["mode"] = "greedy"
             header["stuck_pos"] = None

@@ -123,24 +123,21 @@ def face_route(
     target: int,
     *,
     max_hops: Optional[int] = None,
-    resume_distance: Optional[float] = None,
+    resume_distance_sq: Optional[float] = None,
 ) -> RouteResult:
     """Face routing from ``source`` toward ``target``.
 
-    ``resume_distance``: when set (GPSR perimeter mode), stop with
+    ``resume_distance_sq``: when set (GPSR perimeter mode), stop with
     reason ``"greedy-resume"`` as soon as the packet reaches a node
-    strictly closer to the target than this distance.
+    whose squared distance to the target is strictly below this.  GPSR
+    passes the stuck node's exact ``dist_sq``: squaring a rounded root
+    can land a ulp high and resume greedy at a node no closer than the
+    stuck one (a two-node livelock).
     """
     if max_hops is None:
         max_hops = 8 * graph.node_count + 32
     pos = graph.positions
     target_pos = pos[target]
-    # Compare squared distances: dist_sq is a fixed sequence of
-    # correctly rounded ops, so the batch engine reproduces the resume
-    # test bit for bit (np.hypot and math.hypot may not agree).
-    resume_d2 = (
-        resume_distance * resume_distance if resume_distance is not None else None
-    )
     path = [source]
     current = source
     came_from: Optional[int] = None
@@ -152,10 +149,13 @@ def face_route(
     while hops < max_hops:
         if current == target:
             return RouteResult(tuple(path), True, "delivered")
+        # Compare squared distances: dist_sq is a fixed sequence of
+        # correctly rounded ops, so the batch engine reproduces the
+        # resume test bit for bit (np.hypot and math.hypot may not agree).
         if (
-            resume_d2 is not None
+            resume_distance_sq is not None
             and current != source
-            and dist_sq(pos[current], target_pos) < resume_d2
+            and dist_sq(pos[current], target_pos) < resume_distance_sq
         ):
             return RouteResult(tuple(path), False, "greedy-resume")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.geometry.primitives import dist
+from repro.geometry.primitives import dist_sq
 from repro.graphs.graph import Graph
 from repro.routing.face import face_route
 from repro.routing.greedy import RouteResult, greedy_route
@@ -44,13 +44,12 @@ def gpsr_route(
             break
         # Local minimum: enter perimeter mode from the stuck node.
         current = leg.path[-1]
-        stuck_distance = dist(pos[current], pos[target])
         recovery = face_route(
             graph,
             current,
             target,
             max_hops=budget,
-            resume_distance=stuck_distance,
+            resume_distance_sq=dist_sq(pos[current], pos[target]),
         )
         path.extend(recovery.path[1:])
         budget -= recovery.hops

@@ -129,8 +129,9 @@ def _node_candidates(
 # output is bit-identical — the equivalence suite and the benchmark
 # tripwires both assert edge-set equality against the reference path.
 
-#: Queries per lockstep triangulation block; bounds the flat record
-#: pool (~block x avg-degree rows) so n=1e5 deployments stay in memory.
+#: Queries per block of stars; bounds the flat arrays (and the routed
+#: lockstep's record pool, ~block x avg-degree rows) so n=1e5
+#: deployments stay in memory.
 _SOA_CHUNK = 8192
 
 
@@ -141,18 +142,22 @@ def _soa_candidate_chunk(np, snap, pos, r_sq, qs):
     query node that proposed each row.
     """
     from repro.core.soa import gather_csr_rows
-    from repro.geometry.triangulation import delaunay_stars_batch
+    from repro.geometry.triangulation import (
+        delaunay_stars_batch,
+        delaunay_stars_by_inversion,
+    )
 
     xs, ys = snap.xs, snap.ys
     owner_n, vals = gather_csr_rows(np, snap.indptr, snap.indices, qs)
     nq = qs.shape[0]
     # Member list of q = sorted({q} | N(q)): merge the CSR rows with
-    # one self entry per query via a single lexsort.
+    # one self entry per query via a single sort of unique
+    # (owner, value) keys.
     owner_all = np.concatenate([owner_n, np.arange(nq)])
     value_all = np.concatenate([vals, qs])
     self_flag = np.zeros(owner_all.shape[0], dtype=bool)
     self_flag[owner_n.shape[0]:] = True
-    order = np.lexsort((value_all, owner_all))
+    order = np.argsort(owner_all * np.int64(snap.n) + value_all)
     members_flat = value_all[order]
     m = (snap.indptr[qs + 1] - snap.indptr[qs]) + 1
     indptr_q = np.zeros(nq + 1, dtype=np.int64)
@@ -160,13 +165,28 @@ def _soa_candidate_chunk(np, snap, pos, r_sq, qs):
     base = indptr_q[:-1]
     iu = np.nonzero(self_flag[order])[0] - base  # local index of q
 
-    res = delaunay_stars_batch(xs, ys, indptr_q, members_flat)
+    # Each query's star by inversion; ties go to the lockstep
+    # Bowyer–Watson, and its own fallbacks to _node_candidates.
+    stars = delaunay_stars_by_inversion(xs, ys, indptr_q, members_flat, iu)
+    routed = stars.fallback
+    obs.count("construction.star_routed_queries", int(routed.shape[0]))
+    owners, star_tris = [stars.owner], [stars.tris]
+    fallback = routed
+    if routed.shape[0]:
+        sub_indptr = np.zeros(routed.shape[0] + 1, dtype=np.int64)
+        np.cumsum(m[routed], out=sub_indptr[1:])
+        _, sub_flat = gather_csr_rows(np, indptr_q, members_flat, routed)
+        res = delaunay_stars_batch(xs, ys, sub_indptr, sub_flat)
+        own = routed[res.owner]
+        inc = (res.tris == iu[own][:, None]).any(axis=1)
+        owners.append(own[inc])
+        star_tris.append(res.tris[inc])
+        fallback = routed[res.fallback]
+    own = np.concatenate(owners)
     parts, proposers = [], []
-    if res.owner.shape[0]:
-        own = res.owner
-        la, lb, lc = res.tris[:, 0], res.tris[:, 1], res.tris[:, 2]
-        inc = (la == iu[own]) | (lb == iu[own]) | (lc == iu[own])
-        own, la, lb, lc = own[inc], la[inc], lb[inc], lc[inc]
+    if own.shape[0]:
+        tris = np.concatenate(star_tris, axis=0)
+        la, lb, lc = tris[:, 0], tris[:, 1], tris[:, 2]
         ga = members_flat[base[own] + la]
         gb = members_flat[base[own] + lb]
         gc = members_flat[base[own] + lc]
@@ -204,7 +224,7 @@ def _soa_candidate_chunk(np, snap, pos, r_sq, qs):
         parts.append(np.stack([ga[keep], gb[keep], gc[keep]], axis=1))
         proposers.append(u_arr[keep])
 
-    for q in res.fallback.tolist():
+    for q in fallback.tolist():
         u = int(qs[q])
         local = members_flat[base[q]: indptr_q[q + 1]].tolist()
         tris = _node_candidates(pos, r_sq, u, local)
@@ -745,8 +765,8 @@ def planar_local_delaunay_graph(
 ) -> LDelResult:
     """Convenience: LDel^1 followed by Algorithm 3 planarization.
 
-    One :class:`ConstructionCache` is shared across both stages so the
-    planarization's circumcircle lookups are all hits.
+    One :class:`ConstructionCache` is shared across both stages; the
+    contest itself uses no memo, so the cache serves LDel^1 only.
     """
     cache = ConstructionCache.for_udg(udg, cache)
     ldel1 = local_delaunay_graph(udg, k=1, cache=cache)

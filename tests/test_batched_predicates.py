@@ -12,6 +12,7 @@ perturbations sitting inside the error bands.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from repro.geometry.predicates import (
     segments_cross_batch,
 )
 from repro.geometry.primitives import Point, dist_sq
+from repro.geometry.triangulation import _incircle_sign_exact
 
 pytestmark = pytest.mark.skipif(np is None, reason="requires numpy")
 
@@ -81,6 +83,35 @@ def test_orient_band_never_misclassifies(triples):
         # Clear rows must already agree with exact arithmetic; the band
         # may only defer (route rows to Fraction), never contradict.
         assert signs[row] == exact, (row, bool(ambiguous[row]))
+
+
+wide = st.one_of(
+    coords,
+    st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False, width=64),
+    st.floats(-1e-200, 1e-200, allow_nan=False, allow_infinity=False, width=64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.tuples(wide, wide)] * 4))
+def test_integer_exact_incircle_matches_fraction(quad):
+    # The exact rescue scales every coordinate to an integer; the
+    # in-circle determinant over Fractions is the reference it replaced.
+    a, b, c, d = ((Fraction(x), Fraction(y)) for x, y in quad)
+    adx, ady = a[0] - d[0], a[1] - d[1]
+    bdx, bdy = b[0] - d[0], b[1] - d[1]
+    cdx, cdy = c[0] - d[0], c[1] - d[1]
+    ad2 = adx * adx + ady * ady
+    bd2 = bdx * bdx + bdy * bdy
+    cd2 = cdx * cdx + cdy * cdy
+    det = (
+        adx * (bdy * cd2 - cdy * bd2)
+        - ady * (bdx * cd2 - cdx * bd2)
+        + ad2 * (bdx * cdy - cdx * bdy)
+    )
+    expected = (det > 0) - (det < 0)
+    assert _exact_incircle_row(*_flat(quad)) == expected
+    assert _incircle_sign_exact(*(Point(*p) for p in quad)) == expected
 
 
 @settings(max_examples=150, deadline=None)

@@ -95,6 +95,11 @@ class TestAngleAt:
         with pytest.raises(ValueError):
             angle_at(apex, apex, Point(2, 2))
 
+    def test_underflowing_arms_raise(self):
+        # Each arm is nonzero, but the product of their lengths is 0.0.
+        with pytest.raises(ValueError):
+            angle_at(Point(0, 0), Point(3.5e-181, 0), Point(0, 2.8e-263))
+
     def test_clamps_rounding_noise(self):
         # Nearly-collinear arms whose cosine can exceed 1 by rounding.
         ang = angle_at(Point(0, 0), Point(1e8, 1e-8), Point(2e8, 2e-8))

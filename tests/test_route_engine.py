@@ -157,6 +157,15 @@ def test_straggler_drain_keeps_parity(world, method, monkeypatch):
     assert_batch_matches_scalar(graph, pairs, method)
 
 
+@pytest.mark.parametrize("method", ("greedy", "gpsr"))
+def test_sliced_greedy_step_keeps_parity(world, method, monkeypatch):
+    # A few neighbor entries per slice: every greedy round of the batch
+    # runs as many small slices, which must give the scalar paths.
+    monkeypatch.setattr(re_mod, "_STEP_ENTRIES", 64)
+    graph, pairs = world
+    assert_batch_matches_scalar(graph, pairs, method)
+
+
 def test_result_objects_round_trip(world):
     graph, pairs = world
     batch = RouteEngine(graph).route_pairs(pairs, method="greedy")

@@ -1,10 +1,10 @@
 """Tests for greedy, face, GPSR and backbone routing."""
 
-import math
-
 import pytest
 
-from repro.geometry.primitives import Point
+import repro.core.route_engine as route_engine
+from repro.core.route_engine import RouteEngine
+from repro.geometry.primitives import Point, dist_sq
 from repro.graphs.graph import Graph
 from repro.graphs.paths import breadth_first_path
 from repro.routing.backbone_routing import backbone_route
@@ -81,11 +81,11 @@ class TestFaceRoute:
     def test_resume_distance_stops_early(self):
         g = void_graph()
         # Perimeter-mode contract: stop once closer than the stuck node.
-        d_stuck = math.dist(g.positions[1], g.positions[5])
-        result = face_route(g, 1, 5, resume_distance=d_stuck)
+        d2_stuck = dist_sq(g.positions[1], g.positions[5])
+        result = face_route(g, 1, 5, resume_distance_sq=d2_stuck)
         assert not result.delivered
         assert result.reason == "greedy-resume"
-        assert math.dist(g.positions[result.path[-1]], g.positions[5]) < d_stuck
+        assert dist_sq(g.positions[result.path[-1]], g.positions[5]) < d2_stuck
 
     def test_isolated_source_is_stuck(self):
         pts = [Point(0, 0), Point(5, 5)]
@@ -98,6 +98,26 @@ class TestGpsrRoute:
         g = void_graph()
         result = gpsr_route(g, 0, 5)
         assert result.delivered
+
+    def test_resume_tie_does_not_livelock(self, monkeypatch):
+        # Greedy stalls at 2; its dead-end neighbour 3 is exactly as far
+        # from the target (both 12.5 squared).  Squaring the rounded
+        # root of 12.5 lands a ulp high, which used to resume greedy at
+        # 3 and bounce 2 <-> 3 until the hop limit.
+        pts = [
+            Point(x / 2.0, y / 2.0)
+            for x, y in [(3, 9), (6, 4), (7, 13), (9, 17), (11, 7), (14, 12)]
+        ]
+        g = Graph(pts, [(0, 1), (0, 2), (1, 4), (2, 3), (4, 5)])
+        result = gpsr_route(g, 0, 5)
+        assert result.delivered
+        assert result.path == (0, 2, 3, 2, 0, 1, 4, 5)
+        # The vectorized kernel must agree on its own, without handing
+        # the query to the scalar router as a straggler.
+        monkeypatch.setattr(route_engine, "_BAIL_ROUNDS", 1 << 30)
+        batch = RouteEngine(g).route_pairs([(0, 5)], method="gpsr")
+        assert batch.result(0).path == result.path
+        assert batch.result(0).delivered
 
     def test_delivers_everywhere_on_planar_backbone(self, backbone):
         graph = backbone.ldel_icds
