@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.compat import HAVE_SCIPY, get_numpy
-from repro.core.soa import SoaSnapshot, gather_csr_rows, snapshot_for
+from repro.core.soa import SoaSnapshot, gather_csr_rows, snapshot_for, sorted_member
 from repro.graphs.graph import Graph
 from repro.routing.compass import compass_route
 from repro.routing.gpsr import gpsr_route
@@ -483,12 +483,12 @@ class RouteEngine:
         cached = self._tables
         if cached is not None and cached[0] is snap:
             return cached[1]
-        rep_u = np.repeat(np.arange(snap.n, dtype=np.int64), snap.degrees())
+        dir_keys = snap.directed_keys()
+        rep_u = dir_keys // snap.n
         dxs = snap.xs[snap.indices] - snap.xs[rep_u]
         dys = snap.ys[snap.indices] - snap.ys[rep_u]
         theta = _atan2_exact(np, dys, dxs)
         coincident = (dxs == 0.0) & (dys == 0.0)
-        dir_keys = rep_u * snap.n + snap.indices
         tables = (theta, dir_keys, coincident)
         self._tables = (snap, tables)
         return tables
@@ -1290,13 +1290,10 @@ class BackboneRouter:
             self._entry_arr = np.asarray(self._entry, dtype=np.int64)
         return self._entry_arr
 
-    def _udg_dir_keys(self, np: Any, usnap: SoaSnapshot) -> Any:
+    def _udg_dir_keys(self, usnap: SoaSnapshot) -> Any:
         """Globally ascending ``u * n + v`` directed UDG edge keys."""
         if self._udg_keys is None:
-            rep_u = np.repeat(
-                np.arange(usnap.n, dtype=np.int64), usnap.degrees()
-            )
-            self._udg_keys = rep_u * usnap.n + usnap.indices
+            self._udg_keys = usnap.directed_keys()
         return self._udg_keys
 
     def component_labels(self) -> Sequence[int]:
@@ -1356,13 +1353,7 @@ class BackboneRouter:
         hops = np.zeros(k, dtype=np.int64)
         lengths = np.zeros(k, dtype=np.float64)
         same = s == t
-        keys = self._udg_dir_keys(np, usnap)
-        if keys.shape[0]:
-            probe = s * n + t
-            pos = np.minimum(np.searchsorted(keys, probe), keys.shape[0] - 1)
-            direct = ~same & (keys[pos] == probe)
-        else:
-            direct = np.zeros(k, dtype=bool)
+        direct = ~same & sorted_member(np, self._udg_dir_keys(usnap), s * n + t)
         hops[direct] = 1
         lengths[direct] = np.hypot(
             xs[s[direct]] - xs[t[direct]], ys[s[direct]] - ys[t[direct]]

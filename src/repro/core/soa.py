@@ -26,8 +26,10 @@ pure-Python reference path; :func:`repro.core.compat.get_numpy` is the
 single switch.
 
 The ragged-array helpers (:func:`gather_csr_rows`,
-:func:`segment_any`) are shared by the vectorized Gabriel / LDel /
-planarization kernels in :mod:`repro.topology`.
+:func:`segment_any`, :func:`cross_join`, :func:`segment_pairs`,
+:func:`sorted_unique`, :func:`sorted_member`) are shared by the vectorized
+Gabriel / LDel / planarization kernels in :mod:`repro.topology` and
+the connector election in :mod:`repro.protocols.cds_fast`.
 """
 
 from __future__ import annotations
@@ -79,7 +81,20 @@ def sorted_unique(np: Any, keys: Any) -> Any:
     return k[keep]
 
 
-def _cross_join(
+def sorted_member(np: Any, sorted_keys: Any, keys: Any) -> Any:
+    """Elementwise ``keys in sorted_keys`` by binary search.
+
+    The sort-based counterpart of ``np.isin`` (see
+    :func:`sorted_unique` for why the construction core avoids the
+    hash kernels); ``sorted_keys`` must be ascending.
+    """
+    if sorted_keys.shape[0] == 0:
+        return np.zeros(keys.shape[0], dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.shape[0] - 1)
+    return sorted_keys[pos] == keys
+
+
+def cross_join(
     np: Any, a_start: Any, a_count: Any, b_start: Any, b_count: Any
 ) -> tuple[Any, Any]:
     """All (a, b) index pairs of matched ragged segments.
@@ -97,6 +112,24 @@ def _cross_join(
     ai = local // bc
     bi = local - ai * bc
     return a_start[seg] + ai, b_start[seg] + bi
+
+
+def segment_pairs(np: Any, starts: Any, sizes: Any) -> tuple[Any, Any]:
+    """All index pairs ``(a, b)``, ``a < b``, within each segment.
+
+    Segment ``k`` covers ``starts[k] .. starts[k] + sizes[k] - 1``.
+    Emits its ``sizes[k] * (sizes[k] - 1) / 2`` pairs in row-major
+    order: what :func:`cross_join` of a segment with itself keeps
+    after ``a < b``, without building the other half.
+    """
+    total = int(sizes.sum())
+    pos = np.repeat(starts, sizes) + (
+        np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    )
+    after = np.repeat(starts + sizes - 1, sizes) - pos
+    a = np.repeat(pos, after)
+    b = a + 1 + (np.arange(a.shape[0]) - np.repeat(np.cumsum(after) - after, after))
+    return a, b
 
 
 def bbox_grid_pairs(
@@ -141,10 +174,9 @@ def bbox_grid_pairs(
     np.not_equal(skey[1:], skey[:-1], out=run_start[1:])
     starts = np.nonzero(run_start)[0]
     counts = np.diff(np.append(starts, total))
-    left, right = _cross_join(np, starts, counts, starts, counts)
-    keep = left < right
-    a = sid[left[keep]]
-    b = sid[right[keep]]
+    left, right = segment_pairs(np, starts, counts)
+    a = sid[left]
+    b = sid[right]
     pk = sorted_unique(np, np.minimum(a, b) * count + np.maximum(a, b))
     return pk // count, pk % count
 
@@ -192,12 +224,12 @@ def udg_edge_arrays(np: Any, xs: Any, ys: Any, radius: float) -> tuple[Any, Any]
         if a_idx.shape[0] == 0:
             continue
         b_idx = pos_safe[a_idx]
-        left, right = _cross_join(
-            np, starts[a_idx], counts[a_idx], starts[b_idx], counts[b_idx]
-        )
         if dx == 0 and dy == 0:
-            keep = left < right
-            left, right = left[keep], right[keep]
+            left, right = segment_pairs(np, starts[a_idx], counts[a_idx])
+        else:
+            left, right = cross_join(
+                np, starts[a_idx], counts[a_idx], starts[b_idx], counts[b_idx]
+            )
         left_parts.append(left)
         right_parts.append(right)
     if not left_parts:
@@ -253,6 +285,16 @@ class SoaSnapshot:
 
     def degrees(self) -> Any:
         return self.indptr[1:] - self.indptr[:-1]
+
+    def directed_keys(self) -> Any:
+        """``u * n + v`` for every CSR entry ``u -> v``.
+
+        Globally ascending (rows in order, each row sorted), so
+        :func:`sorted_member` answers "is ``uv`` an edge" in O(log E).
+        """
+        np = get_numpy()
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+        return rows * self.n + self.indices
 
     @classmethod
     def from_points(
@@ -320,14 +362,14 @@ def snapshot_for(graph: "Graph") -> Optional[SoaSnapshot]:
 
     The cache rides on the instance (``graph._soa_snapshot``) so every
     consumer — construction kernels, sharded tiles, the distance
-    oracle, routing experiments — shares one conversion.  Mutating a
-    graph invalidates nothing automatically; mutation sites
-    (:mod:`repro.incremental`) drop the attribute explicitly.
+    oracle, routing experiments — shares one conversion.  Every
+    :class:`~repro.graphs.graph.Graph` method that changes the edge set
+    drops the cached snapshot, so a cached one is always current.
     """
     if not numpy_ready():
         return None
     snap = getattr(graph, "_soa_snapshot", None)
-    if snap is not None and snap.n == graph.node_count and snap.edge_count == graph.edge_count:
+    if snap is not None:
         return snap
     snap = SoaSnapshot.from_graph(graph, radius=getattr(graph, "radius", None))
     if snap is not None:

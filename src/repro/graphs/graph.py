@@ -10,13 +10,18 @@ small — analysis lives in :mod:`repro.graphs.paths`,
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.geometry.primitives import Point, dist
 
 
 class Graph:
     """Undirected graph over nodes ``0..n-1`` with planar positions."""
+
+    #: The cached :class:`~repro.core.soa.SoaSnapshot` (see
+    #: :func:`repro.core.soa.snapshot_for`); every edge-set change
+    #: drops it, so a cached snapshot always describes the current edges.
+    _soa_snapshot: Any = None
 
     def __init__(
         self,
@@ -45,6 +50,7 @@ class Graph:
         self._edges.add(key)
         self._adj[u].add(v)
         self._adj[v].add(u)
+        self._soa_snapshot = None
 
     def add_edges_bulk(self, edges: Iterable[tuple[int, int]]) -> None:
         """Add many edges at once; same validation as :meth:`add_edge`.
@@ -68,6 +74,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._edges |= fresh
+        self._soa_snapshot = None
 
     def remove_edge(self, u: int, v: int) -> None:
         """Remove undirected edge ``uv`` if present."""
@@ -76,6 +83,7 @@ class Graph:
             self._edges.discard(key)
             self._adj[u].discard(v)
             self._adj[v].discard(u)
+            self._soa_snapshot = None
 
     def copy(self, *, name: str | None = None) -> "Graph":
         """Deep copy (positions are shared immutable points)."""

@@ -83,11 +83,6 @@ class QuasiUnitDiskGraph(UnitDiskGraph):
         ]
         for u, v in doomed:
             self.remove_edge(u, v)
-        # The cached SoA snapshot (if the vectorized build installed
-        # one) describes the pre-removal UDG; drop it so consumers
-        # rebuild from the actual quasi adjacency.
-        if doomed and getattr(self, "_soa_snapshot", None) is not None:
-            del self._soa_snapshot
 
 
 def induced_radio_subgraph(
@@ -114,6 +109,4 @@ def induced_radio_subgraph(
         # Like the parent, the subgraph no longer follows the disk
         # rule; kernels must not assume it does.
         sub.adjacency_is_disk_rule = False
-        if getattr(sub, "_soa_snapshot", None) is not None:
-            del sub._soa_snapshot
     return sub

@@ -28,6 +28,31 @@ Why this is sound (and what the equivalence suite pins down):
   round — so the ``first`` connector a slot-2 winner pairs with is the
   smallest adjacent slot-1 winner.
 
+Since every rule is local and order-independent, the connector
+election is sort-and-join work over integer arrays
+(:func:`_soa_connectors`, on the graph's shared
+:class:`~repro.core.soa.SoaSnapshot`).  ``dominators_of`` becomes a
+CSR, and "is a neighbour" / "is a dominator of" are binary searches
+into sorted ``a * n + b`` pair keys:
+
+* slot 0 is a ragged self-join of each dominatee's dominator row
+  (pairs ``u < v``);
+* slot 1 gathers the dominator rows of each dominatee's CSR row,
+  drops itself, its neighbours and its own dominators, dedupes by
+  sort, and crosses what is left with its own dominator row;
+* an arena's winners come from one ``lexsort`` by ``(u, v, x)`` and
+  a self-join of each arena: a proposer with an adjacent, smaller
+  rival loses;
+* slot 2 expands each slot-1 winner's CSR row, keeps the dominatees
+  of ``v`` that ``u`` does not dominate, keeps the smallest adjacent
+  winner per ``(u, v, x)`` as ``first``, and runs the same winner
+  pass;
+* the ledger charges each node's per-kind totals once.
+
+The scalar loops in :func:`fast_connectors` are the reference: they
+run under :func:`~repro.core.compat.numpy_disabled` (or without numpy)
+and the tests compare the kernel with them.
+
 The protocol path stays authoritative: it is the executable model of
 the paper (message traces, loss/async variants).  This path is the
 serving-layer implementation, held bit-identical to it by
@@ -36,8 +61,19 @@ serving-layer implementation, held bit-identical to it by
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import chain
+from typing import Any, Optional
 
+from repro import obs
+from repro.core.compat import get_numpy
+from repro.core.soa import (
+    cross_join,
+    gather_csr_rows,
+    segment_pairs,
+    snapshot_for,
+    sorted_member,
+    sorted_unique,
+)
 from repro.graphs.udg import UnitDiskGraph
 from repro.protocols.clustering import (
     ClusteringOutcome,
@@ -184,11 +220,18 @@ def fast_connectors(
     Bit-identical to :func:`~repro.protocols.connectors.run_connectors`
     on every field: connector set, certified CDS edges, round count,
     and message ledger, for both election rules and with or without
-    the standalone ``IamDominatee`` re-broadcast accounting.
+    the standalone ``IamDominatee`` re-broadcast accounting.  Runs
+    :func:`_soa_connectors` on the graph's shared SoA snapshot when
+    numpy is active, and the scalar loops below otherwise.
     """
     if election not in ("smallest-id", "first-response"):
         raise ValueError(f"unknown election rule {election!r}")
     ledger = stats if stats is not None else MessageStats()
+    soa = _soa_connectors(
+        udg, clustering, rebroadcast_dominatees, election == "smallest-id", ledger
+    )
+    if soa is not None:
+        return soa
     n = udg.node_count
     adjacency = [udg.neighbors(x) for x in range(n)]
     is_dominator = clustering.dominators
@@ -296,21 +339,172 @@ def fast_connectors(
             edges.add(_edge(first, x))
             edges.add(_edge(x, v))
 
-    # Round count, replaying the network timeline: proposals resolve
-    # two rounds after start, claims land one round later (3); a slot-2
-    # cascade adds the propose/resolve pair (5); re-broadcasts alone
-    # quiesce after their delivery round (1); silence is 0 rounds.
-    if second_arenas:
-        rounds = 5
-    elif arenas:
-        rounds = 3
-    elif any_message:
-        rounds = 1
-    else:
-        rounds = 0
+    obs.count(
+        "cds.connector_proposals",
+        sum(map(len, arenas.values())) + sum(map(len, second_arenas.values())),
+    )
+    obs.count("cds.connector_arenas", len(arenas) + len(second_arenas))
     return ConnectorOutcome(
         connectors=frozenset(connectors),
         cds_edges=frozenset(edges),
-        rounds=rounds,
+        rounds=_rounds(bool(second_arenas), bool(arenas), any_message),
+        stats=ledger,
+    )
+
+
+def _rounds(slot2: bool, proposed: bool, any_message: bool) -> int:
+    """Algorithm 1's round count, replaying the network timeline.
+
+    Proposals resolve two rounds after start and claims land one round
+    later (3); a slot-2 cascade adds the propose/resolve pair (5);
+    re-broadcasts alone quiesce after their delivery round (1);
+    silence is 0 rounds.
+    """
+    if slot2:
+        return 5
+    if proposed:
+        return 3
+    return 1 if any_message else 0
+
+
+def _elect(
+    np: Any, n: int, adj_keys: Any, u: Any, v: Any, x: Any, smallest_id: bool
+) -> tuple[Any, int]:
+    """Which proposals win their ``(u, v)`` arena; also the arena count.
+
+    Each arena holds distinct proposers ``x``.  Under ``smallest-id`` a
+    proposer loses when an adjacent rival of the same arena has a
+    smaller id; otherwise everyone wins.
+    """
+    m = x.shape[0]
+    if m == 0:
+        return np.zeros(0, dtype=bool), 0
+    order = np.lexsort((x, v, u))
+    su, sv, sx = u[order], v[order], x[order]
+    first = np.empty(m, dtype=bool)
+    first[0] = True
+    first[1:] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
+    starts = np.nonzero(first)[0]
+    won = np.ones(m, dtype=bool)
+    if smallest_id:
+        # Sorted by id within each arena, so sx[a] < sx[b].
+        a, b = segment_pairs(np, starts, np.diff(np.append(starts, m)))
+        won[b[sorted_member(np, adj_keys, sx[a] * n + sx[b])]] = False
+    out = np.empty(m, dtype=bool)
+    out[order] = won
+    return out, int(starts.shape[0])
+
+
+def _soa_connectors(
+    udg: UnitDiskGraph,
+    clustering: ClusteringOutcome,
+    rebroadcast_dominatees: bool,
+    smallest_id: bool,
+    ledger: MessageStats,
+) -> Optional[ConnectorOutcome]:
+    """:func:`fast_connectors` as sort-and-join passes over the CSR.
+
+    Returns ``None`` without numpy.  Integer keys ``a * n + b`` stand
+    for ordered node pairs; membership is a binary search into sorted
+    keys, never a hash.
+    """
+    np = get_numpy()
+    if np is None:
+        return None
+    snap = snapshot_for(udg)
+    if snap is None:
+        return None
+    n = snap.n
+    indptr, indices = snap.indptr, snap.indices
+    adj_keys = snap.directed_keys()
+
+    is_dom = np.zeros(n, dtype=bool)
+    is_dom[np.fromiter(clustering.dominators, dtype=np.int64)] = True
+    doms_of = clustering.dominators_of
+    holders = np.fromiter(doms_of, dtype=np.int64, count=len(doms_of))
+    sizes = np.fromiter(map(len, doms_of.values()), dtype=np.int64, count=len(doms_of))
+    total = int(sizes.sum())
+    dom_keys = np.sort(
+        np.repeat(holders, sizes) * n
+        + np.fromiter(chain.from_iterable(doms_of.values()), dtype=np.int64, count=total)
+    )
+    dom_owner, dom_ids = dom_keys // n, dom_keys % n
+    dom_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dom_owner, minlength=n), out=dom_ptr[1:])
+    dom_start = dom_ptr[:-1]
+    # A proposer's own dominators; dominators sit the election out.
+    mine = np.where(is_dom, 0, dom_ptr[1:] - dom_start)
+
+    # Slot 0: every pair u < v of a dominatee's sorted dominators.
+    pick = np.nonzero(mine >= 2)[0]
+    a, b = segment_pairs(np, dom_start[pick], mine[pick])
+    x0, u0, v0 = dom_owner[a], dom_ids[a], dom_ids[b]
+
+    # Slot 1: the 2-hop dominators a dominatee hears through its
+    # neighbours (not itself, not adjacent, not its own), crossed with
+    # its own dominators.
+    pick = np.nonzero(mine >= 1)[0]
+    owner, via = gather_csr_rows(np, indptr, indices, pick)
+    hop, far = gather_csr_rows(np, dom_ptr, dom_ids, via)
+    keys = sorted_unique(np, pick[owner[hop]] * n + far)
+    keys = keys[
+        (keys // n != keys % n)
+        & ~sorted_member(np, adj_keys, keys)
+        & ~sorted_member(np, dom_keys, keys)
+    ]
+    two_hop = keys % n
+    reach = np.bincount(keys // n, minlength=n)
+    pick = np.nonzero(reach * mine > 0)[0]
+    a, b = cross_join(
+        np, dom_start[pick], mine[pick], (np.cumsum(reach) - reach)[pick], reach[pick]
+    )
+    x1, u1, v1 = dom_owner[a], dom_ids[a], two_hop[b]
+
+    won0, arenas0 = _elect(np, n, adj_keys, u0, v0, x0, smallest_id)
+    won1, arenas1 = _elect(np, n, adj_keys, u1, v1, x1, smallest_id)
+
+    # Slot 2: dominatees of v (not of u) next to a slot-1 winner for
+    # (u, v); ``first`` is the smallest such adjacent winner.
+    fu, fv, fw = u1[won1], v1[won1], x1[won1]
+    owner, x2 = gather_csr_rows(np, indptr, indices, fw)
+    owner, x2 = owner[~is_dom[x2]], x2[~is_dom[x2]]
+    u2, v2, w2 = fu[owner], fv[owner], fw[owner]
+    fit = sorted_member(np, dom_keys, x2 * n + v2) & ~sorted_member(np, dom_keys, x2 * n + u2)
+    u2, v2, w2, x2 = u2[fit], v2[fit], w2[fit], x2[fit]
+    order = np.lexsort((w2, x2, v2, u2))
+    u2, v2, w2, x2 = u2[order], v2[order], w2[order], x2[order]
+    head = np.ones(x2.shape[0], dtype=bool)
+    head[1:] = (u2[1:] != u2[:-1]) | (v2[1:] != v2[:-1]) | (x2[1:] != x2[:-1])
+    u2, v2, w2, x2 = u2[head], v2[head], w2[head], x2[head]
+    won2, arenas2 = _elect(np, n, adj_keys, u2, v2, x2, smallest_id)
+
+    proposals = x0.shape[0] + x1.shape[0] + x2.shape[0]
+    obs.count("cds.connector_proposals", proposals)
+    obs.count("cds.connector_arenas", arenas0 + arenas1 + arenas2)
+
+    tries = np.bincount(np.concatenate([x0, x1, x2]), minlength=n)
+    winners = np.concatenate([x0[won0], x1[won1], x2[won2]])
+    claims = np.bincount(winners, minlength=n)
+    kinds = [(TRY_CONNECTOR, tries), (IAM_CONNECTOR, claims)]
+    if rebroadcast_dominatees:
+        kinds.insert(0, (IAM_DOMINATEE, mine))
+    for kind, counts in kinds:
+        for node, sent in zip(np.nonzero(counts)[0].tolist(), counts[counts > 0].tolist()):
+            ledger.record(node, kind, sent)
+
+    # Certified edges: slot 0 (u, x), (x, v); slot 1 (u, x); slot 2
+    # (first, x), (x, v).
+    ends_a = np.concatenate([u0[won0], v0[won0], u1[won1], w2[won2], v2[won2]])
+    ends_b = np.concatenate([x0[won0], x0[won0], x1[won1], x2[won2], x2[won2]])
+    edge_keys = sorted_unique(
+        np, np.minimum(ends_a, ends_b) * n + np.maximum(ends_a, ends_b)
+    )
+    return ConnectorOutcome(
+        connectors=frozenset(sorted_unique(np, winners).tolist()),
+        cds_edges=frozenset(zip((edge_keys // n).tolist(), (edge_keys % n).tolist())),
+        rounds=_rounds(
+            x2.shape[0] > 0, proposals > 0,
+            rebroadcast_dominatees and bool(mine.any()),
+        ),
         stats=ledger,
     )

@@ -46,13 +46,9 @@ class RouteResult:
         if hit is not None and hit[0] is graph:
             return hit[1]
         # Reuse the graph's SoA snapshot only when one is already
-        # cached and current — building one just for a length query
-        # would cost O(E log E) on a cold graph.
+        # cached (edge changes drop it) — building one just for a
+        # length query would cost O(E log E) on a cold graph.
         snap = getattr(graph, "_soa_snapshot", None)
-        if snap is not None and (
-            snap.n != graph.node_count or snap.edge_count != graph.edge_count
-        ):
-            snap = None
         total = 0.0
         if snap is not None:
             xs, ys = snap.xs, snap.ys

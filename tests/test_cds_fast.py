@@ -7,7 +7,11 @@ same round counts, same per-node/per-kind message ledgers.  This suite
 pins that claim over the sharding deployments (random, degenerate
 grid, collinear, tile-boundary-straddling, dense) plus ID-permuted
 variants, and adds the Lemma 3 property test (constant messages per
-node on the protocol path, independent of n at fixed density).
+node on the protocol path, independent of n at fixed density).  The
+connector election has two fast paths, the SoA kernel and the scalar
+loops it falls back to without numpy; both are held to the protocol
+(quasi-UDG corpus entries and random lattices included) and to each
+other, work counts too.
 """
 
 import math
@@ -18,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core import compat
 from repro.core.spanner import build_backbone
 from repro.graphs.udg import UnitDiskGraph
 from repro.protocols.cds import build_cds_family
@@ -64,6 +69,13 @@ def assert_same_stats(fast: MessageStats, protocol: MessageStats) -> None:
     assert fast.per_node_kind == protocol.per_node_kind
 
 
+def assert_same_connectors(fast, protocol) -> None:
+    assert fast.connectors == protocol.connectors
+    assert fast.cds_edges == protocol.cds_edges
+    assert fast.rounds == protocol.rounds
+    assert_same_stats(fast.stats, protocol.stats)
+
+
 @pytest.fixture(params=[name for name, _ in _deployments()])
 def deployment(request):
     cases = dict(_deployments())
@@ -100,15 +112,122 @@ class TestFastConnectors:
             deployment, clustering, election=election,
             rebroadcast_dominatees=rebroadcast,
         )
-        assert fast.connectors == protocol.connectors
-        assert fast.cds_edges == protocol.cds_edges
-        assert fast.rounds == protocol.rounds
-        assert_same_stats(fast.stats, protocol.stats)
+        assert_same_connectors(fast, protocol)
 
     def test_unknown_election_rejected(self):
         udg = UnitDiskGraph([(0.0, 0.0)], RADIUS)
         with pytest.raises(ValueError, match="unknown election"):
             fast_connectors(udg, fast_clustering(udg), election="coin-flip")
+
+    @pytest.mark.parametrize("election", ["smallest-id", "first-response"])
+    @pytest.mark.parametrize("entry", ["quasi-field", "quasi-hotspots"])
+    def test_bit_identical_quasi(self, entry, election):
+        # Gray-zone pairs within the radius that the radio model
+        # dropped: rivals and 2-hop dominators come from the links,
+        # not from the disk rule.
+        udg = get_instance(entry).udg()
+        clustering = run_clustering(udg)
+        assert_same_connectors(
+            fast_connectors(udg, clustering, election=election),
+            run_connectors(udg, clustering, election=election),
+        )
+
+    @pytest.mark.skipif(compat.np is None, reason="requires numpy")
+    @pytest.mark.parametrize("election", ["smallest-id", "first-response"])
+    def test_soa_matches_scalar(self, deployment, election):
+        clustering = fast_clustering(deployment)
+        soa = fast_connectors(deployment, clustering, election=election)
+        with compat.numpy_disabled():
+            scalar = fast_connectors(deployment, clustering, election=election)
+        assert_same_connectors(soa, scalar)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cloud=st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 12)),
+            min_size=0, max_size=45, unique=True,
+        ),
+        lattice=st.booleans(),
+        spacing=st.sampled_from([5.0, 8.5, 12.5]),
+        priority=st.sampled_from(sorted(PRIORITIES)),
+        election=st.sampled_from(["smallest-id", "first-response"]),
+        rebroadcast=st.booleans(),
+    )
+    def test_property_matches_protocol(
+        self, cloud, lattice, spacing, priority, election, rebroadcast
+    ):
+        # Lattice points tie distances exactly at the radius and put
+        # many equal-size arenas side by side; the jittered cloud does
+        # not.  The incoming ledger already holds the clustering's
+        # entries: every path must add to it, not reset it.
+        jitter = random.Random(len(cloud))
+        points = [
+            (x * spacing + (0.0 if lattice else jitter.uniform(0, spacing)),
+             y * spacing + (0.0 if lattice else jitter.uniform(0, spacing)))
+            for x, y in cloud
+        ]
+        udg = UnitDiskGraph(points, RADIUS)
+        clustering = run_clustering(udg, priority=PRIORITIES[priority])
+        kwargs = dict(election=election, rebroadcast_dominatees=rebroadcast)
+        protocol = run_connectors(
+            udg, clustering, stats=clustering.stats.copy(), **kwargs
+        )
+        assert_same_connectors(
+            fast_connectors(udg, clustering, stats=clustering.stats.copy(), **kwargs),
+            protocol,
+        )
+        with compat.numpy_disabled():
+            scalar = fast_connectors(
+                udg, clustering, stats=clustering.stats.copy(), **kwargs
+            )
+        assert_same_connectors(scalar, protocol)
+
+    @pytest.mark.parametrize("rebroadcast", [False, True])
+    def test_dominatees_without_two_hop_dominators(self, rebroadcast):
+        # A chain 0-1-2-3: dominators 0 and 2; node 1 is their common
+        # dominatee (slot 0), and neither 1 nor 3 hears a 2-hop
+        # dominator, so nobody proposes for slot 1 or 2.
+        udg = UnitDiskGraph([(20.0 * i, 0.0) for i in range(4)], RADIUS)
+        clustering = run_clustering(udg)
+        assert clustering.dominators == {0, 2}
+        fast = fast_connectors(udg, clustering, rebroadcast_dominatees=rebroadcast)
+        assert_same_connectors(
+            fast,
+            run_connectors(udg, clustering, rebroadcast_dominatees=rebroadcast),
+        )
+        assert fast.connectors == {1}
+        assert fast.cds_edges == {(0, 1), (1, 2)}
+        assert fast.rounds == 3
+
+    @pytest.mark.parametrize("points", [[], [(0.0, 0.0)], [(0.0, 0.0), (10.0, 0.0)]])
+    @pytest.mark.parametrize("rebroadcast", [False, True])
+    def test_tiny_graphs(self, points, rebroadcast):
+        udg = UnitDiskGraph(points, RADIUS)
+        clustering = run_clustering(udg)
+        fast = fast_connectors(udg, clustering, rebroadcast_dominatees=rebroadcast)
+        assert_same_connectors(
+            fast,
+            run_connectors(udg, clustering, rebroadcast_dominatees=rebroadcast),
+        )
+        assert fast.connectors == frozenset()
+        # Only the two-node graph has a dominatee to re-announce.
+        assert fast.rounds == (1 if rebroadcast and len(points) == 2 else 0)
+
+    @pytest.mark.skipif(compat.np is None, reason="requires numpy")
+    @pytest.mark.parametrize("election", ["smallest-id", "first-response"])
+    def test_work_counts_match_scalar(self, deployment, election):
+        # Proposals (slots 0-2) and arenas are the election's work; a
+        # kernel that dropped proposals could still land on the same
+        # connectors, but not on the same counts.
+        clustering = fast_clustering(deployment)
+        with obs.recording() as soa:
+            fast_connectors(deployment, clustering, election=election)
+        with compat.numpy_disabled(), obs.recording() as scalar:
+            fast_connectors(deployment, clustering, election=election)
+        assert soa["counts"] == scalar["counts"]
+        assert set(soa["counts"]) == {
+            "cds.connector_proposals", "cds.connector_arenas",
+        }
 
 
 def assert_fast_ldel_matches_protocol(udg: UnitDiskGraph) -> None:

@@ -17,6 +17,7 @@ COUNTER_NAMES = {
     "backbone.builds", "backbone.messages_total", "backbone.mode.fast",
     "batch.requests", "batch.tasks",
     "build.cache_hits", "build.cache_misses", "build.requests",
+    "cds.connector_arenas", "cds.connector_proposals",
     "construction.circumcircle_misses", "construction.khop_hits",
     "construction.khop_misses", "construction.local_delaunay_calls",
     "construction.triangle_pairs_candidate", "construction.triangle_pairs_tested",

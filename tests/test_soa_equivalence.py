@@ -23,6 +23,7 @@ import random
 import pytest
 
 from repro.core import compat
+from repro.core.soa import cross_join, segment_pairs, snapshot_for, sorted_member
 from repro.core.spanner import build_backbone
 from repro.geometry.primitives import Point
 from repro.graphs.udg import UnitDiskGraph
@@ -130,6 +131,53 @@ class TestSerialPipeline:
         with compat.numpy_disabled():
             ref = planar_local_delaunay_graph(UnitDiskGraph(points, RADIUS))
         _assert_same_result(soa, ref)
+
+
+class TestRaggedHelpers:
+    def test_segment_pairs_is_the_upper_half_of_a_self_join(self):
+        np = compat.np
+        rng = random.Random(3)
+        for _ in range(50):
+            sizes = np.array([rng.randint(0, 5) for _ in range(rng.randint(0, 6))],
+                             dtype=np.int64)
+            gaps = np.array([rng.randint(0, 3) for _ in sizes], dtype=np.int64)
+            starts = np.cumsum(sizes + gaps) - sizes
+            a, b = segment_pairs(np, starts, sizes)
+            left, right = cross_join(np, starts, sizes, starts, sizes)
+            keep = left < right
+            assert a.tolist() == left[keep].tolist()
+            assert b.tolist() == right[keep].tolist()
+
+    def test_sorted_member_matches_set_membership(self):
+        np = compat.np
+        hay = np.array([2, 3, 5, 8, 13], dtype=np.int64)
+        probe = np.arange(-1, 16, dtype=np.int64)
+        expected = [int(k) in {2, 3, 5, 8, 13} for k in probe]
+        assert sorted_member(np, hay, probe).tolist() == expected
+        assert not sorted_member(np, hay[:0], probe).any()
+
+
+class TestSnapshotCache:
+    def test_edge_swap_drops_cached_snapshot(self):
+        # Same node and edge counts after the swap: only invalidation
+        # on mutation keeps the cached CSR from describing old links.
+        g = UnitDiskGraph([(0, 0), (1, 0), (2, 0), (3, 0)], 1.0)
+        assert g.soa_snapshot() is not None
+        g.remove_edge(0, 1)
+        g.add_edge(0, 3)
+        snap = snapshot_for(g)
+        assert set(zip(snap.edge_u.tolist(), snap.edge_v.tolist())) == set(g.edges())
+        assert snap.neighbors_of(0).tolist() == [3]
+
+    def test_unchanged_edge_set_keeps_snapshot(self):
+        g = UnitDiskGraph([(0, 0), (1, 0), (2, 0)], 1.0)
+        snap = snapshot_for(g)
+        g.add_edge(0, 1)
+        g.add_edges_bulk([(1, 2)])
+        g.remove_edge(0, 2)
+        assert snapshot_for(g) is snap
+        g.add_edges_bulk([(0, 2)])
+        assert snapshot_for(g) is not snap
 
 
 def _crossing_triangle_sets(count=30):
