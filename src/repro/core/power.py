@@ -10,6 +10,7 @@ be compared on the axis the sparseness is ultimately *for*.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.graphs.graph import Graph
@@ -73,7 +74,9 @@ def power_profile(graph: Graph, *, alpha: float = 2.0) -> PowerProfile:
             (graph.edge_length(u, v) for v in graph.neighbors(u)), default=0.0
         )
         node_power.append(longest**alpha)
-    total = sum(
+    # fsum: exactly rounded, so the total does not depend on the
+    # order edges() yields them in (sorted or set order).
+    total = math.fsum(
         graph.edge_length(u, v) ** alpha for u, v in graph.edges()
     )
     return PowerProfile(

@@ -27,7 +27,8 @@ single switch.
 
 The ragged-array helpers (:func:`gather_csr_rows`,
 :func:`segment_any`, :func:`cross_join`, :func:`segment_pairs`,
-:func:`sorted_unique`, :func:`sorted_member`) are shared by the vectorized
+:func:`sorted_unique`, :func:`sorted_member`, :func:`pair_keys`,
+:func:`triangle_edge_keys`, :func:`coordinates`) are shared by the vectorized
 Gabriel / LDel / planarization kernels in :mod:`repro.topology` and
 the connector election in :mod:`repro.protocols.cds_fast`.
 """
@@ -79,6 +80,36 @@ def sorted_unique(np: Any, keys: Any) -> Any:
     keep[0] = True
     np.not_equal(k[1:], k[:-1], out=keep[1:])
     return k[keep]
+
+
+def coordinates(np: Any, positions: Sequence) -> tuple[Any, Any]:
+    """``(xs, ys)`` float64 arrays of a sequence of ``(x, y)`` points."""
+    n = len(positions)
+    xs = np.fromiter((p[0] for p in positions), dtype=np.float64, count=n)
+    ys = np.fromiter((p[1] for p in positions), dtype=np.float64, count=n)
+    return xs, ys
+
+
+def pair_keys(np: Any, n: int, pairs: Any) -> Any:
+    """Sorted unique keys ``u * n + v`` (``u < v``) of undirected pairs.
+
+    ``pairs`` is a sized iterable of ``(u, v)`` (a set, frozenset or
+    list; either orientation).
+    """
+    keys = np.fromiter(
+        (u * n + v if u < v else v * n + u for u, v in pairs),
+        dtype=np.int64,
+        count=len(pairs),
+    )
+    return sorted_unique(np, keys)
+
+
+def triangle_edge_keys(np: Any, n: int, triangles: Any) -> Any:
+    """Keys ``u * n + v`` of the three sides of every triangle (with repeats)."""
+    t = np.sort(np.asarray(triangles, dtype=np.int64).reshape(-1, 3), axis=1)
+    return np.concatenate(
+        [t[:, 0] * n + t[:, 1], t[:, 1] * n + t[:, 2], t[:, 0] * n + t[:, 2]]
+    )
 
 
 def sorted_member(np: Any, sorted_keys: Any, keys: Any) -> Any:
@@ -308,8 +339,7 @@ class SoaSnapshot:
         if np is None:
             return None
         n = len(positions)
-        xs = np.fromiter((p[0] for p in positions), dtype=np.float64, count=n)
-        ys = np.fromiter((p[1] for p in positions), dtype=np.float64, count=n)
+        xs, ys = coordinates(np, positions)
         edge_u, edge_v = udg_edge_arrays(np, xs, ys, radius)
         indptr, indices = _csr_from_edges(np, n, edge_u, edge_v)
         return cls(
@@ -327,20 +357,14 @@ class SoaSnapshot:
 
     @classmethod
     def from_graph(cls, graph: "Graph", radius: Optional[float] = None) -> Optional["SoaSnapshot"]:
-        """Snapshot an already-built graph (adopts its edge set)."""
+        """Snapshot an already-built graph (adopts its edge keys)."""
         np = get_numpy()
         if np is None:
             return None
         n = graph.node_count
-        positions = graph.positions
-        xs = np.fromiter((p[0] for p in positions), dtype=np.float64, count=n)
-        ys = np.fromiter((p[1] for p in positions), dtype=np.float64, count=n)
-        edges = graph.edge_set()
-        if edges:
-            pairs = np.array(sorted(edges), dtype=np.int64)
-            edge_u, edge_v = pairs[:, 0], pairs[:, 1]
-        else:
-            edge_u = edge_v = np.zeros(0, dtype=np.int64)
+        xs, ys = coordinates(np, graph.positions)
+        keys = graph.edge_keys()
+        edge_u, edge_v = keys // n, keys % n
         indptr, indices = _csr_from_edges(np, n, edge_u, edge_v)
         has_r = radius is not None and radius > 0.0
         return cls(

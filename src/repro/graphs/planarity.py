@@ -61,24 +61,21 @@ def _vector_crossing_pairs(
     sweep consumes.
     """
     from repro.core.compat import get_numpy
-    from repro.core.soa import bbox_grid_pairs
+    from repro.core.soa import bbox_grid_pairs, coordinates
     from repro.geometry.predicates import segments_cross_batch
 
     np = get_numpy()
     if np is None:
         return None
-    edges = sorted(graph.edge_set())
-    if len(edges) < 2:
+    keys = graph.edge_keys()
+    if keys.shape[0] < 2:
         return []
-    pos = graph.positions
-    n = len(pos)
-    xs = np.fromiter((p[0] for p in pos), dtype=np.float64, count=n)
-    ys = np.fromiter((p[1] for p in pos), dtype=np.float64, count=n)
-    arr = np.array(edges, dtype=np.int64)
-    eu, ev = arr[:, 0], arr[:, 1]
+    n = graph.node_count
+    xs, ys = coordinates(np, graph.positions)
+    eu, ev = keys // n, keys % n
     ux, uy, vx, vy = xs[eu], ys[eu], xs[ev], ys[ev]
     lengths = np.hypot(ux - vx, uy - vy)
-    cell = max(float(lengths.sum()) / len(edges), 1e-9)
+    cell = max(float(lengths.sum()) / keys.shape[0], 1e-9)
     pi, pj = bbox_grid_pairs(
         np,
         np.minimum(ux, vx), np.minimum(uy, vy),
@@ -95,10 +92,10 @@ def _vector_crossing_pairs(
     cross = segments_cross_batch(
         ux[pi], uy[pi], vx[pi], vy[pi], ux[pj], uy[pj], vx[pj], vy[pj]
     )
-    return [
-        (edges[i], edges[j])
-        for i, j in zip(pi[cross].tolist(), pj[cross].tolist())
-    ]
+    pi, pj = pi[cross], pj[cross]
+    return list(zip(
+        zip(eu[pi].tolist(), ev[pi].tolist()), zip(eu[pj].tolist(), ev[pj].tolist())
+    ))
 
 
 def crossing_pairs(graph: Graph) -> list[tuple[tuple[int, int], tuple[int, int]]]:

@@ -92,12 +92,15 @@ def induced_radio_subgraph(
 
     For a plain :class:`UnitDiskGraph` this equals rebuilding a UDG
     over the selected positions (the distance rule is hereditary), so
-    existing pipelines stay bit-identical.  For a quasi-UDG (or any
+    existing pipelines stay bit-identical, and the per-link re-check
+    is skipped.  For a quasi-UDG (or any
     subclass whose link set is a subset of the disk rule) the rebuild
     would resurrect dropped gray-zone links; here they stay dropped —
     the induced subgraph keeps exactly the parent's links.
     """
     sub = UnitDiskGraph([udg.positions[i] for i in nodes], udg.radius, name=name)
+    if udg.adjacency_is_disk_rule:
+        return sub
     doomed = [
         (a, b)
         for a, b in sub.edges()

@@ -160,10 +160,11 @@ class UnitDiskGraph(Graph):
 
     def _build(self) -> None:
         # Array path: one vectorized grid join enumerates every edge
-        # and doubles as the deployment's shared SoA snapshot.  The
-        # edge set is bit-identical to pairs_within (same cells, same
-        # inclusive distance test, IEEE-identical arithmetic), which
-        # the equivalence suite and the bench tripwires assert.
+        # and doubles as the deployment's shared SoA snapshot; its
+        # sorted edge arrays become the graph's keys.  The edge set is
+        # bit-identical to pairs_within (same cells, same inclusive
+        # distance test, IEEE-identical arithmetic), which the
+        # equivalence suite and the bench tripwires assert.
         from repro.core.soa import SoaSnapshot
 
         snap = SoaSnapshot.from_points(self.positions, self.radius)
@@ -171,16 +172,10 @@ class UnitDiskGraph(Graph):
             # pairs_within yields each qualifying pair exactly once,
             # halving the duplicate distance tests of a per-node scan.
             index = GridIndex(self.positions, self.radius)
-            for u, v in index.pairs_within(self.radius):
-                self.add_edge(u, v)
+            self.add_edges_bulk(index.pairs_within(self.radius))
             return
+        self._adopt_keys(snap.edge_u * snap.n + snap.edge_v)
         self._soa_snapshot = snap
-        adj = self._adj
-        pairs = list(zip(snap.edge_u.tolist(), snap.edge_v.tolist()))
-        self._edges.update(pairs)
-        for u, v in pairs:
-            adj[u].add(v)
-            adj[v].add(u)
 
     def soa_snapshot(self):
         """The shared :class:`~repro.core.soa.SoaSnapshot` (or ``None``)."""

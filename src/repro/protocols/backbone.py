@@ -17,7 +17,8 @@ from typing import Optional
 from repro.graphs.graph import Graph
 from repro.graphs.udg import UnitDiskGraph
 from repro import obs
-from repro.protocols.cds import MODES, CDSFamily, build_cds_family
+from repro.core.compat import get_numpy
+from repro.protocols.cds import MODES, CDSFamily, build_cds_family, dominatee_edge_keys
 from repro.protocols.clustering import PriorityFn
 from repro.protocols.ldel_fast import fast_ldel_protocol
 from repro.protocols.ldel_protocol import LDelProtocolOutcome, run_ldel_protocol
@@ -103,17 +104,33 @@ def run_backbone_pipeline(
             ldel_outcome = run_ldel_protocol(sub_udg)
 
     # Map the protocol output back to original node ids.
-    ldel_icds = Graph(udg.positions, name="LDel(ICDS)")
-    for u, v in ldel_outcome.graph.edges():
-        ldel_icds.add_edge(backbone[u], backbone[v])
-    ldel_icds_prime = Graph(udg.positions, ldel_icds.edges(), name="LDel(ICDS')")
-    for dominatee, doms in family.clustering.dominators_of.items():
-        for d in doms:
-            ldel_icds_prime.add_edge(dominatee, d)
+    np = get_numpy()
+    if np is None:
+        ldel_icds = Graph(
+            udg.positions,
+            ((backbone[u], backbone[v]) for u, v in ldel_outcome.graph.edges()),
+            name="LDel(ICDS)",
+        )
+        ldel_icds_prime = Graph(udg.positions, ldel_icds.edges(), name="LDel(ICDS')")
+        ldel_icds_prime.add_edges_bulk(
+            (dominatee, d)
+            for dominatee, doms in family.clustering.dominators_of.items()
+            for d in doms
+        )
+    else:
+        # backbone is sorted, so the sub-id -> id map is monotone and
+        # the mapped keys stay sorted.
+        n, k = udg.node_count, len(backbone)
+        ids = np.asarray(backbone, dtype=np.int64)
+        sub_keys = ldel_outcome.graph.edge_keys()
+        ldel_icds = Graph.from_keys(
+            udg.positions, ids[sub_keys // k] * n + ids[sub_keys % k], name="LDel(ICDS)"
+        )
+        ldel_icds_prime = ldel_icds.with_keys(
+            dominatee_edge_keys(np, n, family.clustering), name="LDel(ICDS')"
+        )
 
-    stats_ldel = stats_icds.copy()
-    for (sub_id, kind), count in ldel_outcome.stats.per_node_kind.items():
-        stats_ldel.record(backbone[sub_id], kind, count)
+    stats_ldel = stats_icds.copy().merge(ldel_outcome.stats, relabel=backbone)
 
     obs.count("backbone.builds")
     obs.count(f"backbone.mode.{mode}")

@@ -20,8 +20,11 @@ communication benchmarks reproduce the paper's accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import repeat
+from typing import Any, Optional
 
+from repro.core.compat import get_numpy
+from repro.core.soa import pair_keys, sorted_unique
 from repro.graphs.graph import Graph
 from repro.graphs.udg import UnitDiskGraph
 from repro.protocols.clustering import (
@@ -29,7 +32,7 @@ from repro.protocols.clustering import (
     PriorityFn,
     run_clustering,
 )
-from repro.protocols.cds_fast import fast_clustering, fast_connectors
+from repro.protocols.cds_fast import dominator_pairs, fast_clustering, fast_connectors
 from repro.protocols.connectors import ConnectorOutcome, run_connectors
 from repro.sim.messages import STATUS
 from repro.sim.stats import MessageStats
@@ -74,18 +77,33 @@ def _dominatee_edges(clustering: ClusteringOutcome) -> list[tuple[int, int]]:
     return edges
 
 
+def dominatee_edge_keys(np: Any, n: int, clustering: ClusteringOutcome) -> Any:
+    """Sorted keys ``u * n + v`` of every dominatee-to-dominator edge."""
+    holder, dom = dominator_pairs(np, clustering)
+    return sorted_unique(np, np.minimum(holder, dom) * n + np.maximum(holder, dom))
+
+
 def induced_udg_subgraph(udg: UnitDiskGraph, nodes: frozenset[int], name: str) -> Graph:
     """Radio links among ``nodes`` (original node ids, full vertex set).
 
-    Filters each member's own adjacency instead of re-testing the disk
-    rule, so the gray-zone links a quasi-UDG dropped stay dropped.
+    Filters the UDG's own links instead of re-testing the disk rule, so
+    the gray-zone links a quasi-UDG dropped stay dropped.  With numpy
+    this is a membership mask over the UDG's edge keys.
     """
+    keys = udg.edge_keys()
+    if keys is not None:
+        np = get_numpy()  # edge_keys() is None while numpy is masked out
+        n = udg.node_count
+        member = np.zeros(n, dtype=bool)
+        member[np.fromiter(nodes, dtype=np.int64, count=len(nodes))] = True
+        return Graph.from_keys(
+            udg.positions, keys[member[keys // n] & member[keys % n]], name=name
+        )
     graph = Graph(udg.positions, name=name)
     members = set(nodes)
-    for u in sorted(members):
-        for v in sorted(udg.neighbors(u)):
-            if v > u and v in members:
-                graph.add_edge(u, v)
+    graph.add_edges_bulk(
+        (u, v) for u in members for v in udg.neighbors(u) if v > u and v in members
+    )
     return graph
 
 
@@ -122,19 +140,26 @@ def build_cds_family(
 
     # One Status broadcast per node announces its final role so that
     # every backbone node can locally assemble its ICDS links.
-    for node in udg.nodes():
-        stats.record(node, STATUS)
-
-    cds = Graph(udg.positions, connector_outcome.cds_edges, name="CDS")
-    cds_prime = Graph(udg.positions, connector_outcome.cds_edges, name="CDS'")
-    for u, v in _dominatee_edges(clustering):
-        cds_prime.add_edge(u, v)
+    stats.record_counts(STATUS, udg.nodes(), repeat(1))
 
     backbone = clustering.dominators | connector_outcome.connectors
     icds = induced_udg_subgraph(udg, backbone, "ICDS")
-    icds_prime = Graph(udg.positions, icds.edges(), name="ICDS'")
-    for u, v in _dominatee_edges(clustering):
-        icds_prime.add_edge(u, v)
+    np = get_numpy()
+    if np is None:
+        attach = _dominatee_edges(clustering)
+        cds = Graph(udg.positions, connector_outcome.cds_edges, name="CDS")
+        cds_prime = Graph(udg.positions, connector_outcome.cds_edges, name="CDS'")
+        cds_prime.add_edges_bulk(attach)
+        icds_prime = Graph(udg.positions, icds.edges(), name="ICDS'")
+        icds_prime.add_edges_bulk(attach)
+    else:
+        n = udg.node_count
+        attach_keys = dominatee_edge_keys(np, n, clustering)
+        cds = Graph.from_keys(
+            udg.positions, pair_keys(np, n, connector_outcome.cds_edges), name="CDS"
+        )
+        cds_prime = cds.with_keys(attach_keys, name="CDS'")
+        icds_prime = icds.with_keys(attach_keys, name="ICDS'")
 
     return CDSFamily(
         udg=udg,

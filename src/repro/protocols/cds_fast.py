@@ -61,7 +61,7 @@ serving-layer implementation, held bit-identical to it by
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any, Optional
 
 from repro import obs
@@ -119,10 +119,14 @@ def fast_clustering(
     if n == 0:
         return ClusteringOutcome(frozenset(), {}, 0, ledger)
 
-    neighbors = [sorted(udg.neighbors(x)) for x in range(n)]
+    snap = snapshot_for(udg)
+    if snap is None:
+        neighbors = [sorted(udg.neighbors(x)) for x in range(n)]
+    else:
+        ptr, ind = snap.indptr.tolist(), snap.indices.tolist()
+        neighbors = [ind[ptr[x] : ptr[x + 1]] for x in range(n)]
     pri = [chosen(x, len(neighbors[x])) for x in range(n)]
-    for x in range(n):
-        ledger.record(x, HELLO)
+    ledger.record_counts(HELLO, range(n), repeat(1))
 
     # A neighbor w blocks x while white iff not (pri[x] < pri[w]); x
     # elects at the finish of the first round with no live blockers.
@@ -131,6 +135,8 @@ def fast_clustering(
         for x, nbrs in enumerate(neighbors)
     ]
     status = [_WHITE] * n
+    #: IamDominatee broadcasts per node (one per dominator heard).
+    dominatee_sent = [0] * n
     white_count = n
     dominators: list[int] = []
     elected_round: dict[int, int] = {}
@@ -160,7 +166,7 @@ def fast_clustering(
                 if status[w] == _DOMINATOR:
                     continue
                 doms_of.setdefault(w, set()).add(x)
-                ledger.record(w, IAM_DOMINATEE)
+                dominatee_sent[w] += 1
                 if status[w] == _WHITE:
                     status[w] = _DOMINATEE
                     white_count -= 1
@@ -175,7 +181,6 @@ def fast_clustering(
             white_count -= 1
             elected_round[x] = round_index
             dominators.append(x)
-            ledger.record(x, IAM_DOMINATOR)
             deliver_dominator.setdefault(round_index + 1, []).append(x)
         if white_count and not deliver_dominator and not deliver_dominatee:
             white = [x for x in range(n) if status[x] == _WHITE]
@@ -192,7 +197,10 @@ def fast_clustering(
                 if status[w] == _DOMINATOR:
                     continue
                 doms_of.setdefault(w, set()).add(x)
-                ledger.record(w, IAM_DOMINATEE)
+                dominatee_sent[w] += 1
+
+    ledger.record_counts(IAM_DOMINATEE, range(n), dominatee_sent)
+    ledger.record_counts(IAM_DOMINATOR, dominators, repeat(1))
 
     # Quiescence: the network idles one round after the last in-flight
     # message — IamDominator at T+1, the dominatees' reactions at T+2.
@@ -395,6 +403,17 @@ def _elect(
     return out, int(starts.shape[0])
 
 
+def dominator_pairs(np: Any, clustering: ClusteringOutcome) -> tuple[Any, Any]:
+    """``clustering.dominators_of`` as two int64 arrays ``(holder, dominator)``."""
+    doms_of = clustering.dominators_of
+    holders = np.fromiter(doms_of, dtype=np.int64, count=len(doms_of))
+    sizes = np.fromiter(map(len, doms_of.values()), dtype=np.int64, count=len(doms_of))
+    dom = np.fromiter(
+        chain.from_iterable(doms_of.values()), dtype=np.int64, count=int(sizes.sum())
+    )
+    return np.repeat(holders, sizes), dom
+
+
 def _soa_connectors(
     udg: UnitDiskGraph,
     clustering: ClusteringOutcome,
@@ -420,14 +439,8 @@ def _soa_connectors(
 
     is_dom = np.zeros(n, dtype=bool)
     is_dom[np.fromiter(clustering.dominators, dtype=np.int64)] = True
-    doms_of = clustering.dominators_of
-    holders = np.fromiter(doms_of, dtype=np.int64, count=len(doms_of))
-    sizes = np.fromiter(map(len, doms_of.values()), dtype=np.int64, count=len(doms_of))
-    total = int(sizes.sum())
-    dom_keys = np.sort(
-        np.repeat(holders, sizes) * n
-        + np.fromiter(chain.from_iterable(doms_of.values()), dtype=np.int64, count=total)
-    )
+    holder, dom = dominator_pairs(np, clustering)
+    dom_keys = np.sort(holder * n + dom)
     dom_owner, dom_ids = dom_keys // n, dom_keys % n
     dom_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(dom_owner, minlength=n), out=dom_ptr[1:])
@@ -489,8 +502,7 @@ def _soa_connectors(
     if rebroadcast_dominatees:
         kinds.insert(0, (IAM_DOMINATEE, mine))
     for kind, counts in kinds:
-        for node, sent in zip(np.nonzero(counts)[0].tolist(), counts[counts > 0].tolist()):
-            ledger.record(node, kind, sent)
+        ledger.record_counts(kind, range(n), counts.tolist())
 
     # Certified edges: slot 0 (u, x), (x, v); slot 1 (u, x); slot 2
     # (first, x), (x, v).

@@ -35,8 +35,10 @@ empty one.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 from typing import Optional
 
+from repro.core.compat import get_numpy
 from repro.graphs.udg import UnitDiskGraph
 from repro.protocols.ldel_protocol import LDelProtocolOutcome
 from repro.sim.messages import (
@@ -74,23 +76,33 @@ def fast_ldel_protocol(
     triangles, proposed = proposed_triangles(udg)
     verdicts = corner_verdicts(udg, triangles)
 
+    n = udg.node_count
+    for kind in (LOCATION, STRUCTURE, KEPT):
+        ledger.record_counts(kind, range(n), repeat(1))
     # Phases 2-3: one Proposal per (triangle, proposing corner), one
     # Accept/Reject per (triangle, other corner), read off the same rows.
-    sent: Counter = Counter()
-    accepted = []
-    for t, by, ok in zip(triangles, proposed, verdicts):
-        for node, proposer, verdict in zip(t, by, ok):
-            if proposer:
-                sent[node, PROPOSAL] += 1
-            else:
-                sent[node, ACCEPT if verdict else REJECT] += 1
-        if all(proposer or verdict for proposer, verdict in zip(by, ok)):
-            accepted.append(t)
-    for u in udg.nodes():
-        for kind in (LOCATION, STRUCTURE, KEPT):
-            ledger.record(u, kind)
-    for (node, kind), count in sorted(sent.items()):
-        ledger.record(node, kind, count)
+    np = get_numpy()
+    if np is None:
+        sent: Counter = Counter()
+        accepted = []
+        for t, by, ok in zip(triangles, proposed, verdicts):
+            for node, proposer, verdict in zip(t, by, ok):
+                if proposer:
+                    sent[node, PROPOSAL] += 1
+                else:
+                    sent[node, ACCEPT if verdict else REJECT] += 1
+            if all(proposer or verdict for proposer, verdict in zip(by, ok)):
+                accepted.append(t)
+        for (node, kind), count in sorted(sent.items()):
+            ledger.record(node, kind, count)
+    else:
+        tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+        by = np.asarray(proposed, dtype=bool).reshape(-1, 3)
+        ok = np.asarray(verdicts, dtype=bool).reshape(-1, 3)
+        for kind, rows in ((PROPOSAL, by), (ACCEPT, ~by & ok), (REJECT, ~by & ~ok)):
+            ledger.record_counts(kind, range(n), np.bincount(tris[rows], minlength=n).tolist())
+        keep = (by | ok).all(axis=1).tolist()
+        accepted = [t for t, kept in zip(triangles, keep) if kept]
 
     # Phases 4-6: structure exchange, prune, confirm — the surviving
     # triangle set is the centralized Algorithm 3 replay on the

@@ -377,11 +377,30 @@ class WorkerPool:
 # -- metrics aggregation ------------------------------------------------------
 
 
+def _merge_series(merged: dict, snapshot: dict) -> None:
+    """Fold one snapshot's ``counters`` and ``latency`` into ``merged``."""
+    for name, value in snapshot.get("counters", {}).items():
+        merged["counters"][name] = merged["counters"].get(name, 0) + value
+    for name, series in snapshot.get("latency", {}).items():
+        slot = merged["latency"].get(name)
+        if slot is None:
+            merged["latency"][name] = dict(series)
+            continue
+        slot["count"] += series.get("count", 0)
+        slot["sum_s"] = round(slot.get("sum_s", 0.0) + series.get("sum_s", 0.0), 6)
+        for field, pick in (("min_ms", min), ("max_ms", max),
+                            ("p50_ms", max), ("p95_ms", max), ("p99_ms", max)):
+            if field in series:
+                slot[field] = pick(slot.get(field, series[field]), series[field])
+        if slot.get("count"):
+            slot["avg_ms"] = round(slot["sum_s"] / slot["count"] * 1000.0, 3)
+
+
 def aggregate_metrics(snapshots: list[dict]) -> dict:
     """Merge per-worker ``/metrics`` snapshots into one pool view.
 
-    Counters sum; the cache ``hit_rate`` is recomputed from the summed
-    hits and misses; latency series merge by summing counts/totals and
+    Counters sum (the ``gc`` section's too); the cache ``hit_rate`` is
+    recomputed from the summed hits and misses; latency series merge by summing counts/totals and
     taking min/max of the extremes.  Percentiles cannot be merged
     exactly from summaries, so the pool view reports the worst
     (max) per-worker percentile — conservative for alerting.
@@ -390,26 +409,14 @@ def aggregate_metrics(snapshots: list[dict]) -> dict:
         "uptime_s": max((s.get("uptime_s", 0.0) for s in snapshots), default=0.0),
         "counters": {},
         "latency": {},
+        "gc": {"counters": {}, "latency": {}},
         "sessions": {"active": 0},
         "workers": len(snapshots),
     }
     cache_totals: dict[str, Any] = {}
     for snapshot in snapshots:
-        for name, value in snapshot.get("counters", {}).items():
-            merged["counters"][name] = merged["counters"].get(name, 0) + value
-        for name, series in snapshot.get("latency", {}).items():
-            slot = merged["latency"].get(name)
-            if slot is None:
-                merged["latency"][name] = dict(series)
-                continue
-            slot["count"] += series.get("count", 0)
-            slot["sum_s"] = round(slot.get("sum_s", 0.0) + series.get("sum_s", 0.0), 6)
-            for field, pick in (("min_ms", min), ("max_ms", max),
-                                ("p50_ms", max), ("p95_ms", max), ("p99_ms", max)):
-                if field in series:
-                    slot[field] = pick(slot.get(field, series[field]), series[field])
-            if slot.get("count"):
-                slot["avg_ms"] = round(slot["sum_s"] / slot["count"] * 1000.0, 3)
+        _merge_series(merged, snapshot)
+        _merge_series(merged["gc"], snapshot.get("gc", {}))
         merged["sessions"]["active"] += snapshot.get("sessions", {}).get("active", 0)
         for name, value in snapshot.get("cache", {}).items():
             if isinstance(value, (int, float)) and not isinstance(value, bool):

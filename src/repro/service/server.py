@@ -128,6 +128,8 @@ class SpannerService:
                 cache_dir = os.path.join(data_dir, "cache")
         self.cache = ResultCache(max_entries=cache_size, disk_dir=cache_dir)
         self.metrics = MetricsRegistry()
+        #: Garbage collections during recorded work (``/metrics`` ``gc``).
+        self.gc_metrics = MetricsRegistry()
         self.executor_mode = executor_mode
         self.max_workers = max_workers
         self.task_timeout = task_timeout
@@ -239,10 +241,15 @@ class SpannerService:
         return product
 
     def _fold(self, record: obs.Record) -> None:
-        """One histogram observation per span, one counter bump per count."""
+        """One histogram observation per span, one counter bump per count;
+        garbage collections go to their own registry (``gc`` section)."""
         for name, seconds in record["spans"]:
             self.metrics.observe(name, seconds)
         self.metrics.merge_counters(record["counts"])
+        for name, seconds in record.gc:
+            self.gc_metrics.observe(name, seconds)
+        if record.gc:
+            self.gc_metrics.inc("python.gc.collections", len(record.gc))
 
     # -- batching --------------------------------------------------------
 
@@ -927,6 +934,10 @@ class SpannerService:
 
     def metrics_snapshot(self) -> dict:
         snapshot = self.metrics.snapshot()
+        collections = self.gc_metrics.snapshot()
+        snapshot["gc"] = {
+            "counters": collections["counters"], "latency": collections["latency"],
+        }
         snapshot["sessions"] = {"active": len(self._sessions)}
         snapshot["cache"] = {
             "entries": len(self.cache),

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import repeat
+from typing import Iterable, Mapping, Sequence
 
 
 @dataclass
@@ -21,18 +22,65 @@ class MessageStats:
     per_node_kind: Counter = field(default_factory=Counter)
 
     def record(self, node: int, kind: str, count: int = 1) -> None:
-        """Charge ``count`` broadcasts of ``kind`` to ``node``."""
+        """Charge ``count`` broadcasts of ``kind`` to ``node``.
+
+        A zero count records nothing: a node that never sent stays out
+        of the ledger, so :meth:`avg_per_node` does not count it.
+        """
         if count < 0:
             raise ValueError("count must be non-negative")
+        if count == 0:
+            return
         self.per_node[node] += count
         self.per_kind[kind] += count
         self.per_node_kind[(node, kind)] += count
 
-    def merge(self, other: "MessageStats") -> "MessageStats":
-        """Accumulate another ledger into this one (returns self)."""
-        self.per_node.update(other.per_node)
+    def record_counts(self, kind: str, nodes: Iterable[int], counts: Iterable[int]) -> None:
+        """Charge ``counts[i]`` broadcasts of ``kind`` to ``nodes[i]``.
+
+        The bulk form of :meth:`record` for kernels that count per node
+        in arrays: the same ledger as one :meth:`record` call per pair,
+        without the per-call overhead.  ``nodes`` must be distinct.
+        """
+        sent = {node: count for node, count in zip(nodes, counts) if count}
+        if not sent:
+            return
+        if min(sent.values()) < 0:
+            raise ValueError("count must be non-negative")
+        fresh = kind not in self.per_kind
+        self.per_kind[kind] += sum(sent.values())
+        self.per_node.update(sent)
+        keyed = zip(zip(sent, repeat(kind)), sent.values())
+        if fresh:
+            # No (node, kind) key exists yet: a plain dict update.
+            dict.update(self.per_node_kind, keyed)
+        else:
+            self.per_node_kind.update(dict(keyed))
+
+    def merge(
+        self, other: "MessageStats", relabel: Sequence[int] | None = None
+    ) -> "MessageStats":
+        """Accumulate another ledger into this one (returns self).
+
+        With ``relabel``, ``other``'s node ``i`` is charged as node
+        ``relabel[i]`` (a sub-network's ledger folded into the parent's
+        ids; ``relabel`` must be one-to-one).
+        """
+        per_node: Mapping = other.per_node
+        per_node_kind: Mapping = other.per_node_kind
+        if relabel is not None:
+            per_node = {relabel[node]: sent for node, sent in per_node.items()}
+            per_node_kind = {
+                (relabel[node], kind): sent for (node, kind), sent in per_node_kind.items()
+            }
+        self.per_node.update(per_node)
+        if self.per_kind.keys().isdisjoint(other.per_kind):
+            # Each protocol phase sends kinds of its own, so a merge
+            # usually adds only fresh (node, kind) keys: a dict update.
+            dict.update(self.per_node_kind, per_node_kind)
+        else:
+            self.per_node_kind.update(per_node_kind)
         self.per_kind.update(other.per_kind)
-        self.per_node_kind.update(other.per_node_kind)
         return self
 
     def copy(self) -> "MessageStats":

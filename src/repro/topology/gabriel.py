@@ -18,14 +18,15 @@ if TYPE_CHECKING:  # avoid a runtime import cycle with construction_cache
     from repro.topology.construction_cache import ConstructionCache
 
 
-def _soa_gabriel_pairs(udg: UnitDiskGraph):
+def _soa_gabriel_keys(udg: UnitDiskGraph):
     """Vectorized Gabriel test over the snapshot's edge arrays.
 
     Replicates :func:`~repro.geometry.circle.gabriel_disk_empty`
     elementwise — midpoint center, ``dist_sq/4 - tol`` threshold,
     witnesses skipped on id *or* coordinate equality with an endpoint —
     so the surviving edge set is bit-identical to the scalar loop.
-    Returns ``None`` when numpy is masked out.
+    Returns the surviving edges' sorted keys ``u * n + v``, or ``None``
+    when numpy is masked out.
     """
     from repro.core.soa import gather_csr_rows, snapshot_for
     from repro.core.compat import get_numpy
@@ -38,7 +39,7 @@ def _soa_gabriel_pairs(udg: UnitDiskGraph):
         return None
     eu, ev = snap.edge_u, snap.edge_v
     if eu.shape[0] == 0:
-        return []
+        return eu
     xs, ys = snap.xs, snap.ys
     ux, uy = xs[eu], ys[eu]
     vx, vy = xs[ev], ys[ev]
@@ -74,7 +75,7 @@ def _soa_gabriel_pairs(udg: UnitDiskGraph):
     inside = ~skip & (dxw * dxw + dyw * dyw < threshold[owner])
     blocked = np.bincount(owner[inside], minlength=eu.shape[0]) > 0
     survive = (threshold <= 0.0) | ~blocked
-    return list(zip(eu[survive].tolist(), ev[survive].tolist()))
+    return eu[survive] * snap.n + ev[survive]
 
 
 def gabriel_graph(
@@ -86,15 +87,15 @@ def gabriel_graph(
     both endpoints, hence a UDG neighbor of both; the emptiness test is
     local to 1-hop neighborhoods.  With numpy available the whole test
     runs as one ragged-array kernel over the shared SoA snapshot
-    (bit-identical edge set); otherwise a shared ``cache`` (from the
+    (bit-identical edge set, returned as an array-backed graph);
+    otherwise a shared ``cache`` (from the
     LDel pipeline) serves the neighborhoods memoized.
     """
+    keys = _soa_gabriel_keys(udg)
+    if keys is not None:
+        return Graph.from_keys(udg.positions, keys, name="GG")
     gg = Graph(udg.positions, name="GG")
     pos = udg.positions
-    pairs = _soa_gabriel_pairs(udg)
-    if pairs is not None:
-        gg.add_edges_bulk(pairs)
-        return gg
     if cache is not None and cache.udg is udg:
         hood = lambda u: cache.k_hop(u, 1)  # noqa: E731 - tiny dispatch shim
     else:

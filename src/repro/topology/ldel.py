@@ -367,7 +367,7 @@ def _soa_contest(positions: Sequence[Point], triangles, cell: float):
     intersecting index pairs (``pi < pj``, sorted).
     """
     from repro.core.compat import get_numpy
-    from repro.core.soa import bbox_grid_pairs
+    from repro.core.soa import bbox_grid_pairs, coordinates
     from repro.geometry.circle import circumcircles_batch, contains_batch
 
     np = get_numpy()
@@ -375,8 +375,7 @@ def _soa_contest(positions: Sequence[Point], triangles, cell: float):
         return None
     tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     removed = np.zeros(tris.shape[0], dtype=bool)
-    coords = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-    xs, ys = coords[:, 0], coords[:, 1]
+    xs, ys = coordinates(np, positions)
     u, v, w = tris[:, 0], tris[:, 1], tris[:, 2]
     valid, ccx, ccy, rad = circumcircles_batch(
         xs[u], ys[u], xs[v], ys[v], xs[w], ys[w]
@@ -584,16 +583,45 @@ def local_delaunay_graph(
     verdicts = corner_verdicts(udg, triangles, k, cache=cache)
     accepted = tuple(t for t, ok in zip(triangles, verdicts) if all(ok))
     gabriel = gabriel_graph(udg, cache=cache)
-    graph = Graph(udg.positions, gabriel.edges(), name=f"LDel{k}")
-    graph.add_edges_bulk(
-        pair for u, v, w in accepted for pair in ((u, v), (v, w), (u, w))
-    )
+    graph = _gabriel_plus_triangles(udg, gabriel, accepted, f"LDel{k}")
     return LDelResult(
         graph=graph,
         triangles=accepted,
         gabriel_edges=gabriel.edge_set(),
         k=k,
     )
+
+
+def _gabriel_plus_triangles(
+    udg: UnitDiskGraph,
+    gabriel: "Graph | frozenset[Edge]",
+    triangles: Sequence[Triangle],
+    name: str,
+) -> Graph:
+    """The Gabriel edges plus every side of ``triangles``, as one graph.
+
+    With numpy, one concatenation of edge keys (array-backed result);
+    otherwise the set-backed reference.
+    """
+    from repro.core.compat import get_numpy
+    from repro.core.soa import pair_keys, sorted_unique, triangle_edge_keys
+
+    np = get_numpy()
+    if np is None:
+        graph = Graph(
+            udg.positions, gabriel.edges() if isinstance(gabriel, Graph) else gabriel,
+            name=name,
+        )
+        graph.add_edges_bulk(
+            pair for u, v, w in triangles for pair in ((u, v), (v, w), (u, w))
+        )
+        return graph
+    n = udg.node_count
+    gabriel_keys = (
+        gabriel.edge_keys() if isinstance(gabriel, Graph) else pair_keys(np, n, gabriel)
+    )
+    keys = np.concatenate([gabriel_keys, triangle_edge_keys(np, n, triangles)])
+    return Graph.from_keys(udg.positions, sorted_unique(np, keys), name=name)
 
 
 #: Absolute slack on per-edge bounding boxes, matching the 1e-12
@@ -743,12 +771,7 @@ def planarize_ldel1(
         raise ValueError("planarization applies to LDel^1")
     removed, _ = contest_triangles(udg.positions, ldel1.triangles, udg.radius)
     survivors = tuple(t for t, gone in zip(ldel1.triangles, removed) if not gone)
-    graph = Graph(udg.positions, ldel1.gabriel_edges, name="PLDel")
-    graph.add_edges_bulk(
-        pair
-        for tu, tv, tw in survivors
-        for pair in ((tu, tv), (tv, tw), (tu, tw))
-    )
+    graph = _gabriel_plus_triangles(udg, ldel1.gabriel_edges, survivors, "PLDel")
     resolve_degenerate_crossings(graph)
     return LDelResult(
         graph=graph,

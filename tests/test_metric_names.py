@@ -48,6 +48,9 @@ HISTOGRAM_NAMES = {
     "sharding.phase.election", "sharding.phase.stitch",
     "sharding.tile_seconds",
 }
+#: The ``gc`` section's names (collections during recorded work).
+GC_COUNTER_NAMES = {"python.gc.collections"}
+GC_HISTOGRAM_NAMES = {"python.gc.gen0", "python.gc.gen1", "python.gc.gen2"}
 
 
 def _build(service, pipeline, params=None):
@@ -83,3 +86,9 @@ def test_metric_names_unchanged():
     service.close()
     assert set(snapshot["counters"]) == COUNTER_NAMES
     assert set(snapshot["latency"]) == HISTOGRAM_NAMES
+    # Garbage collections have a section of their own; which
+    # generations ran depends on the allocator's history, but the
+    # builds above always trigger at least the young one.
+    assert set(snapshot["gc"]["counters"]) == GC_COUNTER_NAMES
+    assert "python.gc.gen0" in snapshot["gc"]["latency"]
+    assert set(snapshot["gc"]["latency"]) <= GC_HISTOGRAM_NAMES

@@ -1,6 +1,9 @@
 """The span/counter layer (:mod:`repro.obs`) and what the service folds from it."""
 
+import gc
 import pathlib
+import pickle
+import threading
 
 import pytest
 
@@ -44,6 +47,77 @@ class TestApi:
                 with obs.span("stage"):
                     raise ValueError("boom")
         assert record["spans"] == []
+
+
+@pytest.fixture
+def explicit_gc_only():
+    """Only the test's own gc.collect() calls run, so lists are exact."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
+
+
+class TestGarbageCollectionLayer:
+    def test_collection_lands_in_the_current_record_only(self, explicit_gc_only):
+        with obs.recording() as record:
+            with obs.span("stage"):
+                gc.collect()
+        assert [name for name, _ in record.gc] == ["python.gc.gen2"]
+        assert record.gc[0][1] >= 0.0
+        # Stage spans and work counts keep only what stages report.
+        assert [name for name, _ in record["spans"]] == ["stage"]
+        assert record["counts"] == {}
+
+    def test_hook_lives_exactly_while_a_record_is_active(self):
+        assert obs._on_gc not in gc.callbacks
+        with obs.recording():
+            with obs.recording():
+                assert gc.callbacks.count(obs._on_gc) == 1
+            assert gc.callbacks.count(obs._on_gc) == 1
+        assert obs._on_gc not in gc.callbacks
+        with pytest.raises(RuntimeError):
+            with obs.recording():
+                raise RuntimeError("boom")
+        assert obs._on_gc not in gc.callbacks
+
+    def test_collection_goes_to_the_triggering_threads_record(self, explicit_gc_only):
+        seen = {}
+        started = threading.Event()
+        release = threading.Event()
+
+        def worker():
+            with obs.recording() as theirs:
+                started.set()
+                release.wait(5)
+                gc.collect(0)
+            seen["theirs"] = theirs
+
+        thread = threading.Thread(target=worker)
+        with obs.recording() as mine:
+            thread.start()
+            started.wait(5)
+            release.set()
+            thread.join(5)
+            ours = list(mine.gc)
+        assert [name for name, _ in seen["theirs"].gc] == ["python.gc.gen0"]
+        assert ours == []
+
+    def test_merge_and_pickle_keep_collections(self, explicit_gc_only):
+        with obs.recording() as inner:
+            gc.collect(1)
+        restored = pickle.loads(pickle.dumps(inner))
+        assert restored == inner and restored.gc == inner.gc
+        with obs.recording() as outer:
+            obs.merge(restored)
+            assert [name for name, _ in outer.gc] == ["python.gc.gen1"]
+
+    def test_collector_settings_untouched(self):
+        before = (gc.isenabled(), gc.get_threshold())
+        with obs.recording():
+            _build(SpannerService(executor_mode="serial"), "backbone")
+        assert (gc.isenabled(), gc.get_threshold()) == before
 
 
 class TestServiceFold:

@@ -58,6 +58,43 @@ class TestMessageStats:
         b.record(0, "Hello")
         assert a.node_total(0) == 1 and b.node_total(0) == 2
 
+    def test_zero_count_records_nothing(self):
+        stats = MessageStats()
+        stats.record(1, "Hello", 2)
+        stats.record(7, "Hello", 0)
+        assert 7 not in stats.per_node
+        assert (7, "Hello") not in stats.per_node_kind
+        assert stats.avg_per_node() == pytest.approx(2.0)
+
+    def test_record_counts_equals_one_record_per_node(self):
+        bulk, single = MessageStats(), MessageStats()
+        for stats in (bulk, single):
+            stats.record(0, "Hello")
+            stats.record(2, "Status", 3)
+        bulk.record_counts("Hello", [0, 1, 2, 3], [2, 0, 1, 4])
+        bulk.record_counts("Kept", range(3), [1, 1, 0])
+        for node, sent in zip([0, 1, 2, 3], [2, 0, 1, 4]):
+            single.record(node, "Hello", sent)
+        for node, sent in zip(range(3), [1, 1, 0]):
+            single.record(node, "Kept", sent)
+        assert bulk.per_node == single.per_node
+        assert bulk.per_kind == single.per_kind
+        assert bulk.per_node_kind == single.per_node_kind
+        assert 1 not in {node for node, kind in bulk.per_node_kind if kind == "Hello"}
+        with pytest.raises(ValueError):
+            bulk.record_counts("Hello", [0], [-1])
+
+    def test_merge_relabel(self):
+        sub = MessageStats()
+        sub.record(0, "Proposal", 2)
+        sub.record(1, "Kept")
+        parent = MessageStats()
+        parent.record(9, "Kept")
+        parent.merge(sub, relabel=[5, 9])
+        assert parent.per_node_kind == {(5, "Proposal"): 2, (9, "Kept"): 2}
+        assert parent.per_node == {5: 2, 9: 2}
+        assert parent.by_kind() == {"Kept": 2, "Proposal": 2}
+
     def test_max_and_avg(self):
         stats = MessageStats()
         stats.record(0, "Hello", 5)
