@@ -27,6 +27,13 @@ class Orientation(enum.IntEnum):
 #: Relative tolerance used to snap tiny determinants to zero.
 _REL_EPS = 1e-12
 
+#: Absolute term of the in-circle error band.  The relative term
+#: assumes no product underflows; a product of (sub)normal-tiny
+#: coordinate differences rounds to a multiple of 2**-1074 instead, and
+#: that error times the remaining factors stays below this bound for
+#: coordinates up to about 1e15.  Ordinary inputs never come near it.
+INCIRCLE_UNDERFLOW = 1e-290
+
 
 def orientation_value(a: Point, b: Point, c: Point) -> float:
     """Twice the signed area of triangle ``abc`` (raw determinant)."""
@@ -269,7 +276,7 @@ def incircle_signs_batch(ax, ay, bx, by, cx, cy, dx, dy):
         + abs(ady) * (abs(bdx) * cd2 + abs(cdx) * bd2)
         + ad2 * (abs(bdx) * abs(cdy) + abs(cdx) * abs(bdy))
     )
-    ambiguous = ~(abs(det) > 1e-13 * magnitude)
+    ambiguous = ~(abs(det) > 1e-13 * magnitude + INCIRCLE_UNDERFLOW)
     signs = np.sign(det).astype(np.int8)
     for row in np.nonzero(ambiguous)[0]:
         signs[row] = _exact_incircle_row(

@@ -37,6 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from repro.geometry.predicates import (
+    INCIRCLE_UNDERFLOW,
     Orientation,
     _exact_incircle_row,
     orientation,
@@ -156,7 +157,7 @@ def _in_circumcircle(a: Point, b: Point, c: Point, d: Point, orient: int | None 
         + abs(ady) * (abs(bdx) * cd2 + abs(cdx) * bd2)
         + ad2 * (abs(bdx) * abs(cdy) + abs(cdx) * abs(bdy))
     )
-    if abs(det) > 1e-13 * magnitude:
+    if abs(det) > 1e-13 * magnitude + INCIRCLE_UNDERFLOW:
         det_sign = _sign(det)
     else:
         det_sign = _incircle_sign_exact(a, b, c, d)

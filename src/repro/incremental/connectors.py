@@ -67,14 +67,21 @@ class IncrementalConnectors:
         #: how many arenas each node wins / each edge is certified by.
         self._conn_count: Counter = Counter()
         self._edge_count: Counter = Counter()
+        #: nodes whose connector status flipped during the last update.
+        self._toggled: set[int] = set()
 
     @property
     def connectors(self) -> frozenset[int]:
+        """The connector set, materialized."""
         return frozenset(self._conn_count)
 
     @property
     def cds_edges(self) -> frozenset[Pair]:
+        """The CDS edge set, materialized."""
         return frozenset(self._edge_count)
+
+    def is_connector(self, x: int) -> bool:
+        return x in self._conn_count
 
     def rebuild(
         self, status: Sequence[bool], doms_of: Mapping[int, frozenset[int]]
@@ -91,13 +98,16 @@ class IncrementalConnectors:
         doms_of: Mapping[int, frozenset[int]],
         changed: Iterable[int],
         doms_changed: Iterable[int],
-    ) -> None:
+    ) -> set[int]:
         """Repair the election after a batch.
 
         ``changed`` must contain every node whose adjacency or
         dominator/dominatee role changed; ``doms_changed`` every node
-        whose dominator *set* changed.  Supersets are sound.
+        whose dominator *set* changed.  Supersets are sound.  Returns
+        the nodes that became or stopped being connectors at some
+        point of the repair (a superset of the net change).
         """
+        self._toggled = set()
         adjacency = self.udg.adjacency
         n = self.udg.node_count
         changed = {x for x in changed if x < n}
@@ -123,11 +133,15 @@ class IncrementalConnectors:
                 self._p1[x] = new1
             else:
                 self._p1.pop(x, None)
-            # Every arena x proposes in before or after is dirty: even
-            # with identical proposals, x's adjacency (a winner input)
-            # may have changed.
-            dirty.update((u, v, SLOT_COMMON) for u, v in old0 | new0)
-            dirty.update((u, v, SLOT_FIRST) for u, v in old1 | new1)
+            # When x's adjacency (a winner input) or role changed, every
+            # arena it proposes in before or after is dirty; otherwise
+            # only the arenas it joined or left.
+            if x in changed:
+                touched0, touched1 = old0 | new0, old1 | new1
+            else:
+                touched0, touched1 = old0 ^ new0, old1 ^ new1
+            dirty.update((u, v, SLOT_COMMON) for u, v in touched0)
+            dirty.update((u, v, SLOT_FIRST) for u, v in touched1)
 
         w1_dirty: set[Pair] = set()
         for key in sorted(dirty):
@@ -135,7 +149,9 @@ class IncrementalConnectors:
 
         # Slot-2 cascades to re-run: arenas whose slot-1 winner set
         # moved, plus every arena a changed node supports, wins slot 1
-        # of, or could newly reach (it borders a slot-1 winner).
+        # of, or could newly reach (it borders a slot-1 winner of an
+        # arena ``(u, v)`` and, as a dominatee of v but not of u, is
+        # eligible to propose there).
         dirty2: set[Pair] = set(w1_dirty)
         for c in changed | doms_changed:
             support = self._sup2.get(c)
@@ -144,12 +160,18 @@ class IncrementalConnectors:
             wins = self._w1_of.get(c)
             if wins:
                 dirty2 |= wins
+            if status[c]:
+                continue
+            doms = doms_of.get(c, _EMPTY)
             for nb in adjacency[c]:
                 wins = self._w1_of.get(nb)
                 if wins:
-                    dirty2 |= wins
+                    dirty2.update(
+                        p for p in wins if p[1] in doms and p[0] not in doms
+                    )
         for pair in sorted(dirty2):
             self._solve_slot2(pair, status, doms_of)
+        return self._toggled
 
     # -- pieces of the fixed point ----------------------------------------
 
@@ -208,12 +230,12 @@ class IncrementalConnectors:
             return
         u, v, slot = key
         for x in old_win - new_win:
-            self._bump(self._conn_count, x, -1)
+            self._bump_connector(x, -1)
             self._bump(self._edge_count, _edge(u, x), -1)
             if slot == SLOT_COMMON:
                 self._bump(self._edge_count, _edge(x, v), -1)
         for x in new_win - old_win:
-            self._bump(self._conn_count, x, 1)
+            self._bump_connector(x, 1)
             self._bump(self._edge_count, _edge(u, x), 1)
             if slot == SLOT_COMMON:
                 self._bump(self._edge_count, _edge(x, v), 1)
@@ -273,9 +295,9 @@ class IncrementalConnectors:
         if new == old:
             return
         for x in old[1] - new[1]:
-            self._bump(self._conn_count, x, -1)
+            self._bump_connector(x, -1)
         for x in new[1] - old[1]:
-            self._bump(self._conn_count, x, 1)
+            self._bump_connector(x, 1)
         delta: Counter = Counter(new[2])
         delta.subtract(old[2])
         for e, d in delta.items():
@@ -293,6 +315,11 @@ class IncrementalConnectors:
             self._a2[pair] = new
         else:
             self._a2.pop(pair, None)
+
+    def _bump_connector(self, x: int, delta: int) -> None:
+        if x not in self._conn_count or self._conn_count[x] + delta == 0:
+            self._toggled.add(x)
+        self._bump(self._conn_count, x, delta)
 
     @staticmethod
     def _bump(counter: Counter, key, delta: int) -> None:

@@ -24,11 +24,20 @@ invalidation footprint and repairs only that:
   only when one of its inputs (node set, adjacency, dominator roles,
   dominator sets) actually changed; a pure-geometry batch skips it.
 * **PLDel backbone** — :class:`~repro.incremental.pldel.IncrementalPLDel`
-  repairs the planarizer tile-by-tile.  Its dirty points are *member
-  relevant* only: the old/new positions of moved backbone members, the
-  positions of nodes whose membership or id changed — PLDel is built
-  over the backbone subset, so an event that never touches a member
-  costs the planarizer nothing.
+  repairs the planarizer tile-by-tile and replays its contests per
+  triangle.  Its dirty points are *member relevant* only: the old/new
+  positions of moved backbone members, the positions of nodes whose
+  membership or id changed — PLDel is built over the backbone subset,
+  so an event that never touches a member costs the planarizer
+  nothing.
+* **Assembly** — the ICDS edge set and the dominatee–dominator links
+  are kept live and patched from the step's own deltas (appeared and
+  vanished links, membership flips, changed dominator sets); an edge
+  is in LDel(ICDS') iff it is an LDel edge or a link, so the report's
+  ``edges_added``/``edges_removed`` are decided on the touched edges
+  alone.  Id-churn batches rebuild both sets, as they rebuild the
+  connector election.  Full edge sets are built only by
+  :meth:`IncrementalMaintainer.snapshot`.
 
 The tripwire: :meth:`verify` rebuilds from scratch and asserts
 bit-identical UDG edges, roles, and all four compared backbone graphs.
@@ -46,9 +55,10 @@ from repro.incremental.connectors import IncrementalConnectors
 from repro.incremental.events import Event
 from repro.incremental.pldel import IncrementalPLDel
 from repro.incremental.udg import DynamicUdg
-from repro.protocols.clustering import ClusteringOutcome
+from repro.protocols.connectors import _edge
 from repro.sharding.tiles import stage_halo
-from repro.sim.stats import MessageStats
+
+Edge = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -63,7 +73,8 @@ class StepReport:
     repairs_certified: int
     repairs_fallback: int
     dirty_tiles: int
-    contest_tiles: int
+    #: Accepted triangles whose Algorithm 3 contest was replayed.
+    contest_triangles: int
     dirty_nodes: int
     dirty_fraction: float
     edges_added: tuple[tuple[int, int], ...]
@@ -79,7 +90,7 @@ class StepReport:
             "repairs_certified": self.repairs_certified,
             "repairs_fallback": self.repairs_fallback,
             "dirty_tiles": self.dirty_tiles,
-            "contest_tiles": self.contest_tiles,
+            "contest_triangles": self.contest_triangles,
             "dirty_nodes": self.dirty_nodes,
             "dirty_fraction": round(self.dirty_fraction, 6),
             "edges_added": [list(e) for e in self.edges_added],
@@ -133,73 +144,90 @@ class IncrementalMaintainer:
             if not self._status[w]
         }
         self._iconn = IncrementalConnectors(self.udg)
-        self._refresh_connectors(None, None)
-        backbone = self._backbone_nodes()
-        membership = self._membership(backbone)
-        ldel_edges, _ = self.pldel.step(
-            membership, [self.udg.positions[u] for u in sorted(backbone)]
+        self._iconn.rebuild(self._status, self._doms_of)
+        self._reset_backbone()
+        self.pldel.step(
+            self._member, [self.udg.positions[u] for u in sorted(self._backbone)]
         )
-        self._finish_assembly(backbone, ldel_edges, icds_unchanged=False)
+        self._icds_edges = self._induced_icds()
+        self._links = self._all_links()
 
     # -- derived structures ----------------------------------------------
 
-    def _refresh_connectors(
-        self, changed: set[int] | None, doms_changed: set[int] | None
-    ) -> None:
-        """Re-elect connectors; ``None`` change sets force a rebuild.
+    def _reset_backbone(self) -> None:
+        """Recompute the backbone membership flags and set."""
+        is_connector = self._iconn.is_connector
+        #: _member[u] is True iff u is a dominator or a connector.
+        self._member = [
+            is_dom or is_connector(u) for u, is_dom in enumerate(self._status)
+        ]
+        self._backbone = {u for u, member in enumerate(self._member) if member}
 
-        Rebuilds happen at initialization and on id-churn batches
-        (join/leave renames invalidate the cached arena keys); every
-        other batch repairs the election incrementally.
+    def _induced_icds(self) -> set[Edge]:
+        """The UDG links between backbone members (the ICDS edges)."""
+        adjacency = self.udg.adjacency
+        backbone = self._backbone
+        return {
+            (b, w) for b in backbone for w in adjacency[b] if w > b and w in backbone
+        }
+
+    def _all_links(self) -> set[Edge]:
+        """Every dominatee–dominator link, normalized."""
+        return {
+            _edge(w, d) for w, doms in self._doms_of.items() for d in doms
+        }
+
+    def _update_icds(
+        self, links: Sequence[Edge], membership_diff: set[int]
+    ) -> None:
+        """Patch the ICDS edges after a batch without id churn.
+
+        Only a link that appeared or vanished, or one at a node whose
+        membership flipped, can change its ICDS status.
         """
-        if changed is None or doms_changed is None:
-            self._iconn.rebuild(self._status, self._doms_of)
-        else:
-            self._iconn.update(
-                self._status, self._doms_of, changed, doms_changed
-            )
-        self._clustering = ClusteringOutcome(
-            dominators=frozenset(
-                u for u, is_dom in enumerate(self._status) if is_dom
-            ),
-            dominators_of=dict(self._doms_of),
-            rounds=0,
-            stats=MessageStats(),
-        )
-        self._connectors = self._iconn.connectors
-        self._cds_edges = self._iconn.cds_edges
+        adjacency = self.udg.adjacency
+        member = self._member
+        touched = set(links)
+        for u in membership_diff:
+            touched.update(_edge(u, w) for w in adjacency[u])
+        inside = {
+            e for e in touched
+            if member[e[0]] and member[e[1]] and e[1] in adjacency[e[0]]
+        }
+        self._icds_edges -= touched - inside
+        self._icds_edges |= inside
 
-    def _backbone_nodes(self) -> frozenset[int]:
-        return self._clustering.dominators | self._connectors
-
-    def _membership(self, backbone: frozenset[int]) -> list[bool]:
-        flags = [False] * self.udg.node_count
-        for u in backbone:
-            flags[u] = True
-        return flags
-
-    def _finish_assembly(
+    def _prime_delta(
         self,
-        backbone: frozenset[int],
-        ldel_edges: frozenset[tuple[int, int]],
-        *,
-        icds_unchanged: bool,
-    ) -> None:
-        if not icds_unchanged:
-            adjacency = self.udg.adjacency
-            icds = set()
-            for b in backbone:
-                for w in adjacency[b]:
-                    if w > b and w in backbone:
-                        icds.add((b, w))
-            self._icds_edges = frozenset(icds)
-        prime = set(ldel_edges)
-        for w, doms in self._doms_of.items():
-            for d in doms:
-                prime.add((w, d) if w < d else (d, w))
-        self._backbone = backbone
-        self._ldel_icds_edges = ldel_edges
-        self._ldel_icds_prime_edges = frozenset(prime)
+        ldel_added: list[Edge],
+        ldel_removed: list[Edge],
+        links_added: set[Edge],
+        links_removed: set[Edge],
+    ) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+        """The LDel(ICDS') edges this batch added and removed.
+
+        LDel(ICDS') is the union of the LDel(ICDS) edges and the links,
+        so only an edge in one of the four (net, disjoint) deltas can
+        change; its before-state is read back from the delta.
+        """
+        ldel_plus, ldel_minus = set(ldel_added), set(ldel_removed)
+        added: list[Edge] = []
+        removed: list[Edge] = []
+        for e in ldel_plus | ldel_minus | links_added | links_removed:
+            ldel_now = self.pldel.has_edge(e)
+            link_now = e in self._links
+            after = ldel_now or link_now
+            before = (
+                e in ldel_minus
+                or (ldel_now and e not in ldel_plus)
+                or e in links_removed
+                or (link_now and e not in links_added)
+            )
+            if after and not before:
+                added.append(e)
+            elif before and not after:
+                removed.append(e)
+        return tuple(sorted(added)), tuple(sorted(removed))
 
     # -- the maintenance step --------------------------------------------
 
@@ -214,8 +242,10 @@ class IncrementalMaintainer:
             #: renamed, or removed — the pre-state side of the PLDel dirt.
             member_points: list[Point] = []
             seeds: set[int] = set()
-            structural = False
-            backbone_prev = set(self._backbone)
+            structural = any(event.kind != "move" for event in events)
+            # Membership before the batch.  Id churn renames it as the
+            # events apply, so structural batches work on a copy.
+            backbone_prev = set(self._backbone) if structural else self._backbone
             for event in events:
                 if event.kind == "move":
                     mover = cast(int, event.node)
@@ -224,11 +254,9 @@ class IncrementalMaintainer:
                         member_points.append(event.point)
                     delta = self.udg.move(mover, event.point)
                 elif event.kind == "join":
-                    structural = True
                     delta = self.udg.join(event.point)
                     self._status.append(False)
                 else:
-                    structural = True
                     node = cast(int, event.node)
                     last = self.udg.node_count - 1
                     if node in backbone_prev:
@@ -268,53 +296,81 @@ class IncrementalMaintainer:
             for u in flipped:
                 affected.update(self.udg.adjacency[u])
             doms_changed: set[int] = set()
+            #: links of the dominator sets replaced this batch (raw:
+            #: a link may leave one entry and rejoin through another).
+            links_out: set[Edge] = set()
+            links_in: set[Edge] = set()
             for w in affected:
+                old_doms = self._doms_of.get(w)
                 if self._status[w]:
-                    if self._doms_of.pop(w, None) is not None:
+                    if old_doms is not None:
+                        del self._doms_of[w]
                         doms_changed.add(w)
+                        links_out.update(_edge(w, d) for d in old_doms)
                 else:
                     new_doms = frozenset(
                         v for v in self.udg.adjacency[w] if self._status[v]
                     )
-                    if self._doms_of.get(w) != new_doms:
+                    if old_doms != new_doms:
                         self._doms_of[w] = new_doms
                         doms_changed.add(w)
+                        if old_doms:
+                            links_out.update(_edge(w, d) for d in old_doms)
+                        links_in.update(_edge(w, d) for d in new_doms)
             # The connector fixed point reads (node set, adjacency,
             # dominators, dominator sets) and nothing geometric; when none
             # of those changed this batch, the previous outcome stands.
             quiet = not (
                 structural or appeared or vanished or flipped or doms_changed
             )
-            if quiet:
-                backbone = self._backbone
-            elif structural:
-                self._refresh_connectors(None, None)
-                backbone = self._backbone_nodes()
-            else:
-                self._refresh_connectors(seeds | flipped, doms_changed)
-                backbone = self._backbone_nodes()
+            membership_diff: set[int] = set()
+            if structural:
+                self._iconn.rebuild(self._status, self._doms_of)
+                self._reset_backbone()
+                membership_diff = self._backbone.symmetric_difference(backbone_prev)
+            elif not quiet:
+                toggled = self._iconn.update(
+                    self._status, self._doms_of, seeds | flipped, doms_changed
+                )
+                for x in flipped | toggled:
+                    member = self._status[x] or self._iconn.is_connector(x)
+                    if member != self._member[x]:
+                        self._member[x] = member
+                        membership_diff.add(x)
+                        if member:
+                            self._backbone.add(x)
+                        else:
+                            self._backbone.discard(x)
 
         with obs.span("incremental.phase.pldel"):
-            membership_diff = backbone.symmetric_difference(backbone_prev)
             # PLDel is built over the backbone members alone, so its dirty
             # ids are the event-touched nodes that are members on either
             # side of the batch, plus every node whose membership flipped.
-            dirty_ids = {
-                s for s in seeds if s in backbone or s in backbone_prev
-            } | membership_diff
+            dirty_ids = {s for s in seeds if s in self._backbone} | membership_diff
             pldel_points = list(member_points)
             for s in sorted(dirty_ids):
                 pldel_points.append(self.udg.positions[s])
-            prev_prime = self._ldel_icds_prime_edges
-            ldel_edges, pldel_stats = self.pldel.step(
-                self._membership(backbone), pldel_points, dirty_ids
+            ldel_added, ldel_removed, pldel_stats = self.pldel.step(
+                self._member, pldel_points, dirty_ids
             )
 
         with obs.span("incremental.phase.assemble"):
-            if not quiet or ldel_edges != self._ldel_icds_edges:
-                # Quiet batches cannot change the ICDS (same members, same
-                # adjacency); they can still move LDel edges via geometry.
-                self._finish_assembly(backbone, ldel_edges, icds_unchanged=quiet)
+            if structural:
+                self._icds_edges = self._induced_icds()
+                links = self._all_links()
+                links_added = links - self._links
+                links_removed = self._links - links
+                self._links = links
+            else:
+                if not quiet:
+                    self._update_icds(appeared + vanished, membership_diff)
+                links_added = links_in - links_out
+                links_removed = links_out - links_in
+                self._links -= links_removed
+                self._links |= links_added
+            edges_added, edges_removed = self._prime_delta(
+                ldel_added, ldel_removed, links_added, links_removed
+            )
 
         role_changes = len(flipped) + len(membership_diff)
         return StepReport(
@@ -326,11 +382,11 @@ class IncrementalMaintainer:
             repairs_certified=certified,
             repairs_fallback=fallback,
             dirty_tiles=pldel_stats.dirty_tiles,
-            contest_tiles=pldel_stats.contest_tiles,
+            contest_triangles=pldel_stats.contest_triangles,
             dirty_nodes=pldel_stats.dirty_members,
             dirty_fraction=pldel_stats.dirty_members / n if n else 0.0,
-            edges_added=tuple(sorted(self._ldel_icds_prime_edges - prev_prime)),
-            edges_removed=tuple(sorted(prev_prime - self._ldel_icds_prime_edges)),
+            edges_added=edges_added,
+            edges_removed=edges_removed,
         )
 
     def _cascade(self, seeds: set[int]) -> set[int]:
@@ -376,15 +432,19 @@ class IncrementalMaintainer:
     # -- inspection and verification -------------------------------------
 
     def snapshot(self) -> Snapshot:
+        """Materialize the maintained structures."""
+        ldel = self.pldel.edges()
         return Snapshot(
             positions=tuple(self.udg.positions),
             udg_edges=self.udg.edge_set(),
-            dominators=self._clustering.dominators,
-            connectors=self._connectors,
-            cds_edges=self._cds_edges,
-            icds_edges=self._icds_edges,
-            ldel_icds_edges=self._ldel_icds_edges,
-            ldel_icds_prime_edges=self._ldel_icds_prime_edges,
+            dominators=frozenset(
+                u for u, is_dom in enumerate(self._status) if is_dom
+            ),
+            connectors=self._iconn.connectors,
+            cds_edges=self._iconn.cds_edges,
+            icds_edges=frozenset(self._icds_edges),
+            ldel_icds_edges=ldel,
+            ldel_icds_prime_edges=ldel.union(self._links),
             dominators_of=dict(self._doms_of),
         )
 

@@ -18,46 +18,62 @@ from typing import Sequence
 from repro.incremental.engine import IncrementalMaintainer, StepReport
 from repro.incremental.events import Event
 
+#: :class:`StepReport` counts the session sums over its steps (the
+#: service folds the same ones into ``incremental.*`` metrics).
+SUMMED_FIELDS = (
+    "events",
+    "appeared_links",
+    "vanished_links",
+    "role_changes",
+    "repairs_certified",
+    "repairs_fallback",
+    "dirty_tiles",
+    "contest_triangles",
+    "dirty_nodes",
+)
+
 
 @dataclass
 class IncrementalSession:
-    """One live maintained deployment plus its cumulative counters."""
+    """One live maintained deployment plus its cumulative counters.
+
+    The session keeps running totals, not the step reports, so a
+    long-lived session holds constant state however many steps it
+    takes.
+    """
 
     maintainer: IncrementalMaintainer
-    reports: list[StepReport] = field(default_factory=list)
+    #: Event batches applied so far.
+    steps: int = field(init=False, default=0)
     verifications: int = 0
     verification_failures: list[dict] = field(default_factory=list)
+    _totals: dict[str, int] = field(
+        init=False, default_factory=lambda: dict.fromkeys(SUMMED_FIELDS, 0)
+    )
+    _dirty_fraction_sum: float = field(init=False, default=0.0)
 
     def step(self, events: Sequence[Event], *, verify: bool = False) -> StepReport:
         """Apply one event batch; optionally assert rebuild equivalence."""
         report = self.maintainer.apply(events)
-        self.reports.append(report)
+        self.steps += 1
+        for name in SUMMED_FIELDS:
+            self._totals[name] += getattr(report, name)
+        self._dirty_fraction_sum += report.dirty_fraction
         if verify:
             self.verifications += 1
             outcome = self.maintainer.verify()
             if not outcome["identical"]:
-                self.verification_failures.append(
-                    {"step": len(self.reports), **outcome}
-                )
+                self.verification_failures.append({"step": self.steps, **outcome})
         return report
 
     def counters(self) -> dict:
         """Cumulative ``incremental.*`` counters over the session."""
         totals = {
-            "steps": len(self.reports),
-            "events": sum(r.events for r in self.reports),
-            "appeared_links": sum(r.appeared_links for r in self.reports),
-            "vanished_links": sum(r.vanished_links for r in self.reports),
-            "role_changes": sum(r.role_changes for r in self.reports),
-            "repairs_certified": sum(r.repairs_certified for r in self.reports),
-            "repairs_fallback": sum(r.repairs_fallback for r in self.reports),
-            "dirty_tiles": sum(r.dirty_tiles for r in self.reports),
-            "dirty_nodes": sum(r.dirty_nodes for r in self.reports),
+            "steps": self.steps,
+            **self._totals,
             "verifications": self.verifications,
             "verification_failures": len(self.verification_failures),
         }
-        if self.reports:
-            totals["mean_dirty_fraction"] = sum(
-                r.dirty_fraction for r in self.reports
-            ) / len(self.reports)
+        if self.steps:
+            totals["mean_dirty_fraction"] = self._dirty_fraction_sum / self.steps
         return totals

@@ -54,7 +54,7 @@ from repro.core.route_engine import (
 )
 from repro.incremental.engine import IncrementalMaintainer, StepReport
 from repro.incremental.events import parse_events
-from repro.incremental.session import IncrementalSession
+from repro.incremental.session import SUMMED_FIELDS, IncrementalSession
 from repro.routing.backbone_routing import backbone_route
 from repro.service.cache import ResultCache, scenario_key
 from repro.service.executor import MODES, global_tracker, run_batch
@@ -722,13 +722,13 @@ class SpannerService:
         self._record_incremental_metrics(report)
         response = {
             "session": session_id,
-            "step": len(session.reports),
+            "step": session.steps,
             **report.as_dict(),
         }
         if verify:
             self.metrics.inc("incremental.verifications")
             failures = session.verification_failures
-            verified = not failures or failures[-1]["step"] != len(session.reports)
+            verified = not failures or failures[-1]["step"] != session.steps
             if not verified:
                 self.metrics.inc("incremental.verification_failures")
             response["verified"] = verified
@@ -741,7 +741,7 @@ class SpannerService:
         return {
             "session": session_id,
             "nodes": session.maintainer.udg.node_count,
-            "steps": len(session.reports),
+            "steps": session.steps,
             "udg_edges": len(snap.udg_edges),
             "backbone_nodes": len(snap.backbone_nodes),
             "ldel_icds_edges": len(snap.ldel_icds_edges),
@@ -758,27 +758,22 @@ class SpannerService:
         return {
             "session": session_id,
             "closed": True,
-            "steps": len(session.reports),
+            "steps": session.steps,
         }
 
     def _record_incremental_metrics(self, report: StepReport) -> None:
         """Fold one maintenance step into the ``incremental.*`` metrics.
 
-        Event/link/repair counts become running counters and the step's
+        The report counts a session sums (events, links, repairs,
+        replays, dirt) become running counters and the step's
         dirty-node fraction feeds a (unitless) histogram — so
         ``GET /metrics`` shows how local the maintenance actually
         stayed.  The per-phase wall times arrive as
         ``incremental.phase.*`` spans.
         """
         self.metrics.inc("incremental.steps")
-        self.metrics.inc("incremental.events", report.events)
-        self.metrics.inc("incremental.appeared_links", report.appeared_links)
-        self.metrics.inc("incremental.vanished_links", report.vanished_links)
-        self.metrics.inc("incremental.role_changes", report.role_changes)
-        self.metrics.inc("incremental.repairs_certified", report.repairs_certified)
-        self.metrics.inc("incremental.repairs_fallback", report.repairs_fallback)
-        self.metrics.inc("incremental.dirty_tiles", report.dirty_tiles)
-        self.metrics.inc("incremental.dirty_nodes", report.dirty_nodes)
+        for name in SUMMED_FIELDS:
+            self.metrics.inc(f"incremental.{name}", getattr(report, name))
         self.metrics.inc("incremental.edges_added", len(report.edges_added))
         self.metrics.inc("incremental.edges_removed", len(report.edges_removed))
         self.metrics.observe("incremental.dirty_fraction", report.dirty_fraction)

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.compat import np
@@ -116,6 +116,10 @@ def test_integer_exact_incircle_matches_fraction(quad):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(point, point, point, point), min_size=1, max_size=12))
+# Subnormal differences: the products underflow, so only the band's
+# absolute term sends this exactly-zero determinant to exact arithmetic.
+@example([((0.0, 2.2250738585e-313), (0.0, 2.2250738585e-313),
+           (1.3000000000000001e-12, 0.0), (3.0, 0.0))])
 def test_incircle_band_never_misclassifies(quads):
     arrays = _cols([_flat(q) for q in quads], 8)
     signs, ambiguous = incircle_signs_batch(*arrays)

@@ -191,7 +191,7 @@ class TestMaintainerEquivalence:
         for key in (
             "events", "node_count", "appeared_links", "vanished_links",
             "role_changes", "repairs_certified", "repairs_fallback",
-            "dirty_tiles", "contest_tiles", "dirty_nodes", "dirty_fraction",
+            "dirty_tiles", "contest_triangles", "dirty_nodes", "dirty_fraction",
             "edges_added", "edges_removed",
         ):
             assert key in data
@@ -202,8 +202,51 @@ class TestMaintainerEquivalence:
         assert 0.0 <= data["dirty_fraction"] <= 1.0
 
 
+def _planted_step(pldel, triangles, moves=()):
+    """One contest-and-stitch step over planted accepted triangles.
+
+    Uniform deployments almost never accept intersecting triangles, so
+    these tests plant them: the planted set plays phase A's part
+    (every triangle stays accepted wherever its vertices go), moved
+    vertices are the step's dirty ids, and every tile a planted anchor
+    occupies before or after the move is dirty.  Returns the step's
+    added and removed edges and the number of triangles replayed.
+    """
+    pos = pldel.udg.positions
+    dirty = {pldel.grid.key_of(pos[t[0]]) for t in triangles}
+    for node, (x, y) in moves:
+        pldel.udg.move(node, Point(x, y))
+    tile_tris = {}
+    for t in triangles:
+        tile_tris.setdefault(pldel.grid.key_of(pos[t[0]]), []).append(t)
+    dirty.update(tile_tris)
+    return pldel._commit(dirty, {}, tile_tris, {node for node, _ in moves})
+
+
+def _assert_matches_global_contest(pldel, triangles):
+    """Fates, partners and edges equal one contest over every triangle."""
+    from repro.topology.ldel import contest_triangles
+
+    removed, pairs = contest_triangles(
+        pldel.udg.positions, triangles, pldel.udg.radius
+    )
+    assert pldel._losers == {t for t, gone in zip(triangles, removed) if gone}
+    partners = {}
+    for i, j in pairs:
+        partners.setdefault(triangles[i], set()).add(triangles[j])
+        partners.setdefault(triangles[j], set()).add(triangles[i])
+    assert pldel._partners == partners
+    survivors = [t for t in triangles if t not in pldel._losers]
+    assert pldel.edges() == {
+        e for u, v, w in survivors for e in ((u, v), (v, w), (u, w))
+    }
+
+
 class TestContestReplay:
     def test_one_contest_call_per_step(self, monkeypatch):
+        # Locality tripwire: a single move replays the contest once,
+        # over the triangles near what it changed; replaying whole tiles
+        # around the move hands over most of the accepted set.
         import repro.incremental.pldel as pldel_module
 
         calls = []
@@ -214,7 +257,7 @@ class TestContestReplay:
             return real(*args)
 
         monkeypatch.setattr(pldel_module, "contest_triangles", counting)
-        _, maintainer = make_maintainer(n=90, seed=5)
+        _, maintainer = make_maintainer(n=1000, seed=5)
         rng = random.Random(3)
         contested = 0
         for _ in range(6):
@@ -226,8 +269,10 @@ class TestContestReplay:
                 [Event("move", node=node, x=p.x + rng.uniform(-15.0, 15.0),
                        y=p.y + rng.uniform(-15.0, 15.0))]
             )
-            assert len(calls) == (1 if report.contest_tiles else 0)
-            contested += bool(report.contest_tiles)
+            accepted = sum(len(t) for t in maintainer.pldel._accepted.values())
+            assert len(calls) == (1 if report.contest_triangles else 0)
+            assert all(size <= 0.25 * accepted for size in calls)
+            contested += bool(report.contest_triangles)
         assert contested
         assert_identical(maintainer)
 
@@ -241,24 +286,63 @@ class TestContestReplay:
         from repro.core import compat
         from repro.incremental.pldel import IncrementalPLDel
         from repro.incremental.udg import DynamicUdg
-        from repro.sharding.tiles import stage_halo
 
         radius = 25.0
         points = [(0.0, 0.0), (10.0, 0.0), (5.0, 0.5),
                   (5.0, -9.0), (6.0, -9.0), (5.5, 0.2)]
         pldel = IncrementalPLDel(DynamicUdg(points, radius))
         sliver, crossing = (0, 1, 2), (3, 4, 5)
-        for tri in (sliver, crossing):
-            key = pldel.grid.key_of(pldel.udg.positions[tri[0]])
-            pldel._accepted.setdefault(key, []).append(tri)
-        dirty = set(pldel._accepted)
-        assert len(dirty) == 2  # the contest straddles two tiles
+        keys = {pldel.grid.key_of(pldel.udg.positions[t[0]]) for t in (sliver, crossing)}
+        assert len(keys) == 2  # the contest straddles two tiles
         with compat.numpy_disabled() if scalar else contextlib.nullcontext():
-            pldel._recompute_contests(dirty, stage_halo("pldel") * radius)
-            pldel._restitch(dirty, set())
-        survivors = [t for tris in pldel._survivors.values() for t in tris]
-        assert survivors == [crossing]
-        assert pldel._edges == {(3, 4), (4, 5), (3, 5)}
+            _planted_step(pldel, [sliver, crossing])
+        assert pldel._losers == {sliver}
+        assert pldel.edges() == {(3, 4), (4, 5), (3, 5)}
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_replay_follows_intersections_that_come_and_go(self, scalar):
+        # The sliver pair again, with the crossing triangle's apex (5)
+        # starting below the sliver.  Moving it up creates the
+        # intersection: the untouched sliver must be found as a new
+        # partner and lose.  Moving it back removes the intersection:
+        # the sliver lost its only rival and must be restored.  A
+        # bystander pair far away intersects throughout and keeps its
+        # verdict without being replayed.
+        from repro.core import compat
+        from repro.incremental.pldel import IncrementalPLDel
+        from repro.incremental.udg import DynamicUdg
+
+        radius = 25.0
+        points = [(0.0, 0.0), (10.0, 0.0), (5.0, 0.5),
+                  (5.0, -9.0), (6.0, -9.0), (5.5, -3.0),
+                  (200.0, 0.0), (210.0, 0.0), (205.0, 0.5),
+                  (205.0, -9.0), (206.0, -9.0), (205.5, 0.2)]
+        pldel = IncrementalPLDel(DynamicUdg(points, radius))
+        sliver, crossing = (0, 1, 2), (3, 4, 5)
+        triangles = [sliver, crossing, (6, 7, 8), (9, 10, 11)]
+        with compat.numpy_disabled() if scalar else contextlib.nullcontext():
+            added, removed, _ = _planted_step(pldel, triangles)
+            _assert_matches_global_contest(pldel, triangles)
+            assert pldel._losers == {(6, 7, 8)}
+            assert removed == []
+
+            added, removed, replayed = _planted_step(
+                pldel, triangles, [(5, (5.5, 0.2))]
+            )
+            _assert_matches_global_contest(pldel, triangles)
+            assert replayed == 2  # the moved triangle and the sliver
+            assert pldel._losers == {sliver, (6, 7, 8)}
+            assert removed == [(0, 1), (0, 2), (1, 2)]
+            assert added == []
+
+            added, removed, replayed = _planted_step(
+                pldel, triangles, [(5, (5.5, -3.0))]
+            )
+            _assert_matches_global_contest(pldel, triangles)
+            assert replayed == 2
+            assert pldel._losers == {(6, 7, 8)}
+            assert added == [(0, 1), (0, 2), (1, 2)]
+            assert removed == []
 
 
 class TestIncrementalConnectors:
@@ -325,6 +409,44 @@ class TestIncrementalSession:
             [Event("move", node=3, x=p.x + 1e-7, y=p.y)], verify=True
         )
         assert session.counters()["verification_failures"] == 1
+
+    def test_session_keeps_totals_not_reports(self):
+        # A long-lived session must not grow with its step count, and
+        # its counters must equal the sums over the step reports.
+        from repro.incremental.session import SUMMED_FIELDS
+
+        dep = make_deployment(n=80, seed=21)
+        session = IncrementalSession(
+            IncrementalMaintainer(list(dep.points), dep.radius)
+        )
+        rng = random.Random(9)
+        sums = dict.fromkeys(SUMMED_FIELDS, 0)
+        fractions = []
+        sizes = None
+        for _ in range(10):
+            mover = rng.randrange(80)
+            p = session.maintainer.udg.positions[mover]
+            report = session.step(
+                [Event("move", node=mover, x=p.x + rng.uniform(-10, 10),
+                       y=p.y + rng.uniform(-10, 10))]
+            )
+            for name in SUMMED_FIELDS:
+                sums[name] += getattr(report, name)
+            fractions.append(report.dirty_fraction)
+            state = {
+                name: len(value)
+                for name, value in vars(session).items()
+                if isinstance(value, (list, dict, set, tuple))
+            }
+            sizes = sizes or state
+            assert state == sizes
+        counters = session.counters()
+        assert counters["steps"] == session.steps == 10
+        assert {name: counters[name] for name in SUMMED_FIELDS} == sums
+        assert sums["contest_triangles"] > 0
+        assert counters["mean_dirty_fraction"] == pytest.approx(
+            sum(fractions) / 10
+        )
 
     def test_bad_arguments_rejected(self):
         dep = make_deployment(n=60, seed=2)

@@ -21,7 +21,8 @@ COUNTER_NAMES = {
     "construction.circumcircle_misses", "construction.khop_hits",
     "construction.khop_misses", "construction.local_delaunay_calls",
     "construction.triangle_pairs_candidate", "construction.triangle_pairs_tested",
-    "incremental.appeared_links", "incremental.dirty_nodes",
+    "incremental.appeared_links", "incremental.contest_triangles",
+    "incremental.dirty_nodes",
     "incremental.dirty_tiles", "incremental.edges_added",
     "incremental.edges_removed", "incremental.events",
     "incremental.repairs_certified", "incremental.repairs_fallback",
