@@ -23,9 +23,10 @@ folds the diffs into the counters — leaving ``connectors`` and
 ``cds_edges`` bit-identical to a from-scratch ``fast_connectors`` run
 (the maintainer's rebuild-equivalence tripwire checks both).
 
-Id churn (join/leave renames) invalidates arena keys wholesale, so
-structural batches take :meth:`rebuild` — the same code path run from
-an empty cache.
+Id churn is the same repair: the rules read ids only as labels, so a
+leave renaming ``last -> u`` means the node at ``u`` changed (like a
+mover) and label ``last`` departed (its proposals are withdrawn like a
+mover's).  :meth:`rebuild` runs the same path from an empty cache.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ class IncrementalConnectors:
         self._edge_count: Counter = Counter()
         #: nodes whose connector status flipped during the last update.
         self._toggled: set[int] = set()
+        #: the node count the caches describe.
+        self._n = 0
 
     @property
     def connectors(self) -> frozenset[int]:
@@ -86,7 +89,7 @@ class IncrementalConnectors:
     def rebuild(
         self, status: Sequence[bool], doms_of: Mapping[int, frozenset[int]]
     ) -> None:
-        """Full recompute — initialization and id-churn batches."""
+        """Full recompute from an empty cache (initialization)."""
         self._clear()
         self.update(status, doms_of, set(range(self.udg.node_count)), set())
 
@@ -102,15 +105,19 @@ class IncrementalConnectors:
         """Repair the election after a batch.
 
         ``changed`` must contain every node whose adjacency or
-        dominator/dominatee role changed; ``doms_changed`` every node
-        whose dominator *set* changed.  Supersets are sound.  Returns
-        the nodes that became or stopped being connectors at some
+        dominator/dominatee role changed (a label renamed or joined
+        into included); ``doms_changed`` every node whose dominator
+        *set* changed.  Supersets are sound.  Labels the node count
+        dropped below since the last update are withdrawn.  Returns the
+        live nodes that became or stopped being connectors at some
         point of the repair (a superset of the net change).
         """
         self._toggled = set()
         adjacency = self.udg.adjacency
         n = self.udg.node_count
-        changed = {x for x in changed if x < n}
+        departed = set(range(n, self._n))
+        self._n = n
+        changed = {x for x in changed if x < n} | departed
         doms_changed = {x for x in doms_changed if x < n}
         # A node's proposals read its role, its dominator set, its
         # adjacency, and its neighbors' dominator sets.
@@ -122,7 +129,7 @@ class IncrementalConnectors:
         for x in sorted(affected):
             old0 = self._p0.get(x, _EMPTY)
             old1 = self._p1.get(x, _EMPTY)
-            new0, new1 = self._proposals(x, status, doms_of)
+            new0, new1 = self._proposals(x, status, doms_of) if x < n else (_EMPTY, _EMPTY)
             self._shift_proposer(x, old0, new0, SLOT_COMMON)
             self._shift_proposer(x, old1, new1, SLOT_FIRST)
             if new0:
@@ -160,7 +167,7 @@ class IncrementalConnectors:
             wins = self._w1_of.get(c)
             if wins:
                 dirty2 |= wins
-            if status[c]:
+            if c >= n or status[c]:
                 continue
             doms = doms_of.get(c, _EMPTY)
             for nb in adjacency[c]:
@@ -171,7 +178,7 @@ class IncrementalConnectors:
                     )
         for pair in sorted(dirty2):
             self._solve_slot2(pair, status, doms_of)
-        return self._toggled
+        return self._toggled - departed
 
     # -- pieces of the fixed point ----------------------------------------
 

@@ -18,11 +18,13 @@ invalidation footprint and repairs only that:
   sites is counted *certified*; one that escapes is counted as a
   *fallback* to wider recomputation (the cascade performs it either
   way, exactly).
-* **Connectors** — Algorithm 1's fixed point is a cheap set pass over
-  the adjacency (:func:`repro.protocols.cds_fast.fast_connectors`),
-  recomputed through a thin adapter over the dynamic adjacency — but
-  only when one of its inputs (node set, adjacency, dominator roles,
-  dominator sets) actually changed; a pure-geometry batch skips it.
+* **Connectors** — Algorithm 1's fixed point is kept as cached
+  proposals, arenas and winners
+  (:class:`~repro.incremental.connectors.IncrementalConnectors`) and
+  repaired from the nodes whose adjacency, role or dominator set
+  changed — joins and leaves included — but only when one of its
+  inputs (node set, adjacency, dominator roles, dominator sets)
+  actually changed; a pure-geometry batch skips it.
 * **PLDel backbone** — :class:`~repro.incremental.pldel.IncrementalPLDel`
   repairs the planarizer tile-by-tile and replays its contests per
   triangle.  Its dirty points are *member relevant* only: the old/new
@@ -35,8 +37,9 @@ invalidation footprint and repairs only that:
   vanished links, membership flips, changed dominator sets); an edge
   is in LDel(ICDS') iff it is an LDel edge or a link, so the report's
   ``edges_added``/``edges_removed`` are decided on the touched edges
-  alone.  Id-churn batches rebuild both sets, as they rebuild the
-  connector election.  Full edge sets are built only by
+  alone.  Id churn adds the pairs at every label a leave retired or
+  renamed into; roles and membership are relabeled in place as the
+  events apply.  Full edge sets are built only by
   :meth:`IncrementalMaintainer.snapshot`.
 
 The tripwire: :meth:`verify` rebuilds from scratch and asserts
@@ -46,13 +49,13 @@ bit-identical UDG edges, roles, and all four compared backbone graphs.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence, cast
 
 from repro import obs
 from repro.geometry.primitives import Point, dist_sq
 from repro.incremental.connectors import IncrementalConnectors
-from repro.incremental.events import Event
+from repro.incremental.events import Event, check_batch
 from repro.incremental.pldel import IncrementalPLDel
 from repro.incremental.udg import DynamicUdg
 from repro.protocols.connectors import _edge
@@ -81,21 +84,11 @@ class StepReport:
     edges_removed: tuple[tuple[int, int], ...]
 
     def as_dict(self) -> dict:
-        return {
-            "events": self.events,
-            "node_count": self.node_count,
-            "appeared_links": self.appeared_links,
-            "vanished_links": self.vanished_links,
-            "role_changes": self.role_changes,
-            "repairs_certified": self.repairs_certified,
-            "repairs_fallback": self.repairs_fallback,
-            "dirty_tiles": self.dirty_tiles,
-            "contest_triangles": self.contest_triangles,
-            "dirty_nodes": self.dirty_nodes,
-            "dirty_fraction": round(self.dirty_fraction, 6),
-            "edges_added": [list(e) for e in self.edges_added],
-            "edges_removed": [list(e) for e in self.edges_removed],
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["dirty_fraction"] = round(self.dirty_fraction, 6)
+        out["edges_added"] = [list(e) for e in self.edges_added]
+        out["edges_removed"] = [list(e) for e in self.edges_removed]
+        return out
 
 
 @dataclass(frozen=True)
@@ -145,54 +138,41 @@ class IncrementalMaintainer:
         }
         self._iconn = IncrementalConnectors(self.udg)
         self._iconn.rebuild(self._status, self._doms_of)
-        self._reset_backbone()
-        self.pldel.step(
-            self._member, [self.udg.positions[u] for u in sorted(self._backbone)]
-        )
-        self._icds_edges = self._induced_icds()
-        self._links = self._all_links()
-
-    # -- derived structures ----------------------------------------------
-
-    def _reset_backbone(self) -> None:
-        """Recompute the backbone membership flags and set."""
-        is_connector = self._iconn.is_connector
         #: _member[u] is True iff u is a dominator or a connector.
         self._member = [
-            is_dom or is_connector(u) for u, is_dom in enumerate(self._status)
+            is_dom or self._iconn.is_connector(u)
+            for u, is_dom in enumerate(self._status)
         ]
-        self._backbone = {u for u, member in enumerate(self._member) if member}
-
-    def _induced_icds(self) -> set[Edge]:
-        """The UDG links between backbone members (the ICDS edges)."""
+        backbone = [u for u, member in enumerate(self._member) if member]
+        self.pldel.step(self._member, [self.udg.positions[u] for u in backbone])
         adjacency = self.udg.adjacency
-        backbone = self._backbone
-        return {
-            (b, w) for b in backbone for w in adjacency[b] if w > b and w in backbone
+        #: the UDG links between backbone members (the ICDS edges).
+        self._icds_edges = {
+            (b, w) for b in backbone for w in adjacency[b] if w > b and self._member[w]
         }
-
-    def _all_links(self) -> set[Edge]:
-        """Every dominatee–dominator link, normalized."""
-        return {
+        #: every dominatee–dominator link, normalized.
+        self._links = {
             _edge(w, d) for w, doms in self._doms_of.items() for d in doms
         }
 
-    def _update_icds(
-        self, links: Sequence[Edge], membership_diff: set[int]
-    ) -> None:
-        """Patch the ICDS edges after a batch without id churn.
+    # -- derived structures ----------------------------------------------
 
-        Only a link that appeared or vanished, or one at a node whose
-        membership flipped, can change its ICDS status.
+    def _update_icds(self, touched: set[Edge], membership_diff: set[int]) -> None:
+        """Patch the ICDS edges after a batch.
+
+        Only a pair in ``touched`` — a link that appeared or vanished,
+        or a pair at a label a leave retired or renamed into — or a
+        link at a node whose membership flipped can change its ICDS
+        status.
         """
         adjacency = self.udg.adjacency
         member = self._member
-        touched = set(links)
+        n = len(member)
         for u in membership_diff:
             touched.update(_edge(u, w) for w in adjacency[u])
         inside = {
             e for e in touched
-            if member[e[0]] and member[e[1]] and e[1] in adjacency[e[0]]
+            if e[1] < n and member[e[0]] and member[e[1]] and e[1] in adjacency[e[0]]
         }
         self._icds_edges -= touched - inside
         self._icds_edges |= inside
@@ -232,8 +212,15 @@ class IncrementalMaintainer:
     # -- the maintenance step --------------------------------------------
 
     def apply(self, events: Sequence[Event]) -> StepReport:
-        """Apply one event batch; repair the dirty region; report."""
+        """Apply one event batch; repair the dirty region; report.
+
+        The whole batch is checked first: an invalid one raises
+        :class:`~repro.incremental.events.InvalidBatch` and changes
+        nothing.
+        """
+        check_batch(events, self.udg.node_count)
         self.steps += 1
+        n_before = self.udg.node_count
         with obs.span("incremental.phase.udg"):
             appeared: list[tuple[int, int]] = []
             vanished: list[tuple[int, int]] = []
@@ -242,47 +229,46 @@ class IncrementalMaintainer:
             #: renamed, or removed — the pre-state side of the PLDel dirt.
             member_points: list[Point] = []
             seeds: set[int] = set()
-            structural = any(event.kind != "move" for event in events)
-            # Membership before the batch.  Id churn renames it as the
-            # events apply, so structural batches work on a copy.
-            backbone_prev = set(self._backbone) if structural else self._backbone
+            #: UDG pairs at labels a leave retired or renamed into, and
+            #: the links whose dominatee label it did so to.
+            relabeled: set[Edge] = set()
+            links_out: set[Edge] = set()
+            status, member = self._status, self._member
             for event in events:
                 if event.kind == "move":
                     mover = cast(int, event.node)
-                    if mover in backbone_prev:
+                    if member[mover]:
                         member_points.append(self.udg.positions[mover])
                         member_points.append(event.point)
                     delta = self.udg.move(mover, event.point)
                 elif event.kind == "join":
                     delta = self.udg.join(event.point)
-                    self._status.append(False)
+                    status.append(False)
+                    member.append(False)
                 else:
                     node = cast(int, event.node)
                     last = self.udg.node_count - 1
-                    if node in backbone_prev:
-                        member_points.append(self.udg.positions[node])
-                    if node != last and last in backbone_prev:
-                        member_points.append(self.udg.positions[last])
+                    for x in (node,) if node == last else (node, last):
+                        if member[x]:
+                            member_points.append(self.udg.positions[x])
+                        relabeled.update(_edge(x, w) for w in self.udg.adjacency[x])
+                        doms = self._doms_of.pop(x, None)
+                        if doms:
+                            links_out.update(_edge(x, d) for d in doms)
                     delta = self.udg.leave(node)
                     seeds.discard(node)
-                    backbone_prev.discard(node)
                     if delta.renamed is not None:
-                        old_id, new_id = delta.renamed
-                        self._status[new_id] = self._status[old_id]
-                        seeds = {new_id if s == old_id else s for s in seeds}
-                        if old_id in backbone_prev:
-                            backbone_prev.discard(old_id)
-                            backbone_prev.add(new_id)
-                    self._status.pop()
-                    self._doms_of.pop(last, None)
-                    self._doms_of.pop(node, None)
+                        # Swap-remove: the last node's state moves to `node`.
+                        status[node], member[node] = status[last], member[last]
+                        seeds = {node if s == last else s for s in seeds}
+                        relabeled.update(_edge(node, w) for w in self.udg.adjacency[node])
+                    status.pop()
+                    member.pop()
                 appeared.extend(delta.appeared)
                 vanished.extend(delta.vanished)
                 event_points.extend(delta.dirty_points)
                 seeds.update(delta.touched)
-                for u, v in delta.appeared:
-                    seeds.update((u, v))
-                for u, v in delta.vanished:
+                for u, v in (*delta.appeared, *delta.vanished):
                     seeds.update((u, v))
             n = self.udg.node_count
             seeds = {s for s in seeds if s < n}
@@ -298,18 +284,17 @@ class IncrementalMaintainer:
             doms_changed: set[int] = set()
             #: links of the dominator sets replaced this batch (raw:
             #: a link may leave one entry and rejoin through another).
-            links_out: set[Edge] = set()
             links_in: set[Edge] = set()
             for w in affected:
                 old_doms = self._doms_of.get(w)
-                if self._status[w]:
+                if status[w]:
                     if old_doms is not None:
                         del self._doms_of[w]
                         doms_changed.add(w)
                         links_out.update(_edge(w, d) for d in old_doms)
                 else:
                     new_doms = frozenset(
-                        v for v in self.udg.adjacency[w] if self._status[v]
+                        v for v in self.udg.adjacency[w] if status[v]
                     )
                     if old_doms != new_doms:
                         self._doms_of[w] = new_doms
@@ -321,53 +306,38 @@ class IncrementalMaintainer:
             # dominators, dominator sets) and nothing geometric; when none
             # of those changed this batch, the previous outcome stands.
             quiet = not (
-                structural or appeared or vanished or flipped or doms_changed
+                n != n_before or relabeled or appeared or vanished or flipped or doms_changed
             )
             membership_diff: set[int] = set()
-            if structural:
-                self._iconn.rebuild(self._status, self._doms_of)
-                self._reset_backbone()
-                membership_diff = self._backbone.symmetric_difference(backbone_prev)
-            elif not quiet:
+            if not quiet:
                 toggled = self._iconn.update(
-                    self._status, self._doms_of, seeds | flipped, doms_changed
+                    status, self._doms_of, seeds | flipped, doms_changed
                 )
-                for x in flipped | toggled:
-                    member = self._status[x] or self._iconn.is_connector(x)
-                    if member != self._member[x]:
-                        self._member[x] = member
+                # Seeds hold every label a join or a rename gave a new node.
+                for x in flipped | toggled | seeds:
+                    if (status[x] or self._iconn.is_connector(x)) != member[x]:
+                        member[x] = not member[x]
                         membership_diff.add(x)
-                        if member:
-                            self._backbone.add(x)
-                        else:
-                            self._backbone.discard(x)
 
         with obs.span("incremental.phase.pldel"):
             # PLDel is built over the backbone members alone, so its dirty
             # ids are the event-touched nodes that are members on either
             # side of the batch, plus every node whose membership flipped.
-            dirty_ids = {s for s in seeds if s in self._backbone} | membership_diff
+            dirty_ids = {s for s in seeds if member[s]} | membership_diff
             pldel_points = list(member_points)
             for s in sorted(dirty_ids):
                 pldel_points.append(self.udg.positions[s])
             ldel_added, ldel_removed, pldel_stats = self.pldel.step(
-                self._member, pldel_points, dirty_ids
+                member, pldel_points, dirty_ids
             )
 
         with obs.span("incremental.phase.assemble"):
-            if structural:
-                self._icds_edges = self._induced_icds()
-                links = self._all_links()
-                links_added = links - self._links
-                links_removed = self._links - links
-                self._links = links
-            else:
-                if not quiet:
-                    self._update_icds(appeared + vanished, membership_diff)
-                links_added = links_in - links_out
-                links_removed = links_out - links_in
-                self._links -= links_removed
-                self._links |= links_added
+            if not quiet:
+                self._update_icds(relabeled.union(appeared, vanished), membership_diff)
+            links_added = links_in - links_out
+            links_removed = links_out - links_in
+            self._links -= links_removed
+            self._links |= links_added
             edges_added, edges_removed = self._prime_delta(
                 ldel_added, ldel_removed, links_added, links_removed
             )

@@ -11,8 +11,9 @@ batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence, cast
 
 from repro.geometry.primitives import Point
 
@@ -41,6 +42,8 @@ class Event:
             raise ValueError(f"{self.kind} event needs a node id")
         if self.kind in ("move", "join") and (self.x is None or self.y is None):
             raise ValueError(f"{self.kind} event needs x and y coordinates")
+        if not all(c is None or math.isfinite(c) for c in (self.x, self.y)):
+            raise ValueError(f"{self.kind} event coordinates must be finite")
 
     @property
     def point(self) -> Point:
@@ -70,14 +73,33 @@ def parse_event(spec: Mapping[str, Any]) -> Event:
         value = spec.get(axis)
         if value is not None and not isinstance(value, (int, float)):
             raise ValueError(f"event {axis!r} must be a number")
-    return Event(
-        kind=kind,
-        node=node,
-        x=None if spec.get("x") is None else float(spec["x"]),
-        y=None if spec.get("y") is None else float(spec["y"]),
-    )
+    try:
+        x, y = (None if spec.get(a) is None else float(spec[a]) for a in "xy")
+    except OverflowError:
+        raise ValueError("event coordinates must be finite") from None
+    return Event(kind=kind, node=node, x=x, y=y)
 
 
 def parse_events(specs: Sequence[Mapping[str, Any]]) -> list[Event]:
     """Parse a batch of event mappings (one maintenance step's input)."""
     return [parse_event(spec) for spec in specs]
+
+
+class InvalidBatch(ValueError):
+    """An event batch that cannot apply as a whole; none of it applied."""
+
+
+def check_batch(events: Sequence[Event], node_count: int) -> None:
+    """Raise :class:`InvalidBatch` unless every event of the batch applies.
+
+    Ids are checked against the node count as the batch's own joins
+    and leaves change it, so a batch applies whole or not at all.
+    """
+    n = node_count
+    for i, event in enumerate(events):
+        if event.kind != "join" and not 0 <= cast(int, event.node) < n:
+            raise InvalidBatch(
+                f"event {i}: {event.kind} of unknown node {event.node} "
+                f"({n} nodes at that point of the batch)"
+            )
+        n += {"join": 1, "leave": -1}.get(event.kind, 0)

@@ -53,7 +53,7 @@ from repro.core.route_engine import (
     replay_failures,
 )
 from repro.incremental.engine import IncrementalMaintainer, StepReport
-from repro.incremental.events import parse_events
+from repro.incremental.events import InvalidBatch, parse_events
 from repro.incremental.session import SUMMED_FIELDS, IncrementalSession
 from repro.routing.backbone_routing import backbone_route
 from repro.service.cache import ResultCache, scenario_key
@@ -703,7 +703,9 @@ class SpannerService:
         accounting (dirty tiles/nodes, certified vs fallback repairs)
         plus the streamed topology delta — the LDel(ICDS') edges this
         batch added and removed.  ``verify=true`` additionally runs the
-        rebuild-equivalence tripwire and reports the outcome.
+        rebuild-equivalence tripwire and reports the outcome.  A batch
+        naming an unknown id (counted through its own joins and leaves)
+        answers 400 and leaves the session unchanged.
         """
         if not isinstance(payload, Mapping):
             raise ServiceError(400, "request body must be a JSON object")
@@ -716,8 +718,11 @@ class SpannerService:
         except ValueError as exc:
             raise ServiceError(400, str(exc)) from None
         verify = bool(payload.get("verify", False))
-        with obs.recording() as record, self.metrics.timer("incremental.step"):
-            report = session.step(events, verify=verify)
+        try:
+            with obs.recording() as record, self.metrics.timer("incremental.step"):
+                report = session.step(events, verify=verify)
+        except InvalidBatch as exc:
+            raise ServiceError(400, str(exc)) from None
         self._fold(record)
         self._record_incremental_metrics(report)
         response = {

@@ -15,6 +15,9 @@ and asserts the serving contract end to end:
 * a quasi-UDG corpus entry on a serial ``POST /build`` answers 400
   instead of silently building the sharp disk graph;
 * ``POST /route`` routes on the cached backbone;
+* an incremental session takes a join + leave batch that stays
+  bit-identical to a rebuild (``verify=true``), answers 400 to a
+  batch naming an unknown id, and still verifies on the next step;
 * ``GET /metrics`` shows the build counters, ``sharding.*`` stats and
   the ``backbone.phase.cds`` / ``sharding.phase.build`` span latencies.
 
@@ -111,6 +114,30 @@ def run_smoke(url: "str | None" = None, wait: float = 30.0) -> int:
         routed = client.route(0, built["nodes"] - 1, key=built["key"])
         _check("route on cached backbone", routed.get("delivered") is True,
                f"hops={routed.get('hops')}")
+
+        opened = client.session_create(SCENARIO)
+        sid, nodes = opened["session"], opened["nodes"]
+        churn = client.session_step(
+            sid,
+            [{"kind": "join", "x": 55.0, "y": 55.0}, {"kind": "leave", "node": 7}],
+            verify=True,
+        )
+        _check("session churn step verified",
+               churn.get("verified") is True and churn["node_count"] == nodes,
+               f"role_changes={churn.get('role_changes')}")
+        move = {"kind": "move", "node": 3, "x": 50.0, "y": 50.0}
+        try:
+            client.session_step(sid, [move, {**move, "node": nodes + 100}])
+            refused = None
+        except ClientError as exc:
+            refused = exc
+        _check("session batch with unknown id refused",
+               refused is not None and refused.status == 400, str(refused))
+        after = client.session_step(sid, [move], verify=True)
+        _check("session intact after the refused batch",
+               after.get("verified") is True and after["step"] == 2,
+               f"step={after.get('step')}")
+        client.session_delete(sid)
 
         events = [name for name, _ in client.build("ldel", SCENARIO, stream=True)]
         _check("build_stream events",

@@ -7,6 +7,7 @@ batch, the maintained UDG, roles, and backbone graphs must be
 """
 
 import contextlib
+import json
 import math
 import random
 
@@ -16,7 +17,13 @@ from repro import obs
 from repro.geometry.primitives import Point
 from repro.incremental.connectors import IncrementalConnectors
 from repro.incremental.engine import IncrementalMaintainer
-from repro.incremental.events import Event, parse_event, parse_events
+from repro.incremental.events import (
+    Event,
+    InvalidBatch,
+    check_batch,
+    parse_event,
+    parse_events,
+)
 from repro.incremental.session import IncrementalSession
 from repro.mobility.session import run_mobility_session
 from repro.workloads.generators import connected_udg_instance
@@ -65,6 +72,55 @@ class TestEvents:
             parse_event({"kind": "move", "node": "three", "x": 1, "y": 2})
         with pytest.raises(ValueError):
             parse_event({"kind": "move", "node": 3, "x": "east", "y": 2})
+
+    def test_parse_rejects_non_finite_coordinates(self):
+        # json.loads accepts NaN / Infinity / 1e999; none is a position.
+        for spec in json.loads(
+            '[{"kind": "move", "node": 3, "x": NaN, "y": 2},'
+            ' {"kind": "join", "x": 1, "y": -Infinity},'
+            ' {"kind": "join", "x": 1e999, "y": 0}]'
+        ) + [{"kind": "join", "x": 10**400, "y": 0}]:
+            with pytest.raises(ValueError, match="finite"):
+                parse_event(spec)
+
+    def test_check_batch_counts_through_joins_and_leaves(self):
+        check_batch([Event("join", x=0.0, y=0.0), Event("move", node=5, x=0, y=0)], 5)
+        check_batch([Event("leave", node=4), Event("leave", node=3)], 5)
+        for batch in (
+            [Event("leave", node=4), Event("move", node=4, x=0.0, y=0.0)],
+            [Event("move", node=-1, x=0.0, y=0.0)],
+            [Event("join", x=0.0, y=0.0), Event("leave", node=6)],
+        ):
+            with pytest.raises(InvalidBatch):
+                check_batch(batch, 5)
+
+
+class TestAtomicBatches:
+    def test_rejected_batch_changes_nothing(self):
+        # The later event is invalid: the earlier move must not land.
+        _, maintainer = make_maintainer(n=60, seed=3)
+        before = maintainer.snapshot()
+        p = maintainer.udg.positions[3]
+        with pytest.raises(InvalidBatch, match="9999"):
+            maintainer.apply(
+                [
+                    Event("move", node=3, x=p.x + 10.0, y=p.y),
+                    Event("move", node=9999, x=p.x, y=p.y),
+                ]
+            )
+        assert maintainer.snapshot() == before
+        assert maintainer.steps == 0
+        assert_identical(maintainer)
+        maintainer.apply([Event("move", node=3, x=p.x + 10.0, y=p.y)])
+        assert_identical(maintainer)
+
+    def test_id_left_earlier_in_the_batch_is_unknown(self):
+        _, maintainer = make_maintainer(n=60, seed=3)
+        last = maintainer.udg.node_count - 1
+        with pytest.raises(InvalidBatch):
+            maintainer.apply([Event("leave", node=0), Event("leave", node=last)])
+        assert maintainer.udg.node_count == last + 1
+        assert_identical(maintainer)
 
 
 class TestMaintainerEquivalence:

@@ -21,15 +21,22 @@ point):
   proposals one more (5r), arena winners span an arena's 2-hop extent
   (7r), slot-2 cascades one arena further (~9r), and PLDel membership
   changes dilate by the planarizer's own reach inside that envelope.
+
+A second property drives id churn — joins, leaves (each renaming the
+last id into the vacated slot) and moves, alone and in mixed batches —
+and holds the state to a rebuild after every step, down to the
+connector election's caches: a stale entry for a departed label can
+leave every output right until a later step reads it.
 """
 
 import math
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.primitives import Point, dist
+from repro.incremental.connectors import IncrementalConnectors
 from repro.incremental.engine import IncrementalMaintainer
 from repro.incremental.events import Event
 from repro.workloads.generators import connected_udg_instance
@@ -132,3 +139,151 @@ def test_single_move_is_local_and_exact(mover, dx, dy):
                     f"LDel edges of node {u} changed at "
                     f"distance {halo_dist(u):.2f}"
                 )
+
+
+# -- id churn -----------------------------------------------------------------
+
+CHURN_N = 150
+CHURN_SIDE = 10.0 * math.sqrt(CHURN_N)
+CHURN_DEPLOYMENT = connected_udg_instance(
+    CHURN_N, CHURN_SIDE, RADIUS, random.Random(7)
+)
+#: Every cache of the connector election (a fresh rebuild must agree).
+CONNECTOR_CACHES = (
+    "_p0", "_p1", "_arena", "_arena_win", "_w1_of", "_a2", "_sup2",
+    "_conn_count", "_edge_count",
+)
+
+
+def _clamp(v):
+    return min(max(v, 0.0), CHURN_SIDE)
+
+
+def _resolve(maintainer, batch):
+    """Turn abstract ``(kind, target, k, dx, dy)`` ops into a valid batch.
+
+    Targets pick by the pre-batch roles: ``leave`` a dominator, a
+    connector, the last id or any id; ``join`` next to a dominator or
+    any node; ``move`` the id the batch's latest leave recycled (a
+    rename chain) or any id.  Ids are counted through the batch.
+    """
+    snap = maintainer.snapshot()
+    positions = maintainer.udg.positions
+    count = maintainer.udg.node_count
+    recycled = None
+    events = []
+    for kind, target, k, dx, dy in batch:
+        if kind == "leave":
+            pool = {"dominator": snap.dominators, "connector": snap.connectors}
+            live = sorted(u for u in pool.get(target, ()) if u < count)
+            if target == "last":
+                node = count - 1
+            else:
+                node = live[k % len(live)] if live else k % count
+            events.append(Event("leave", node=node))
+            count -= 1
+            recycled = node if node < count else None
+        elif kind == "join":
+            anchors = (
+                sorted(snap.dominators) if target == "dominator" else range(len(positions))
+            )
+            anchor = positions[anchors[k % len(anchors)]]
+            events.append(Event("join", x=_clamp(anchor.x + dx), y=_clamp(anchor.y + dy)))
+            count += 1
+        else:
+            node = recycled if target == "renamed" and recycled is not None else k % count
+            base = positions[k % len(positions)]
+            events.append(
+                Event("move", node=node, x=_clamp(base.x + dx), y=_clamp(base.y + dy))
+            )
+    return events
+
+
+def _assert_fresh_caches(maintainer):
+    fresh = IncrementalConnectors(maintainer.udg)
+    fresh.rebuild(maintainer._status, maintainer._doms_of)
+    for name in CONNECTOR_CACHES:
+        assert getattr(maintainer._iconn, name) == getattr(fresh, name), (
+            f"connector cache {name} differs from a fresh rebuild"
+        )
+
+
+_offset = st.floats(-12.0, 12.0, allow_nan=False, allow_infinity=False)
+_index = st.integers(0, 10**6)
+_op = st.one_of(
+    st.tuples(
+        st.just("leave"),
+        st.sampled_from(("dominator", "connector", "last", "any")),
+        _index, st.just(0.0), st.just(0.0),
+    ),
+    st.tuples(
+        st.just("join"), st.sampled_from(("dominator", "any")), _index, _offset, _offset
+    ),
+    st.tuples(
+        st.just("move"), st.sampled_from(("renamed", "any")), _index, _offset, _offset
+    ),
+)
+
+#: Single-event steps leaving a dominator, a connector and the last id,
+#: then a join right next to a dominator.
+ROLE_TRACE = [
+    [("leave", "dominator", 0, 0.0, 0.0)],
+    [("leave", "connector", 0, 0.0, 0.0)],
+    [("leave", "last", 0, 0.0, 0.0)],
+    [("join", "dominator", 3, 1.0, 0.5)],
+]
+#: One batch chaining renames: each move follows the id a leave recycled.
+RENAME_CHAIN = [
+    [
+        ("leave", "dominator", 1, 0.0, 0.0),
+        ("move", "renamed", 0, 6.0, -2.0),
+        ("join", "dominator", 2, -1.0, 1.0),
+        ("leave", "connector", 4, 0.0, 0.0),
+        ("move", "renamed", 9, -5.0, 3.0),
+        ("leave", "last", 0, 0.0, 0.0),
+    ]
+]
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@example(trace=ROLE_TRACE)
+@example(trace=RENAME_CHAIN)
+@given(trace=st.lists(st.lists(_op, min_size=1, max_size=4), min_size=1, max_size=5))
+def test_churn_trace_matches_rebuild_and_fresh_caches(trace):
+    maintainer = IncrementalMaintainer(list(CHURN_DEPLOYMENT.points), RADIUS)
+    for step, batch in enumerate(trace):
+        maintainer.apply(_resolve(maintainer, batch))
+        outcome = maintainer.verify()
+        assert outcome["identical"], f"step {step}: {outcome['mismatches']}"
+        _assert_fresh_caches(maintainer)
+
+
+def test_churn_never_rebuilds_the_election(monkeypatch):
+    """Join/leave batches repair the election; none falls back to a rebuild."""
+    maintainer = IncrementalMaintainer(list(CHURN_DEPLOYMENT.points), RADIUS)
+
+    def refuse(self, *args):
+        raise AssertionError("a churn batch rebuilt the connector election")
+
+    monkeypatch.setattr(IncrementalConnectors, "rebuild", refuse)
+    rng = random.Random(11)
+    kinds = {"leave": ("dominator", "connector", "last", "any"),
+             "join": ("dominator", "any"), "move": ("renamed", "any")}
+    trace = ROLE_TRACE + RENAME_CHAIN
+    for _ in range(12):
+        batch = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(sorted(kinds))
+            batch.append((kind, rng.choice(kinds[kind]), rng.randrange(10**6),
+                          rng.uniform(-12, 12), rng.uniform(-12, 12)))
+        trace.append(batch)
+    for batch in trace:
+        maintainer.apply(_resolve(maintainer, batch))
+    monkeypatch.undo()  # the cache check below rebuilds a fresh election
+    outcome = maintainer.verify()
+    assert outcome["identical"], f"mismatches: {outcome['mismatches']}"
+    _assert_fresh_caches(maintainer)

@@ -137,6 +137,21 @@ class TestSessionValidation:
             service.session_step(sid, {"events": [{"kind": "move", "node": 1}]})
         assert err.value.status == 400
 
+    def test_batch_with_unknown_id_rejected_whole(self, service):
+        sid = open_session(service)["session"]
+        batch = [
+            {"kind": "move", "node": 3, "x": 20.0, "y": 20.0},
+            {"kind": "move", "node": 9999, "x": 20.0, "y": 20.0},
+        ]
+        with pytest.raises(ServiceError) as err:
+            service.session_step(sid, {"events": batch})
+        assert err.value.status == 400
+        assert "9999" in err.value.message
+        assert service.session_get(sid)["steps"] == 0
+        after = service.session_step(sid, {"events": batch[:1], "verify": True})
+        assert after["step"] == 1
+        assert after["verified"] is True
+
 
 class TestSessionMetrics:
     def test_incremental_counters_surface_in_metrics(self, service):
