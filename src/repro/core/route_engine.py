@@ -6,9 +6,13 @@ magnitude too slow for the millions of (source, target) queries the
 serving tier answers.  This module advances *all* active queries in
 lockstep: per-query state lives in flat arrays, and every hop is one
 round of vectorized kernels over the :class:`~repro.core.soa.SoaSnapshot`
-CSR adjacency (greedy and compass steps, right-hand-rule face recovery
+adjacency (greedy and compass steps, right-hand-rule face recovery
 over a precomputed per-directed-edge angle table, exact-predicate
-segment crossings for face changes).
+segment crossings for face changes).  The three steps read the
+snapshot's degree-class tables (:class:`~repro.core.soa.DegreeClasses`):
+the queries standing on nodes of one class gather their padded
+neighbour rows as one dense block and pick the winner with
+``argmin(axis=1)``.
 
 Tie-break contract (pinned; the scalar reference and the batch kernels
 implement it exactly, and the bench tripwire compares them path for
@@ -60,11 +64,12 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.compat import HAVE_SCIPY, get_numpy
-from repro.core.soa import SoaSnapshot, gather_csr_rows, snapshot_for, sorted_member
+from repro.core.soa import DegreeClasses, SoaSnapshot, snapshot_for, sorted_member
 from repro.graphs.graph import Graph
 from repro.routing.compass import compass_route
 from repro.routing.gpsr import gpsr_route
@@ -106,12 +111,12 @@ _COMPASS_BITSET_BYTES = 48 << 20
 _BAIL_ACTIVE = 32
 _BAIL_ROUNDS = 192
 
-#: Neighbor entries one greedy step gathers at a time.  A dense UDG
-#: round over 10k queries gathers ~190k entries; a dozen temporaries of
-#: that size can fall outside the allocator's reused heap (whether they
-#: do depends on the largest blocks freed earlier in the process) and
-#: then cost fresh zeroed pages every round.  Slices of this many
-#: entries stay in the reused heap and in cache.
+#: Table slots one step gathers at a time.  A dense UDG round over 10k
+#: queries gathers ~280k padded slots; a dozen temporaries of that size
+#: can fall outside the allocator's reused heap (whether they do
+#: depends on the largest blocks freed earlier in the process) and then
+#: cost fresh zeroed pages every round.  Slices of this many slots stay
+#: in the reused heap and in cache, whatever ran before.
 _STEP_ENTRIES = 1 << 15
 
 _TWO_PI = 2.0 * math.pi
@@ -138,41 +143,39 @@ def _atan2_exact(np: Any, ys: Any, xs: Any) -> Any:
 # -- shared array helpers -----------------------------------------------------
 
 
-def _segment_argmin(np: Any, key: Any, counts: Any) -> Tuple[Any, Any]:
-    """First index of the minimum per ragged segment.
+def _class_spans(
+    np: Any, dc: DegreeClasses, cur: Any
+) -> Tuple[Any, Any, List[Tuple[int, int, int]]]:
+    """The queries standing at ``cur``, sorted by degree class.
 
-    ``counts`` must be all-positive (callers pre-filter empty rows —
-    ``reduceat`` misbehaves on empty segments).  Returns ``(sel,
-    seg_min)``; when a segment's minimum is ``inf`` its ``sel`` entry
-    is out of range and must be masked via ``isfinite(seg_min)``.
-    First-occurrence-of-min over ascending-sorted CSR rows *is* the
-    lowest-id tie-break the scalar scans implement.
+    Returns ``(order, rows, spans)``: ``order`` sorts the queries by
+    the class of their node, ``rows`` is each sorted query's row in its
+    class's tables, and every ``(c, lo, hi)`` in ``spans`` covers
+    ``order[lo:hi]``, queries of class ``c`` filling at most
+    :data:`_STEP_ENTRIES` table slots.  Queries at isolated nodes sort
+    first and are in no span.  A step permutes its per-query inputs by
+    ``order`` once, so every span reads them as plain slices.
     """
-    total = key.shape[0]
-    segs = counts.shape[0]
-    starts = np.zeros(segs, dtype=np.int64)
-    if segs > 1:
-        np.cumsum(counts[:-1], out=starts[1:])
-    seg_min = np.minimum.reduceat(key, starts)
-    owner = np.repeat(np.arange(segs), counts)
-    firsts = np.where(key == seg_min[owner], np.arange(total), total)
-    sel = np.minimum.reduceat(firsts, starts)
-    return sel, seg_min
+    cls = dc.node_class[cur]
+    order = np.argsort(cls, kind="stable")
+    bounds = np.cumsum(np.bincount(cls + 1, minlength=len(dc.entries) + 1)).tolist()
+    spans = []
+    for c in range(len(dc.entries)):
+        step = max(1, _STEP_ENTRIES >> c)
+        for lo in range(bounds[c], bounds[c + 1], step):
+            spans.append((c, lo, min(lo + step, bounds[c + 1])))
+    return order, dc.node_row[cur[order]], spans
 
 
-def _gather_entries(np: Any, indptr: Any, rows: Any) -> Tuple[Any, Any, Any]:
-    """Like :func:`gather_csr_rows` but yielding flat CSR entry indices.
+def _first_min(np: Any, key: Any, table: Any, rows: Any) -> Tuple[Any, Any]:
+    """Per row of ``key``: the entry id at its first minimum, and the minimum.
 
-    Returns ``(owner, entry, counts)`` where ``entry`` indexes into the
-    flat ``indices`` array — so per-directed-edge side tables (angles,
-    coincidence flags) can be gathered alongside the neighbor ids.
+    ``key`` holds one value per slot of ``table[rows]``.  Over ascending
+    slots the first minimum is the lowest neighbour id, the scalar
+    scans' tie-break.
     """
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    total = int(counts.sum())
-    owner = np.repeat(np.arange(rows.shape[0]), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return owner, starts[owner] + offsets, counts
+    slot = key.argmin(axis=1)
+    return table[rows, slot], key[np.arange(key.shape[0]), slot]
 
 
 def _on_segment_batch(
@@ -455,13 +458,15 @@ class RouteEngine:
     Construct once per graph and reuse: the snapshot, the
     per-directed-edge angle tables (face recovery), and the component
     labels (unreachable accounting) are all built lazily and cached on
-    the engine.  Thread-compatible for reads after the first call.
+    the engine.  Concurrent calls may share it: lazy state built twice
+    is identical, and the right-hand rule's per-edge memo only ever
+    gains the one value an edge can have.
     """
 
     def __init__(self, graph: Graph, *, snapshot: Optional[SoaSnapshot] = None):
         self.graph = graph
         self._snapshot = snapshot
-        self._tables: Optional[Tuple[Any, Tuple[Any, Any, Any]]] = None
+        self._tables: Optional[Tuple[Any, Tuple[Any, Any, Any, Any]]] = None
         self._labels: Optional[Sequence[int]] = None
 
     # -- cached derived state -------------------------------------------
@@ -471,14 +476,19 @@ class RouteEngine:
             return self._snapshot
         return snapshot_for(self.graph)
 
-    def _tables_for(self, np: Any, snap: SoaSnapshot) -> Tuple[Any, Any, Any]:
-        """Per-directed-edge ``(theta, dir_keys, coincident)`` tables.
+    def _tables_for(self, np: Any, snap: SoaSnapshot) -> Tuple[Any, Any, Any, Any]:
+        """Per-directed-edge ``(theta, dir_keys, coincident, rhr_next)`` tables.
 
         ``theta[e]`` is ``atan2`` of CSR entry ``e``'s direction,
         ``dir_keys[e] = u * n + v`` (globally strictly ascending, so
         ``searchsorted`` resolves any directed edge in O(log E)), and
         ``coincident[e]`` flags zero-length directions (skipped by the
         right-hand rule, mirroring the hardened scalar walker).
+        ``theta`` and ``coincident`` carry one more entry for the
+        degree-class sentinel (NaN and ``False``: the step masks it).
+        ``rhr_next[e]`` memoizes the right-hand rule's hop at ``u`` after
+        arriving over ``e = u -> v`` (``-1`` until first needed): it
+        depends on nothing else.
         """
         cached = self._tables
         if cached is not None and cached[0] is snap:
@@ -487,9 +497,10 @@ class RouteEngine:
         rep_u = dir_keys // snap.n
         dxs = snap.xs[snap.indices] - snap.xs[rep_u]
         dys = snap.ys[snap.indices] - snap.ys[rep_u]
-        theta = _atan2_exact(np, dys, dxs)
-        coincident = (dxs == 0.0) & (dys == 0.0)
-        tables = (theta, dir_keys, coincident)
+        theta = np.append(_atan2_exact(np, dys, dxs), np.nan)
+        coincident = np.append((dxs == 0.0) & (dys == 0.0), False)
+        rhr_next = np.full(dir_keys.shape[0], -1, dtype=np.int64)
+        tables = (theta, dir_keys, coincident, rhr_next)
         self._tables = (snap, tables)
         return tables
 
@@ -674,44 +685,32 @@ def _greedy_step(np: Any, snap: SoaSnapshot, cur: Any, tx: Any, ty: Any) -> Any:
     """Greedy next hop per query (-1 = local minimum).
 
     Exactly the scalar scan: minimum squared distance among neighbors
-    strictly closer than the current node, ties to the lowest id.
-    Queries are independent, so they run in slices of about
-    :data:`_STEP_ENTRIES` gathered neighbors.
+    strictly closer than the current node, ties to the lowest id.  The
+    row minimum qualifies exactly when any neighbor does, and then its
+    first slot is the scan's winner, so the step takes the plain
+    ``argmin`` and tests it once.  The key is a plain squared distance:
+    the sentinel slots (at infinity) never win and need no mask.
     """
-    indptr = snap.indptr
-    deg = indptr[cur + 1] - indptr[cur]
-    k = cur.shape[0]
-    nxt = np.empty(k, dtype=np.int64)
-    step = max(1, _STEP_ENTRIES * k // max(int(deg.sum()), 1))
-    for lo in range(0, k, step):
-        part = slice(lo, lo + step)
-        nxt[part] = _greedy_rows(np, snap, cur[part], tx[part], ty[part], deg[part])
-    return nxt
-
-
-def _greedy_rows(
-    np: Any, snap: SoaSnapshot, cur: Any, tx: Any, ty: Any, deg: Any
-) -> Any:
-    """One slice of :func:`_greedy_step`; ``deg`` is each query's degree."""
-    xs, ys = snap.xs, snap.ys
-    indptr, indices = snap.indptr, snap.indices
-    nxt = np.full(cur.shape[0], -1, dtype=np.int64)
-    nz = np.nonzero(deg > 0)[0]
-    if not nz.shape[0]:
-        return nxt
-    rows = cur[nz]
-    txr, tyr = tx[nz], ty[nz]
-    owner, nbr = gather_csr_rows(np, indptr, indices, rows)
-    dxc = xs[rows] - txr
-    dyc = ys[rows] - tyr
+    dc = snap.degree_classes()
+    order, rows, spans = _class_spans(np, dc, cur)
+    q = np.empty(order.shape[0], dtype=np.complex128)
+    q.real = tx[order]
+    q.imag = ty[order]
+    here = cur[order]
+    dxc = snap.xs[here] - q.real
+    dyc = snap.ys[here] - q.imag
     cur_d = dxc * dxc + dyc * dyc
-    dxn = xs[nbr] - txr[owner]
-    dyn = ys[nbr] - tyr[owner]
-    d = dxn * dxn + dyn * dyn
-    key = np.where(d < cur_d[owner], d, np.inf)
-    sel, seg_min = _segment_argmin(np, key, deg[nz])
-    hit = np.nonzero(np.isfinite(seg_min))[0]
-    nxt[nz[hit]] = nbr[sel[hit]]
+    pick = np.full(order.shape[0], dc.pad, dtype=np.int64)
+    for c, lo, hi in spans:
+        # Complex subtraction is two exact float subtractions.
+        at = dc.coords[c][rows[lo:hi]]
+        at -= q[lo:hi, None]
+        d = at.real * at.real
+        d += at.imag * at.imag
+        won, best = _first_min(np, d, dc.entries[c], rows[lo:hi])
+        pick[lo:hi] = np.where(best < cur_d[lo:hi], won, dc.pad)
+    nxt = np.empty_like(pick)
+    nxt[order] = dc.neighbor[pick]
     return nxt
 
 
@@ -785,33 +784,36 @@ def _compass_step(
     ``-(dot / sqrt(na2 * nb2))`` — sqrt and division are correctly
     rounded, so the key is bit-identical to the scalar's (``arccos``
     would not be: numpy's and libm's round a ulp apart and flip
-    mathematically tied neighbors).
+    mathematically tied neighbors).  Sentinel slots are masked: their
+    infinite coordinates make the key NaN.
     """
-    xs, ys = snap.xs, snap.ys
-    indptr, indices = snap.indptr, snap.indices
-    nxt = np.full(cur.shape[0], -1, dtype=np.int64)
-    deg = indptr[cur + 1] - indptr[cur]
-    nz = np.nonzero(deg > 0)[0]
-    if not nz.shape[0]:
-        return nxt
-    rows = cur[nz]
-    owner, nbr = gather_csr_rows(np, indptr, indices, rows)
-    hx, hy = xs[rows], ys[rows]
-    axv = tx[nz] - hx
-    ayv = ty[nz] - hy
+    dc = snap.degree_classes()
+    order, rows, spans = _class_spans(np, dc, cur)
+    here = cur[order]
+    hx, hy = snap.xs[here], snap.ys[here]
+    axv = tx[order] - hx
+    ayv = ty[order] - hy
     na2 = axv * axv + ayv * ayv
-    bxv = xs[nbr] - hx[owner]
-    byv = ys[nbr] - hy[owner]
-    nb2 = bxv * bxv + byv * byv
-    denom = np.sqrt(na2[owner] * nb2)
-    ok = denom > 0.0
-    dot = axv[owner] * bxv + ayv[owner] * byv
-    key = np.full(denom.shape[0], np.inf, dtype=np.float64)
-    np.divide(-dot, denom, out=key, where=ok)
-    key = np.where(nbr == tgt[nz][owner], -2.0, key)
-    sel, seg_min = _segment_argmin(np, key, deg[nz])
-    hit = np.nonzero(np.isfinite(seg_min))[0]
-    nxt[nz[hit]] = nbr[sel[hit]]
+    tgt = tgt[order]
+    pick = np.full(order.shape[0], dc.pad, dtype=np.int64)
+    for c, lo, hi in spans:
+        part = slice(lo, hi)
+        at = dc.coords[c][rows[part]]
+        bxv = at.real - hx[part, None]
+        byv = at.imag - hy[part, None]
+        nb2 = bxv * bxv + byv * byv
+        with np.errstate(invalid="ignore"):  # inf * 0 at sentinel slots
+            denom = np.sqrt(na2[part, None] * nb2)
+            dot = axv[part, None] * bxv + ayv[part, None] * byv
+        ent = dc.entries[c][rows[part]]
+        ok = (denom > 0.0) & (ent != dc.pad)
+        key = np.full(denom.shape, np.inf, dtype=np.float64)
+        np.divide(-dot, denom, out=key, where=ok)
+        key[dc.neighbor[ent] == tgt[part, None]] = -2.0
+        won, best = _first_min(np, key, dc.entries[c], rows[part])
+        pick[part] = np.where(best < np.inf, won, dc.pad)
+    nxt = np.empty_like(pick)
+    nxt[order] = dc.neighbor[pick]
     return nxt
 
 
@@ -900,7 +902,7 @@ def _compass_kernel(
 def _rhr_step(
     np: Any,
     snap: SoaSnapshot,
-    tables: Tuple[Any, Any, Any],
+    tables: Tuple[Any, Any, Any, Any],
     cur: Any,
     came: Any,
     tx: Any,
@@ -913,53 +915,79 @@ def _rhr_step(
     counterclockwise sweep in ``(0, 2*pi]`` wins (sweeps <= 1e-12
     snap to a full turn), excluding the arrival edge and coincident
     neighbors, ties to the lowest id; an emptied row bounces back
-    along the arrival edge when there is one.
+    along the arrival edge when there is one.  A hop after an arrival
+    depends on the arrival edge alone, so it is computed once per edge
+    and memoized in ``rhr_next``; face walks retrace edges across
+    rounds and batches.
     """
-    theta, dir_keys, coincident = tables
-    xs, ys = snap.xs, snap.ys
-    indptr, indices = snap.indptr, snap.indices
-    n = snap.n
+    theta, dir_keys, coincident, rhr_next = tables
     nxt = np.full(cur.shape[0], -1, dtype=np.int64)
-    deg = indptr[cur + 1] - indptr[cur]
-    nz = np.nonzero(deg > 0)[0]
-    if not nz.shape[0]:
-        return nxt
-    rows = cur[nz]
-    came_nz = came[nz]
-    ref = np.empty(nz.shape[0], dtype=np.float64)
-    entry_mode = came_nz < 0
-    if entry_mode.any():
-        em = np.nonzero(entry_mode)[0]
-        ref[em] = _atan2_exact(
-            np, ty[nz[em]] - ys[rows[em]], tx[nz[em]] - xs[rows[em]]
-        )
-    back_mode = ~entry_mode
-    if back_mode.any():
-        bm = np.nonzero(back_mode)[0]
-        # theta[cur -> came] via the globally ascending directed keys.
-        pos = np.searchsorted(dir_keys, rows[bm] * n + came_nz[bm])
-        ref[bm] = theta[pos]
-    owner, entry, counts = _gather_entries(np, indptr, rows)
-    nbr = indices[entry]
-    sweep = np.mod(theta[entry] - ref[owner], _TWO_PI)
-    sweep = np.where(sweep <= 1e-12, _TWO_PI, sweep)
-    key = np.where(
-        (nbr == came_nz[owner]) | coincident[entry], np.inf, sweep
-    )
-    sel, seg_min = _segment_argmin(np, key, counts)
-    found = np.isfinite(seg_min)
-    hit = np.nonzero(found)[0]
-    nxt[nz[hit]] = nbr[sel[hit]]
-    # Dead-end bounce: nothing selectable but we arrived over an edge.
-    bounce = np.nonzero(~found & (came_nz >= 0))[0]
-    nxt[nz[bounce]] = came_nz[bounce]
+    em = np.nonzero(came < 0)[0]
+    if em.shape[0]:
+        here = cur[em]
+        ref = _atan2_exact(np, ty[em] - snap.ys[here], tx[em] - snap.xs[here])
+        nxt[em] = _rhr_choice(np, snap, theta, coincident, here, ref, np.full(em.shape[0], -1))
+    bm = np.nonzero(came >= 0)[0]
+    if bm.shape[0]:
+        # The arrival edge cur -> came via the globally ascending keys.
+        arrived = np.searchsorted(dir_keys, cur[bm] * snap.n + came[bm])
+        hop = rhr_next[arrived]
+        new = np.nonzero(hop < 0)[0]
+        if new.shape[0]:
+            e = arrived[new]
+            got = _rhr_choice(np, snap, theta, coincident, cur[bm[new]], theta[e], e)
+            # Dead-end bounce: nothing selectable, so walk back.
+            got = np.where(got < 0, came[bm[new]], got)
+            rhr_next[e] = got
+            hop[new] = got
+        nxt[bm] = hop
+    return nxt
+
+
+def _rhr_choice(
+    np: Any,
+    snap: SoaSnapshot,
+    theta: Any,
+    coincident: Any,
+    cur: Any,
+    ref: Any,
+    skip_ent: Any,
+) -> Any:
+    """Minimum counterclockwise sweep from ``ref`` at each ``cur`` (-1 = none).
+
+    Skips entry ``skip_ent`` (the arrival edge, or -1), coincident
+    neighbors and the sentinel slots, whose NaN angle would otherwise
+    win ``argmin``.
+    """
+    dc = snap.degree_classes()
+    order, rows, spans = _class_spans(np, dc, cur)
+    ref, skip_ent = ref[order], skip_ent[order]
+    pick = np.full(order.shape[0], dc.pad, dtype=np.int64)
+    for c, lo, hi in spans:
+        part = slice(lo, hi)
+        ent = dc.entries[c][rows[part]]
+        # (theta - ref) mod 2*pi as the scalar's float ``%`` rounds it:
+        # both angles are atan2 values, so the difference lies in
+        # [-2*pi, 2*pi], where ``%`` adds 2*pi to a negative difference
+        # and returns the rest unchanged.  It maps +-2*pi and -0.0 to 0
+        # where this gives 2*pi, 0 and -0.0; all of them snap to a full
+        # turn below.
+        sweep = theta[ent] - ref[part, None]
+        np.add(sweep, _TWO_PI, out=sweep, where=sweep < 0.0)
+        sweep[sweep <= 1e-12] = _TWO_PI
+        skip = coincident[ent] | (ent == skip_ent[part, None]) | (ent == dc.pad)
+        sweep[skip] = np.inf
+        won, best = _first_min(np, sweep, dc.entries[c], rows[part])
+        pick[part] = np.where(best < np.inf, won, dc.pad)
+    nxt = np.empty_like(pick)
+    nxt[order] = dc.neighbor[pick]
     return nxt
 
 
 def _gpsr_kernel(
     np: Any,
     snap: SoaSnapshot,
-    tables: Tuple[Any, Any, Any],
+    tables: Tuple[Any, Any, Any, Any],
     src: Any,
     tgt: Any,
     max_hops: int,
@@ -1214,6 +1242,98 @@ def _extract_backbone_parts(
     return udg, backbone, backbone_nodes, dom_map
 
 
+class _CoreMemo:
+    """Routed backbone cores of one traversal mode, keyed ``entry * n + exit``.
+
+    Sorted int64 keys with parallel reason/hop/length arrays: a batch
+    looks its cores up with one ``searchsorted`` and merges the new
+    ones in linear time.  Paths are kept by key, and only for cores
+    routed with paths on; ``has_path`` says which.  Holding more than
+    ``bound`` cores drops the memo and starts over.  A lock makes each
+    lookup and each store atomic, since the service shares one router
+    between concurrent requests.
+    """
+
+    def __init__(self, np: Any, bound: int) -> None:
+        self.bound = bound
+        self._lock = threading.Lock()
+        self._clear(np)
+
+    def _clear(self, np: Any) -> None:
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.reasons = np.zeros(0, dtype=np.int8)
+        self.hops = np.zeros(0, dtype=np.int64)
+        self.lengths = np.zeros(0, dtype=np.float64)
+        self.has_path = np.zeros(0, dtype=bool)
+        self.paths: Dict[int, Tuple[int, ...]] = {}
+
+    def __len__(self) -> int:
+        return int(self.keys.shape[0])
+
+    def _find(self, np: Any, keys: Any) -> Tuple[Any, Any]:
+        """``(pos, held)``: where each key sits, and whether it is held."""
+        if not len(self):
+            return np.zeros(keys.shape[0], dtype=np.int64), np.zeros(keys.shape[0], dtype=bool)
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self) - 1)
+        return pos, self.keys[pos] == keys
+
+    def lookup(
+        self, np: Any, keys: Any, need_paths: bool
+    ) -> Tuple[Any, Any, Any, Any, List[Tuple[int, ...]]]:
+        """``(hit, reasons, hops, lengths, paths)`` of the usable held cores.
+
+        ``hit`` marks the ``keys`` held (with a path, if
+        ``need_paths``); the rest describe the hits in order, ``paths``
+        empty unless ``need_paths``.
+        """
+        with self._lock:
+            pos, hit = self._find(np, keys)
+            if need_paths and len(self):
+                hit &= self.has_path[pos]
+            got = pos[hit]
+            paths = [self.paths[key] for key in keys[hit].tolist()] if need_paths else []
+            return hit, self.reasons[got], self.hops[got], self.lengths[got], paths
+
+    def store(
+        self, np: Any, keys: Any, reasons: Any, hops: Any, lengths: Any,
+        paths: Optional[List[Tuple[int, ...]]],
+    ) -> None:
+        """Add ascending ``keys``; a key already held only gains its path."""
+        with self._lock:
+            pos, held = self._find(np, keys)
+            if paths is not None:
+                again = np.nonzero(held)[0]
+                self.has_path[pos[again]] = True
+                for j, key in zip(again.tolist(), keys[again].tolist()):
+                    self.paths[key] = paths[j]
+            new = np.nonzero(~held)[0]
+            if len(self) + new.shape[0] > self.bound:
+                self._clear(np)
+                new = new[: self.bound]
+            if not new.shape[0]:
+                return
+            keys = keys[new]
+            if paths is not None:
+                for key, j in zip(keys.tolist(), new.tolist()):
+                    self.paths[key] = paths[j]
+            # Linear merge: new key i lands after the held keys below it.
+            at = np.searchsorted(self.keys, keys) + np.arange(new.shape[0])
+            old = np.ones(len(self) + new.shape[0], dtype=bool)
+            old[at] = False
+            for name, fresh in (
+                ("keys", keys),
+                ("reasons", reasons[new]),
+                ("hops", hops[new]),
+                ("lengths", lengths[new]),
+                ("has_path", np.full(new.shape[0], paths is not None)),
+            ):
+                held_arr = getattr(self, name)
+                merged = np.empty(old.shape[0], dtype=held_arr.dtype)
+                merged[old] = held_arr
+                merged[at] = fresh
+                setattr(self, name, merged)
+
+
 class BackboneRouter:
     """Batch version of the paper's dominating-set routing procedure.
 
@@ -1280,7 +1400,7 @@ class BackboneRouter:
         self._udg_keys: Any = None
         self._labels: Optional[Sequence[int]] = None
         self._bb_snap: Any = None
-        self._cache: Dict[str, Dict[Tuple[int, int], Any]] = {}
+        self._memos: Dict[str, _CoreMemo] = {}
         self._cache_entries = cache_entries
 
     # -- cached derived state -------------------------------------------
@@ -1377,12 +1497,7 @@ class BackboneRouter:
             ukeys = es[u_idx] * n + et[u_idx]
             uniq, inv = np.unique(ukeys, return_inverse=True)
             ur, uh, ul, up = self._resolve_cores(
-                np,
-                uniq // n,
-                uniq % n,
-                mode=mode,
-                max_hops=max_hops,
-                keep_paths=keep_paths,
+                np, uniq, n, mode=mode, max_hops=max_hops, keep_paths=keep_paths
             )
             core_reason[u_idx] = ur[inv]
             core_hops[u_idx] = uh[inv]
@@ -1467,70 +1582,69 @@ class BackboneRouter:
     def _resolve_cores(
         self,
         np: Any,
-        usrc: Any,
-        udst: Any,
+        ukeys: Any,
+        n: int,
         *,
         mode: str,
         max_hops: Optional[int],
         keep_paths: bool,
     ) -> Tuple[Any, Any, Any, List[Any]]:
-        """Route the deduplicated (entry, exit) cores, memoized per mode."""
-        m = usrc.shape[0]
-        ur = np.zeros(m, dtype=np.int8)
-        uh = np.zeros(m, dtype=np.int64)
-        ul = np.zeros(m, dtype=np.float64)
+        """Route the deduplicated cores ``entry * n + exit``, memoized per mode.
+
+        ``ukeys`` is ascending.  Returns per-core reasons, hops, lengths
+        and (with ``keep_paths``) paths.
+        """
+        memo = self._memos.get(mode)
+        if memo is None:
+            memo = self._memos.setdefault(mode, _CoreMemo(np, self._cache_entries))
+        m = ukeys.shape[0]
+        hit, hr, hh, hl, hp = memo.lookup(np, ukeys, keep_paths)
+        ur = np.empty(m, dtype=np.int8)
+        uh = np.empty(m, dtype=np.int64)
+        ul = np.empty(m, dtype=np.float64)
+        ur[hit] = hr
+        uh[hit] = hh
+        ul[hit] = hl
         up: List[Any] = [None] * m
-        cache = self._cache.setdefault(mode, {})
-        miss: List[int] = []
-        for j in range(m):
-            rec = cache.get((int(usrc[j]), int(udst[j])))
-            if rec is None or (keep_paths and rec[3] is None):
-                miss.append(j)
-            else:
-                ur[j], uh[j], ul[j] = rec[0], rec[1], rec[2]
-                up[j] = rec[3]
-        if miss:
-            mi = np.asarray(miss, dtype=np.int64)
+        for j, path in zip(np.nonzero(hit)[0].tolist(), hp):
+            up[j] = path
+        miss = np.nonzero(~hit)[0]
+        if miss.shape[0]:
+            mk = ukeys[miss]
             if mode == "shortest":
-                rr, rh, rl, rp = self._shortest_cores(np, usrc[mi], udst[mi])
+                rr, rh, rl, rp = self._shortest_cores(np, mk // n, mk % n)
             else:
                 res = self.engine.route_pairs(
-                    np.stack([usrc[mi], udst[mi]], axis=1),
+                    np.stack([mk // n, mk % n], axis=1),
                     method=mode,
                     max_hops=max_hops,
                     keep_paths=keep_paths,
                     count_unreachable=False,
                 )
                 rr, rh, rl = res.reasons, res.hops, res.lengths
-                rp = (
-                    [res.path(j) for j in range(len(miss))]
-                    if keep_paths
-                    else [None] * len(miss)
-                )
-            for jj, j in enumerate(miss):
-                ur[j] = rr[jj]
-                uh[j] = rh[jj]
-                ul[j] = rl[jj]
-                up[j] = rp[jj]
-                if len(cache) >= self._cache_entries:
-                    cache.clear()
-                cache[(int(usrc[j]), int(udst[j]))] = (
-                    int(rr[jj]),
-                    int(rh[jj]),
-                    float(rl[jj]),
-                    rp[jj],
-                )
+                rp = [res.path(j) for j in range(miss.shape[0])] if keep_paths else None
+            ur[miss] = rr
+            uh[miss] = rh
+            ul[miss] = rl
+            if keep_paths:
+                for j, path in zip(miss.tolist(), rp):
+                    up[j] = path
+            memo.store(np, mk, rr, rh, rl, rp if keep_paths else None)
         return ur, uh, ul, up
 
     def _shortest_cores(
         self, np: Any, usrc: Any, udst: Any
     ) -> Tuple[Any, Any, Any, List[Any]]:
-        """True shortest-path cores over the backbone (Dijkstra)."""
+        """True shortest-path cores over the backbone (Dijkstra).
+
+        An unreachable core is ``stuck`` at its entry, path ``(entry,)``,
+        as the scalar reference reports it.
+        """
         m = usrc.shape[0]
         rr = np.full(m, STUCK, dtype=np.int8)
         rh = np.zeros(m, dtype=np.int64)
         rl = np.zeros(m, dtype=np.float64)
-        rp: List[Any] = [None] * m
+        rp: List[Any] = [(v,) for v in usrc.tolist()]
         snap = self._backbone_snapshot()
         srcs = np.unique(usrc)
         if HAVE_SCIPY:

@@ -19,7 +19,10 @@ Snapshot format contract (see ``docs/performance.md``):
 * ``cell_x`` / ``cell_y`` — the node's uniform-grid cell at cell size
   ``radius`` (``floor(x / radius)``), matching
   :meth:`repro.graphs.udg.GridIndex._cell_of` bit for bit; ``None``
-  when the snapshot has no radius (plain graphs).
+  when the snapshot has no radius (plain graphs);
+* :meth:`SoaSnapshot.degree_classes` — the CSR rows regrouped into
+  fixed-width padded tables, one per degree class (built on first use
+  and cached on the snapshot, so they go when the snapshot does).
 
 Everything here degrades to ``None`` without numpy — callers keep the
 pure-Python reference path; :func:`repro.core.compat.get_numpy` is the
@@ -35,7 +38,7 @@ the connector election in :mod:`repro.protocols.cds_fast`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.core.compat import get_numpy
@@ -288,6 +291,75 @@ def _csr_from_edges(np: Any, n: int, edge_u: Any, edge_v: Any) -> tuple[Any, Any
     return indptr, sym_v[order].astype(np.int64, copy=False)
 
 
+# -- degree-class neighbour tables -------------------------------------------
+
+
+@dataclass
+class DegreeClasses:
+    """A snapshot's CSR rows as padded fixed-width tables.
+
+    A node of degree ``d >= 1`` belongs to class ``c = ceil(log2 d)``;
+    ``entries[c]`` holds one row per such node (``node_row`` gives its
+    index there): the node's CSR entry ids in ascending order, padded
+    to width ``2**c`` with the sentinel entry ``pad`` (one past the
+    last real entry).  So a step over the queries of one class is a
+    dense gather plus a reduction along ``axis=1``, and the first
+    minimum over the ascending slots is the lowest neighbour id — the
+    sliced-ELL layout of Kreutzer et al. (*SELL-C-sigma*, 2014) with
+    power-of-two slice widths, which keeps the padding under 2x the
+    CSR for any degree distribution.
+
+    ``coords[c]`` is ``entries[c]``'s neighbour positions as
+    ``x + 1j * y`` (the sentinel sits at ``inf + 1j * inf``), so a
+    step's coordinates are one row gather; ``neighbor`` maps an entry
+    id to its neighbour (``-1`` at ``pad``).  A key other than a plain
+    squared distance must mask ``pad`` slots itself: an infinite
+    coordinate turns angles and cosines into NaN, and ``argmin``
+    returns the first NaN.
+    """
+
+    #: Class per node, ``-1`` for isolated nodes (int8).
+    node_class: Any
+    #: Row of each node in its class's tables.
+    node_row: Any
+    #: Per class ``c``: ``(count, 2**c)`` int64 entry ids (empty when
+    #: no node has that class).
+    entries: list
+    #: Per class ``c``: ``(count, 2**c)`` complex128 neighbour positions.
+    coords: list
+    #: The sentinel entry id.
+    pad: int
+    #: ``(pad + 1,)`` neighbour id per entry id.
+    neighbor: Any
+
+    @classmethod
+    def build(cls, np: Any, snap: "SoaSnapshot") -> "DegreeClasses":
+        deg = snap.degrees()
+        pad = int(snap.indices.shape[0])
+        top = int(deg.max()) if deg.shape[0] else 0
+        widths = 1 << np.arange(max(1, top.bit_length() + 1), dtype=np.int64)
+        # ceil(log2 d): the first power of two that is >= d.
+        node_class = np.searchsorted(widths, deg).astype(np.int8)
+        node_class[deg == 0] = -1
+        node_row = np.zeros(snap.n, dtype=np.int64)
+        neighbor = np.append(snap.indices, -1)
+        at = np.empty(pad + 1, dtype=np.complex128)
+        at.real[:pad] = snap.xs[snap.indices]
+        at.imag[:pad] = snap.ys[snap.indices]
+        at[pad] = complex(np.inf, np.inf)
+        entries, coords = [], []
+        classes = int(node_class.max()) + 1 if pad else 0
+        for c in range(classes):
+            nodes = np.nonzero(node_class == c)[0]
+            node_row[nodes] = np.arange(nodes.shape[0])
+            slots = np.arange(1 << c, dtype=np.int64)
+            table = snap.indptr[nodes][:, None] + slots
+            table[slots >= deg[nodes][:, None]] = pad
+            entries.append(table)
+            coords.append(at[table])
+        return cls(node_class, node_row, entries, coords, pad, neighbor)
+
+
 # -- the snapshot -------------------------------------------------------------
 
 
@@ -305,10 +377,19 @@ class SoaSnapshot:
     edge_v: Any
     cell_x: Any = None
     cell_y: Any = None
+    _classes: Optional[DegreeClasses] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def edge_count(self) -> int:
         return int(self.edge_u.shape[0])
+
+    def degree_classes(self) -> DegreeClasses:
+        """The degree-class neighbour tables (built once, then cached)."""
+        if self._classes is None:
+            self._classes = DegreeClasses.build(get_numpy(), self)
+        return self._classes
 
     def neighbors_of(self, u: int) -> Any:
         """The sorted neighbor ids of ``u`` (array view)."""

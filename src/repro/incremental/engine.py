@@ -224,6 +224,7 @@ class IncrementalMaintainer:
         with obs.span("incremental.phase.udg"):
             appeared: list[tuple[int, int]] = []
             vanished: list[tuple[int, int]] = []
+            departed_links = 0
             event_points: list[Point] = []
             #: pre-batch positions of backbone members an event displaced,
             #: renamed, or removed — the pre-state side of the PLDel dirt.
@@ -266,6 +267,7 @@ class IncrementalMaintainer:
                     member.pop()
                 appeared.extend(delta.appeared)
                 vanished.extend(delta.vanished)
+                departed_links += delta.departed_links
                 event_points.extend(delta.dirty_points)
                 seeds.update(delta.touched)
                 for u, v in (*delta.appeared, *delta.vanished):
@@ -347,7 +349,7 @@ class IncrementalMaintainer:
             events=len(events),
             node_count=n,
             appeared_links=len(appeared),
-            vanished_links=len(vanished),
+            vanished_links=len(vanished) + departed_links,
             role_changes=role_changes,
             repairs_certified=certified,
             repairs_fallback=fallback,

@@ -35,6 +35,9 @@ class UdgDelta:
     dirty_points: tuple[Point, ...] = ()
     #: Ids whose adjacency or identity changed (post-event id space).
     touched: tuple[int, ...] = ()
+    #: Links a leave took with the departed node: counted, not listed
+    #: in ``vanished``, whose pairs would name a dead or reused id.
+    departed_links: int = 0
 
 
 @dataclass
@@ -222,11 +225,11 @@ class DynamicUdg:
             dirty = (old_pos,)
         self.positions.pop()
         self.adjacency.pop()
-        # No vanished edges are reported: they would name a dead id;
+        # No vanished edges are listed: they would name a dead id;
         # touched ids and dirty points carry the survivors' effects.
         return UdgDelta(
-            vanished=(),
             renamed=renamed,
+            departed_links=len(old_links),
             dirty_points=dirty,
             touched=tuple(sorted(t for t in touched if t < len(self.positions))),
         )

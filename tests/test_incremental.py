@@ -203,6 +203,18 @@ class TestMaintainerEquivalence:
         assert maintainer.udg.node_count == last
         assert_identical(maintainer)
 
+    def test_leave_counts_the_departed_links(self):
+        # Node 5 has ten links; a leave takes all of them, and the
+        # session totals follow the step report.
+        _, maintainer = make_maintainer(n=60, seed=3)
+        assert len(maintainer.udg.adjacency[5]) == 10
+        session = IncrementalSession(maintainer)
+        report = session.step([Event("leave", node=5)])
+        assert report.vanished_links == 10
+        assert report.appeared_links == 0
+        assert session.counters()["vanished_links"] == 10
+        assert_identical(maintainer)
+
     def test_mixed_batch_with_rename_chain(self):
         # A batch whose later events refer to ids recycled earlier in
         # the same batch (the swap-remove convention).

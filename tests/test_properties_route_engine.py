@@ -1,7 +1,8 @@
 """Property-based batch-vs-scalar parity for the route engine.
 
-Hypothesis draws small deployments — including quasi-UDG gray zones
-and fields sparse enough to disconnect — and every draw must satisfy
+Hypothesis draws small deployments — including quasi-UDG gray zones,
+fields sparse enough to disconnect, and fields with repeated points
+around a high-degree hub — and every draw must satisfy
 the engine's parity contract: batch paths, reasons, and hop counts
 equal the scalar routers' pair for pair, and the unreachable
 accounting equals the component partition's verdict (the same
@@ -32,6 +33,22 @@ deployments = st.lists(
 #: Small enough that sparse draws disconnect, large enough that dense
 #: draws route multi-hop.
 RADIUS = 2.5
+
+#: Repeated points and a hub: a base field that may repeat itself, plus
+#: up to 40 points within 1.5 per axis of its first point (so all in
+#: the hub's range, some on top of each other) — one node whose degree
+#: reaches the wider degree classes, and coincident neighbours for
+#: compass's zero-length arms and the right-hand rule's exclusion.
+hub_deployments = st.tuples(
+    st.lists(st.tuples(st.integers(0, 18), st.integers(0, 18)), min_size=2, max_size=14),
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=40),
+).map(
+    lambda drawn: [Point(x / 2.0, y / 2.0) for x, y in drawn[0]]
+    + [
+        Point((drawn[0][0][0] + dx) / 2.0, (drawn[0][0][1] + dy) / 2.0)
+        for dx, dy in drawn[1]
+    ]
+)
 
 slow = settings(
     max_examples=15,
@@ -69,6 +86,15 @@ def assert_parity(graph, pairs):
 def test_engine_parity_on_udg(points):
     udg = UnitDiskGraph(points, RADIUS)
     assert_parity(udg, all_pairs(udg.node_count))
+
+
+@slow
+@given(hub_deployments)
+def test_engine_parity_with_hub_and_repeats(points):
+    udg = UnitDiskGraph(points, RADIUS)
+    n = udg.node_count
+    pairs = all_pairs(n, limit=25) + [(0, t) for t in range(1, n)] + [(s, 0) for s in range(1, n, 3)]
+    assert_parity(udg, pairs)
 
 
 @slow
