@@ -20,7 +20,6 @@ communication benchmarks reproduce the paper's accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Optional
 
 from repro.core.compat import get_numpy
@@ -140,7 +139,7 @@ def build_cds_family(
 
     # One Status broadcast per node announces its final role so that
     # every backbone node can locally assemble its ICDS links.
-    stats.record_counts(STATUS, udg.nodes(), repeat(1))
+    stats.record_counts(STATUS, udg.nodes(), 1)
 
     backbone = clustering.dominators | connector_outcome.connectors
     icds = induced_udg_subgraph(udg, backbone, "ICDS")

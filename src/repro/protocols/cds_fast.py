@@ -61,7 +61,7 @@ serving-layer implementation, held bit-identical to it by
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from typing import Any, Optional
 
 from repro import obs
@@ -126,7 +126,7 @@ def fast_clustering(
         ptr, ind = snap.indptr.tolist(), snap.indices.tolist()
         neighbors = [ind[ptr[x] : ptr[x + 1]] for x in range(n)]
     pri = [chosen(x, len(neighbors[x])) for x in range(n)]
-    ledger.record_counts(HELLO, range(n), repeat(1))
+    ledger.record_counts(HELLO, range(n), 1)
 
     # A neighbor w blocks x while white iff not (pri[x] < pri[w]); x
     # elects at the finish of the first round with no live blockers.
@@ -200,7 +200,7 @@ def fast_clustering(
                 dominatee_sent[w] += 1
 
     ledger.record_counts(IAM_DOMINATEE, range(n), dominatee_sent)
-    ledger.record_counts(IAM_DOMINATOR, dominators, repeat(1))
+    ledger.record_counts(IAM_DOMINATOR, dominators, 1)
 
     # Quiescence: the network idles one round after the last in-flight
     # message — IamDominator at T+1, the dominatees' reactions at T+2.
@@ -502,7 +502,7 @@ def _soa_connectors(
     if rebroadcast_dominatees:
         kinds.insert(0, (IAM_DOMINATEE, mine))
     for kind, counts in kinds:
-        ledger.record_counts(kind, range(n), counts.tolist())
+        ledger.record_counts(kind, range(n), counts)
 
     # Certified edges: slot 0 (u, x), (x, v); slot 1 (u, x); slot 2
     # (first, x), (x, v).

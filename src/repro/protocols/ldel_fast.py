@@ -35,7 +35,6 @@ empty one.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import repeat
 from typing import Optional
 
 from repro.core.compat import get_numpy
@@ -74,11 +73,11 @@ def fast_ldel_protocol(
     """
     ledger = stats if stats is not None else MessageStats()
     triangles, proposed = proposed_triangles(udg)
-    verdicts = corner_verdicts(udg, triangles)
+    verdicts, circles = corner_verdicts(udg, triangles, with_circles=True)
 
     n = udg.node_count
     for kind in (LOCATION, STRUCTURE, KEPT):
-        ledger.record_counts(kind, range(n), repeat(1))
+        ledger.record_counts(kind, range(n), 1)
     # Phases 2-3: one Proposal per (triangle, proposing corner), one
     # Accept/Reject per (triangle, other corner), read off the same rows.
     np = get_numpy()
@@ -96,29 +95,27 @@ def fast_ldel_protocol(
         for (node, kind), count in sorted(sent.items()):
             ledger.record(node, kind, count)
     else:
-        tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-        by = np.asarray(proposed, dtype=bool).reshape(-1, 3)
-        ok = np.asarray(verdicts, dtype=bool).reshape(-1, 3)
-        for kind, rows in ((PROPOSAL, by), (ACCEPT, ~by & ok), (REJECT, ~by & ~ok)):
-            ledger.record_counts(kind, range(n), np.bincount(tris[rows], minlength=n).tolist())
-        keep = (by | ok).all(axis=1).tolist()
-        accepted = [t for t, kept in zip(triangles, keep) if kept]
+        for kind, rows in (
+            (PROPOSAL, proposed),
+            (ACCEPT, ~proposed & verdicts),
+            (REJECT, ~proposed & ~verdicts),
+        ):
+            ledger.record_counts(kind, range(n), np.bincount(triangles[rows], minlength=n))
+        keep = (proposed | verdicts).all(axis=1)
+        accepted, circles = triangles[keep], circles[keep]
 
     # Phases 4-6: structure exchange, prune, confirm — the surviving
     # triangle set is the centralized Algorithm 3 replay on the
     # accepted set.
     gabriel = gabriel_graph(udg)
     ldel1 = LDelResult(
-        graph=gabriel,
-        triangles=tuple(accepted),
-        gabriel_edges=gabriel.edge_set(),
-        k=1,
+        graph=gabriel, triangles=accepted, gabriel_edges=gabriel, k=1, circles=circles
     )
     pruned = planarize_ldel1(udg, ldel1)
     return LDelProtocolOutcome(
         graph=pruned.graph,
-        triangles=pruned.triangles,
-        gabriel_edges=pruned.gabriel_edges,
+        triangles=pruned.triangle_rows,
+        gabriel_edges=gabriel,
         rounds=5 if udg.node_count else 0,
         stats=ledger,
     )

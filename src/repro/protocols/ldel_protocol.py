@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from repro.geometry.circle import circumcircle, gabriel_disk_empty
 from repro.geometry.predicates import segments_cross
@@ -52,6 +51,7 @@ from repro.sim.messages import (
 from repro.sim.network import SyncNetwork
 from repro.sim.protocol import NodeProcess
 from repro.sim.stats import MessageStats
+from repro.topology.ldel import LDelForms
 
 Triangle = tuple[int, int, int]
 #: A triangle together with its vertex coordinates, as shipped in
@@ -59,15 +59,26 @@ Triangle = tuple[int, int, int]
 LocatedTriangle = tuple[Triangle, tuple[Point, Point, Point]]
 
 
-@dataclass(frozen=True)
-class LDelProtocolOutcome:
-    """Result of the distributed LDel^1 + planarization run."""
+class LDelProtocolOutcome(LDelForms):
+    """Result of the distributed LDel^1 + planarization run.
 
-    graph: Graph
-    triangles: tuple[Triangle, ...]
-    gabriel_edges: frozenset[tuple[int, int]]
-    rounds: int
-    stats: MessageStats
+    ``triangles`` and ``gabriel_edges`` take the same forms as
+    :class:`~repro.topology.ldel.LDelResult`'s (the fast path hands
+    rows and the Gabriel graph; the tuple forms are built when read).
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        triangles: Any,
+        gabriel_edges: Any,
+        rounds: int,
+        stats: MessageStats,
+    ) -> None:
+        self.graph = graph
+        self.rounds = rounds
+        self.stats = stats
+        self._set_forms(triangles, gabriel_edges)
 
 
 class LDelProcess(NodeProcess):

@@ -80,6 +80,7 @@ from repro.topology.ldel import (
     corner_verdicts,
     proposed_triangles,
     resolve_degenerate_crossings,
+    triangle_tuples,
 )
 
 
@@ -191,7 +192,7 @@ def _phase_a(payload: tuple) -> dict:
         proposers = [
             u for u in range(len(gids)) if _box_distance(box, pos[u]) <= radius
         ]
-        candidates, _ = proposed_triangles(udg, proposers)
+        candidates = triangle_tuples(proposed_triangles(udg, proposers)[0])
         owned = [t for t in candidates if t[0] in core]
         out["accepted"] = [
             (gids[a], gids[b], gids[c])

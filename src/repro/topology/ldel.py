@@ -20,10 +20,11 @@ This module is the one place that decides LDel^1.  Three functions
 hold the decisions: :func:`proposed_triangles` (Algorithm 2's
 proposals, with the corners that proposed each triangle),
 :func:`corner_verdicts` (each corner's accept/reject) and
-:func:`contest_triangles` (Algorithm 3's contest), and
-:func:`degenerate_crossing_losers` holds the tie-break for exactly
-cocircular crossings.  The centralized construction below, the fast
-protocol (:mod:`repro.protocols.ldel_fast`), the sharded tile workers
+:func:`contest_triangles` (Algorithm 3's contest; :func:`contest_losers`
+is its removal mask alone), and :func:`degenerate_crossing_losers`
+holds the tie-break for exactly cocircular crossings.  The centralized
+construction below, the fast protocol
+(:mod:`repro.protocols.ldel_fast`), the sharded tile workers
 (:mod:`repro.sharding.build`) and the incremental maintainer
 (:mod:`repro.incremental.pldel`) compose them.  The message-passing
 protocol (paper Algorithms 2 and 3 verbatim) lives in
@@ -31,22 +32,23 @@ protocol (paper Algorithms 2 and 3 verbatim) lives in
 graph.
 
 Hot-path notes: each of the three functions picks its kernel itself.
-With numpy available it runs the vectorized SoA kernel; otherwise the
-scalar loop, which is the bit-identical reference the kernel is tested
-against.  No other module branches on numpy for LDel.  The scalar
-paths, and the k >= 2 verdicts, take an optional
-:class:`~repro.topology.construction_cache.ConstructionCache` so
-neighborhoods and circumcircles are computed once per construction.
+With numpy available it runs the vectorized SoA kernel, and triangles
+and decisions pass between the functions as (m, 3) arrays; otherwise
+the scalar loop, which is the bit-identical reference the kernel is
+tested against, on tuples.  :class:`LDelResult` builds its tuple forms
+only when read.  The scalar paths, and the k >= 2 verdicts, take an
+optional :class:`~repro.topology.construction_cache.ConstructionCache`
+so neighborhoods and circumcircles are computed once per construction.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro import obs
+from repro.core.compat import get_numpy
 from repro.geometry.circle import circumcircle
 from repro.geometry.predicates import segments_cross
 from repro.geometry.primitives import Point, angle_at, dist_sq
@@ -74,14 +76,89 @@ _COS_MIN_ANGLE = math.cos(_MIN_ANGLE)
 _ANGLE_COS_BAND = 1e-9
 
 
-@dataclass(frozen=True)
-class LDelResult:
-    """LDel^k construction output: the graph plus its building blocks."""
+class LDelForms:
+    """The triangles and Gabriel edges of an LDel result, in either form.
 
-    graph: Graph
-    triangles: tuple[Triangle, ...]
-    gabriel_edges: frozenset[tuple[int, int]]
-    k: int
+    The fast paths hand triangles along as (m, 3) int64 rows and the
+    Gabriel edges as the Gabriel graph (the next stage reads its
+    ``edge_keys()``).  :attr:`triangles` and :attr:`gabriel_edges`
+    build the tuple and frozenset forms on first read, so a build that
+    never reads them never makes a tuple per triangle or edge.
+    """
+
+    _rows: Any
+    _gabriel: Any
+    _tuples: Optional[tuple[Triangle, ...]]
+    _pairs: Optional[frozenset[Edge]]
+
+    def _set_forms(self, triangles: Any, gabriel_edges: Any) -> None:
+        if not hasattr(triangles, "tolist"):
+            triangles = tuple(triangles)
+        self._rows = triangles
+        self._gabriel = gabriel_edges
+        self._tuples = triangles if isinstance(triangles, tuple) else None
+        self._pairs = gabriel_edges if isinstance(gabriel_edges, frozenset) else None
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickles from before the array form hold the tuple fields.
+        if "triangles" in state:
+            state = dict(state)
+            self._set_forms(state.pop("triangles"), state.pop("gabriel_edges"))
+        self.__dict__.update(state)
+
+    @property
+    def triangles(self) -> tuple[Triangle, ...]:
+        """The triangles as ascending id tuples, in ascending order."""
+        if self._tuples is None:
+            self._tuples = tuple(map(tuple, self._rows.tolist()))
+        return self._tuples
+
+    @property
+    def gabriel_edges(self) -> frozenset[Edge]:
+        """The Gabriel edges as ``(u, v)`` pairs, ``u < v``."""
+        if self._pairs is None:
+            gabriel = self._gabriel
+            self._pairs = (
+                gabriel.edge_set() if isinstance(gabriel, Graph) else frozenset(gabriel)
+            )
+        return self._pairs
+
+    @property
+    def triangle_rows(self) -> Any:
+        """The triangles in the form the LDel^1 functions take.
+
+        An (m, 3) int64 array with numpy; the tuples otherwise.
+        """
+        np = get_numpy()
+        if np is None:
+            return self.triangles
+        return np.asarray(self._rows, dtype=np.int64).reshape(-1, 3)
+
+
+class LDelResult(LDelForms):
+    """LDel^k construction output: the graph plus its building blocks.
+
+    ``triangles`` may be given as tuples or as (m, 3) int64 rows, and
+    ``gabriel_edges`` as a frozenset of pairs or as the Gabriel graph;
+    ``circles`` optionally carries the triangles' circumcircles
+    (:func:`corner_verdicts`' ``with_circles`` form) for the contest.
+    """
+
+    circles: Any = None
+
+    def __init__(
+        self,
+        graph: Graph,
+        triangles: Any,
+        gabriel_edges: Any,
+        k: int,
+        *,
+        circles: Any = None,
+    ) -> None:
+        self.graph = graph
+        self.k = k
+        self.circles = circles
+        self._set_forms(triangles, gabriel_edges)
 
 
 def _node_candidates(
@@ -242,7 +319,6 @@ def _soa_proposals(udg: UnitDiskGraph, node_ids: Optional[Sequence[int]]):
     queries run :func:`_node_candidates` itself, so the triple set and
     the proposer sets equal the scalar loop's.
     """
-    from repro.core.compat import get_numpy
     from repro.core.soa import snapshot_for
 
     np = get_numpy()
@@ -280,17 +356,27 @@ def _soa_proposals(udg: UnitDiskGraph, node_ids: Optional[Sequence[int]]):
     return tris[first], proposed
 
 
-def _soa_corner_verdicts(udg: UnitDiskGraph, triangles):
-    """Vectorized k=1 :func:`corner_verdicts` as a (K, 3) array, or ``None``.
+def _circle_rows(np, valid, ccx, ccy, rad):
+    """Circumcircles as (m, 3) float64 rows ``(cx, cy, r)``.
 
-    One ragged gather of every corner's CSR row, keyed by
-    ``triangle * 3 + corner``: rows naming the other two corners count
-    toward the radio rule, every other row is a witness tested against
-    the batched circumcircle (exact-rescued rows identical to the
-    scalar :func:`~repro.geometry.circle.circumcircle`) with the same
+    ``r`` is NaN where the triangle has no circle, so every containment
+    test against that row is False, as the scalar ``None`` circle's.
+    """
+    return np.stack([ccx, ccy, np.where(valid, rad, np.nan)], axis=1)
+
+
+def _soa_corner_verdicts(udg: UnitDiskGraph, triangles):
+    """Vectorized k=1 :func:`corner_verdicts`, or ``None``.
+
+    Returns the (K, 3) verdicts and the triangles' circumcircle rows
+    (:func:`_circle_rows`).  One ragged gather of every corner's CSR
+    row, keyed by ``triangle * 3 + corner``: rows naming the other two
+    corners count toward the radio rule, every other row is a witness
+    tested against the batched circumcircle (exact-rescued rows
+    identical to the scalar
+    :func:`~repro.geometry.circle.circumcircle`) with the same
     tolerance-shrunk open-disk containment as ``Circle.contains``.
     """
-    from repro.core.compat import get_numpy
     from repro.core.soa import gather_csr_rows, snapshot_for
     from repro.geometry.circle import circumcircles_batch
 
@@ -303,7 +389,7 @@ def _soa_corner_verdicts(udg: UnitDiskGraph, triangles):
     tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     count = tris.shape[0]
     if count == 0:
-        return np.zeros((0, 3), dtype=bool)
+        return np.zeros((0, 3), dtype=bool), np.zeros((0, 3))
     xs, ys = snap.xs, snap.ys
     u, v, w = tris[:, 0], tris[:, 1], tris[:, 2]
     valid, ccx, ccy, rad = circumcircles_batch(
@@ -325,48 +411,88 @@ def _soa_corner_verdicts(udg: UnitDiskGraph, triangles):
     dyw = ccy[owner] - ys[wit]
     inside = valid[owner] & (r > 0.0) & (dxw * dxw + dyw * dyw < r * r)
     blocked = np.bincount(slot[inside], minlength=3 * count) > 0
-    return valid[:, None] & (hears_both & ~blocked).reshape(count, 3)
+    verdicts = valid[:, None] & (hears_both & ~blocked).reshape(count, 3)
+    return verdicts, _circle_rows(np, valid, ccx, ccy, rad)
+
+
+#: Triangle sides in :func:`_triangle_edges` order, as corner slots.
+_SIDE_START = [0, 1, 0]
+_SIDE_END = [1, 2, 2]
 
 
 def _soa_triangles_intersect(np, xs, ys, tris, pi, pj):
-    """Which triangle pairs overlap improperly (vectorized 9-way test)."""
-    from repro.geometry.predicates import segments_cross_batch
+    """Which triangle pairs overlap improperly (vectorized 9-way test).
 
-    edge_slots = ((0, 1), (1, 2), (0, 2))  # _triangle_edges order
-    inter = np.zeros(pi.shape[0], dtype=bool)
-    for i1, j1 in edge_slots:
-        a, b = tris[pi, i1], tris[pi, j1]
-        ax_, ay_, bx_, by_ = xs[a], ys[a], xs[b], ys[b]
-        ax0 = np.minimum(ax_, bx_) - _EDGE_BBOX_SLACK
-        ay0 = np.minimum(ay_, by_) - _EDGE_BBOX_SLACK
-        ax1 = np.maximum(ax_, bx_) + _EDGE_BBOX_SLACK
-        ay1 = np.maximum(ay_, by_) + _EDGE_BBOX_SLACK
-        for i2, j2 in edge_slots:
-            c, d = tris[pj, i2], tris[pj, j2]
-            share = (a == c) | (a == d) | (b == c) | (b == d)
-            cx_, cy_, dx_, dy_ = xs[c], ys[c], xs[d], ys[d]
-            miss = (
-                (ax1 < np.minimum(cx_, dx_) - _EDGE_BBOX_SLACK)
-                | (np.maximum(cx_, dx_) + _EDGE_BBOX_SLACK < ax0)
-                | (ay1 < np.minimum(cy_, dy_) - _EDGE_BBOX_SLACK)
-                | (np.maximum(cy_, dy_) + _EDGE_BBOX_SLACK < ay0)
-            )
-            cand = ~share & ~miss & ~inter
-            if not cand.any():
-                continue
-            inter |= segments_cross_batch(
-                ax_, ay_, bx_, by_, cx_, cy_, dx_, dy_, mask=cand
-            )
-    return inter
+    Each pair's 18 side-versus-vertex orientation codes are computed
+    once (one call per direction), and the nine side pairs read their
+    four codes each from them.  Side pairs sharing a vertex id, with
+    disjoint slack-inflated boxes, or with a coincident endpoint are
+    rejected exactly as :func:`_triangles_intersect` and
+    :func:`~repro.geometry.predicates.segments_cross` reject them;
+    side pairs with a collinear code go to the scalar
+    ``segments_cross``, whose ``on_segment`` branches decide them.
+    """
+    from repro.geometry.predicates import orientation_codes_batch
+
+    s, e = _SIDE_START, _SIDE_END
+    ti, tj = tris[pi], tris[pj]
+    xi, yi, xj, yj = xs[ti], ys[ti], xs[tj], ys[tj]
+    # oi[p, a, c]: side a of triangle i against vertex c of triangle j.
+    oi = orientation_codes_batch(
+        xi[:, s, None], yi[:, s, None], xi[:, e, None], yi[:, e, None],
+        xj[:, None, :], yj[:, None, :],
+    )
+    oj = orientation_codes_batch(
+        xj[:, s, None], yj[:, s, None], xj[:, e, None], yj[:, e, None],
+        xi[:, None, :], yi[:, None, :],
+    )
+    # Side a of i is segment (p1, q1), side b of j is (p2, q2); the
+    # [p, a, b] entries of segments_cross's four orientations:
+    o1, o2 = oi[:, :, s], oi[:, :, e]
+    o3, o4 = oj[:, :, s].transpose(0, 2, 1), oj[:, :, e].transpose(0, 2, 1)
+
+    p1, q1 = ti[:, s, None], ti[:, e, None]
+    p2, q2 = tj[:, None, s], tj[:, None, e]
+    share = (p1 == p2) | (p1 == q2) | (q1 == p2) | (q1 == q2)
+    x1, y1, x2, y2 = xi[:, s, None], yi[:, s, None], xi[:, e, None], yi[:, e, None]
+    x3, y3, x4, y4 = xj[:, None, s], yj[:, None, s], xj[:, None, e], yj[:, None, e]
+    miss = (
+        (np.maximum(x1, x2) + _EDGE_BBOX_SLACK < np.minimum(x3, x4) - _EDGE_BBOX_SLACK)
+        | (np.maximum(x3, x4) + _EDGE_BBOX_SLACK < np.minimum(x1, x2) - _EDGE_BBOX_SLACK)
+        | (np.maximum(y1, y2) + _EDGE_BBOX_SLACK < np.minimum(y3, y4) - _EDGE_BBOX_SLACK)
+        | (np.maximum(y3, y4) + _EDGE_BBOX_SLACK < np.minimum(y1, y2) - _EDGE_BBOX_SLACK)
+    )
+    same = (
+        ((x1 == x3) & (y1 == y3))
+        | ((x1 == x4) & (y1 == y4))
+        | ((x2 == x3) & (y2 == y3))
+        | ((x2 == x4) & (y2 == y4))
+    )
+    cand = ~share & ~miss & ~same
+    collinear = (o1 == 0) | (o2 == 0) | (o3 == 0) | (o4 == 0)
+    cross = cand & ~collinear & (o1 != o2) & (o3 != o4)
+    for p, a, b in zip(*np.nonzero(cand & collinear)):
+        ends = (ti[p, s[a]], ti[p, e[a]], tj[p, s[b]], tj[p, e[b]])
+        cross[p, a, b] = segments_cross(
+            *(Point(float(xs[i]), float(ys[i])) for i in ends)
+        )
+    return cross.any(axis=(1, 2))
 
 
-def _soa_contest(positions: Sequence[Point], triangles, cell: float):
-    """Vectorized :func:`contest_triangles`; ``None`` defers to scalar.
+def _soa_contest(positions: Sequence[Point], triangles, cell: float, circles, pairs: bool):
+    """Vectorized Algorithm 3 contest; ``None`` defers to the scalar loop.
 
     Returns ``(removed, pi, pj)`` arrays: the removal mask and the
-    intersecting index pairs (``pi < pj``, sorted).
+    intersecting index pairs (``pi < pj``, sorted).  Containment comes
+    first: the six circumcircle-holds-vertex tests run on every pair
+    with overlapping boxes, and the crossing test only on the pairs
+    where one holds, since only those can remove a triangle.  With
+    ``pairs`` the crossing test runs on every overlapping pair instead,
+    so ``pi, pj`` are all the intersecting pairs
+    (:func:`contest_triangles`' contract); the mask is the same either
+    way.  ``circles`` are the triangles' :func:`_circle_rows`, or
+    ``None`` to compute them here.
     """
-    from repro.core.compat import get_numpy
     from repro.core.soa import bbox_grid_pairs, coordinates
     from repro.geometry.circle import circumcircles_batch, contains_batch
 
@@ -376,14 +502,14 @@ def _soa_contest(positions: Sequence[Point], triangles, cell: float):
     tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     removed = np.zeros(tris.shape[0], dtype=bool)
     xs, ys = coordinates(np, positions)
-    u, v, w = tris[:, 0], tris[:, 1], tris[:, 2]
-    valid, ccx, ccy, rad = circumcircles_batch(
-        xs[u], ys[u], xs[v], ys[v], xs[w], ys[w]
-    )
-    bx0 = np.minimum(np.minimum(xs[u], xs[v]), xs[w])
-    by0 = np.minimum(np.minimum(ys[u], ys[v]), ys[w])
-    bx1 = np.maximum(np.maximum(xs[u], xs[v]), xs[w])
-    by1 = np.maximum(np.maximum(ys[u], ys[v]), ys[w])
+    tx, ty = xs[tris], ys[tris]
+    if circles is None:
+        circles = _circle_rows(np, *circumcircles_batch(
+            tx[:, 0], ty[:, 0], tx[:, 1], ty[:, 1], tx[:, 2], ty[:, 2]
+        ))
+    ccx, ccy, rad = circles[:, 0], circles[:, 1], circles[:, 2]
+    bx0, by0 = tx.min(axis=1), ty.min(axis=1)
+    bx1, by1 = tx.max(axis=1), ty.max(axis=1)
     pi, pj = bbox_grid_pairs(np, bx0, by0, bx1, by1, cell)
     obs.count("construction.triangle_pairs_candidate", int(pi.shape[0]))
     overlap = ~(
@@ -392,18 +518,27 @@ def _soa_contest(positions: Sequence[Point], triangles, cell: float):
         | (by1[pi] < by0[pj])
         | (by1[pj] < by0[pi])
     )
-    obs.count("construction.triangle_pairs_tested", int(overlap.sum()))
     pi, pj = pi[overlap], pj[overlap]
+    # held_i: triangle pi's circumcircle holds a vertex of triangle pj.
+    held_i = np.zeros(pi.shape[0], dtype=bool)
+    held_j = np.zeros(pi.shape[0], dtype=bool)
+    for corner in range(3):
+        held_i |= contains_batch(
+            ccx[pi], ccy[pi], rad[pi], tx[pj, corner], ty[pj, corner]
+        )
+        held_j |= contains_batch(
+            ccx[pj], ccy[pj], rad[pj], tx[pi, corner], ty[pi, corner]
+        )
+    if not pairs:
+        contested = held_i | held_j
+        pi, pj = pi[contested], pj[contested]
+        held_i, held_j = held_i[contested], held_j[contested]
+    obs.count("construction.triangle_pairs_tested", int(pi.shape[0]))
     inter = _soa_triangles_intersect(np, xs, ys, tris, pi, pj)
     obs.count("construction.triangle_pairs_intersecting", int(inter.sum()))
-    pi, pj = pi[inter], pj[inter]
-    for mine, other in ((pi, pj), (pj, pi)):
-        hit = np.zeros(pi.shape[0], dtype=bool)
-        for corner in range(3):
-            vid = tris[other, corner]
-            hit |= contains_batch(ccx[mine], ccy[mine], rad[mine], xs[vid], ys[vid])
-        removed[mine[hit & valid[mine]]] = True
-    return removed, pi, pj
+    removed[pi[inter & held_i]] = True
+    removed[pj[inter & held_j]] = True
+    return removed, pi[inter], pj[inter]
 
 
 # -- the three LDel^1 decisions -----------------------------------------------
@@ -413,7 +548,10 @@ def _soa_contest(positions: Sequence[Point], triangles, cell: float):
 # (:mod:`repro.sharding.build`), the incremental maintainer
 # (:mod:`repro.incremental.pldel`, contests only) — composes these
 # three functions; each picks the SoA kernel or the scalar reference
-# itself.
+# itself.  With numpy they take and return arrays: triangles as (m, 3)
+# int64 rows (ascending ids), per-corner decisions as (m, 3) bool
+# masks.  The scalar reference takes and returns the same values as
+# tuples and lists.
 
 
 def proposed_triangles(
@@ -421,7 +559,7 @@ def proposed_triangles(
     node_ids: Optional[Sequence[int]] = None,
     *,
     cache: Optional[ConstructionCache] = None,
-) -> tuple[list[Triangle], list[tuple[bool, ...]]]:
+) -> tuple[Any, Any]:
     """Algorithm 2's proposals: candidate triangles and who proposed them.
 
     A node proposes exactly the incident triangles of ``Del(N_1(u))``
@@ -434,8 +572,7 @@ def proposed_triangles(
     """
     soa = _soa_proposals(udg, node_ids)
     if soa is not None:
-        tris, proposed = soa
-        return list(map(tuple, tris.tolist())), list(map(tuple, proposed.tolist()))
+        return soa
     cache = ConstructionCache.for_udg(udg, cache)
     r_sq = udg.radius * udg.radius
     pos = udg.positions
@@ -453,11 +590,12 @@ def proposed_triangles(
 
 def corner_verdicts(
     udg: UnitDiskGraph,
-    triangles: Sequence[Triangle],
+    triangles: Any,
     k: int = 1,
     *,
     cache: Optional[ConstructionCache] = None,
-) -> list[tuple[bool, ...]]:
+    with_circles: bool = False,
+) -> Any:
     """Each corner's verdict on each triangle, as Algorithm 2 responds.
 
     Corner ``c`` accepts when the other two corners are its radio
@@ -465,14 +603,20 @@ def corner_verdicts(
     rule is what keeps a quasi-UDG gray-zone side that the model
     dropped out of LDel; under the disk model every side of a proposed
     triangle is a link, so it never fires there.
+
+    With ``with_circles``, returns ``(verdicts, circles)``: the k=1
+    kernel's circumcircles as (m, 3) ``(cx, cy, r)`` rows (``r`` NaN
+    for a degenerate triangle), for :func:`contest_losers` to reuse;
+    ``circles`` is ``None`` where the scalar loop decided.
     """
     soa = _soa_corner_verdicts(udg, triangles) if k == 1 else None
     if soa is not None:
-        return list(map(tuple, soa.tolist()))
+        return soa if with_circles else soa[0]
+    np = get_numpy()
     cache = ConstructionCache.for_udg(udg, cache)
     pos = udg.positions
     out = []
-    for t in triangles:
+    for t in triangle_tuples(triangles):
         circle = cache.circumcircle_of(t)
         row = []
         for c in t:
@@ -485,7 +629,8 @@ def corner_verdicts(
                 )
             )
         out.append(tuple(row))
-    return out
+    verdicts = out if np is None else np.array(out, dtype=bool).reshape(-1, 3)
+    return (verdicts, None) if with_circles else verdicts
 
 
 def contest_triangles(
@@ -498,9 +643,10 @@ def contest_triangles(
     mask and the sorted intersecting index pairs ``(i, j)``, ``i < j``.
     Candidate pairs come from a uniform grid of side ``cell`` over the
     bounding boxes; a box-overlap test rejects most before the nine-way
-    segment-crossing test runs.
+    segment-crossing test runs.  :func:`contest_losers` is the mask
+    alone, without the pairs.
     """
-    soa = _soa_contest(positions, triangles, cell)
+    soa = _soa_contest(positions, triangles, cell, None, pairs=True)
     if soa is not None:
         removed, pi, pj = soa
         return removed.tolist(), list(zip(pi.tolist(), pj.tolist()))
@@ -536,6 +682,39 @@ def contest_triangles(
     return removed, pairs
 
 
+def contest_losers(
+    positions: Sequence[Point], triangles: Any, cell: float, *, circles: Any = None
+) -> Any:
+    """The triangles Algorithm 3's contest removes, as a mask.
+
+    Equal to ``contest_triangles(positions, triangles, cell)[0]``, which
+    is its scalar reference.  The kernel runs the crossing test only on
+    pairs where a circumcircle holds a vertex of the other triangle
+    (see :func:`_soa_contest`).  ``circles`` optionally passes the
+    triangles' circumcircle rows from :func:`corner_verdicts`.
+    """
+    soa = _soa_contest(positions, triangles, cell, circles, pairs=False)
+    if soa is not None:
+        return soa[0]
+    return contest_triangles(positions, triangles, cell)[0]
+
+
+def triangle_tuples(rows: Any) -> list[Triangle]:
+    """Triangles as a list of id tuples, from rows in either form."""
+    return list(map(tuple, rows.tolist() if hasattr(rows, "tolist") else rows))
+
+
+def _kept(rows: Any, keep: Any, circles: Any = None) -> tuple[Any, Any]:
+    """The ``rows`` (and their ``circles``) where ``keep`` holds.
+
+    An array take on the kernels' output, the tuple filter on the
+    scalar reference's.
+    """
+    if isinstance(keep, list):
+        return tuple(t for t, kept in zip(rows, keep) if kept), None
+    return rows[keep], None if circles is None else circles[keep]
+
+
 def candidate_triangles(
     udg: UnitDiskGraph, *, cache: Optional[ConstructionCache] = None
 ) -> set[Triangle]:
@@ -549,7 +728,7 @@ def candidate_triangles(
     exactly-cocircular inputs, where "the" local Delaunay triangulation
     is not unique.
     """
-    return set(proposed_triangles(udg, cache=cache)[0])
+    return set(triangle_tuples(proposed_triangles(udg, cache=cache)[0]))
 
 
 def is_k_localized_delaunay(
@@ -580,22 +759,24 @@ def local_delaunay_graph(
         raise ValueError("k must be at least 1")
     cache = ConstructionCache.for_udg(udg, cache)
     triangles, _ = proposed_triangles(udg, cache=cache)
-    verdicts = corner_verdicts(udg, triangles, k, cache=cache)
-    accepted = tuple(t for t, ok in zip(triangles, verdicts) if all(ok))
+    verdicts, circles = corner_verdicts(
+        udg, triangles, k, cache=cache, with_circles=True
+    )
+    keep = (
+        [all(ok) for ok in verdicts] if isinstance(verdicts, list) else verdicts.all(axis=1)
+    )
+    accepted, circles = _kept(triangles, keep, circles)
     gabriel = gabriel_graph(udg, cache=cache)
     graph = _gabriel_plus_triangles(udg, gabriel, accepted, f"LDel{k}")
     return LDelResult(
-        graph=graph,
-        triangles=accepted,
-        gabriel_edges=gabriel.edge_set(),
-        k=k,
+        graph=graph, triangles=accepted, gabriel_edges=gabriel, k=k, circles=circles
     )
 
 
 def _gabriel_plus_triangles(
     udg: UnitDiskGraph,
     gabriel: "Graph | frozenset[Edge]",
-    triangles: Sequence[Triangle],
+    triangles: Any,
     name: str,
 ) -> Graph:
     """The Gabriel edges plus every side of ``triangles``, as one graph.
@@ -603,7 +784,6 @@ def _gabriel_plus_triangles(
     With numpy, one concatenation of edge keys (array-backed result);
     otherwise the set-backed reference.
     """
-    from repro.core.compat import get_numpy
     from repro.core.soa import pair_keys, sorted_unique, triangle_edge_keys
 
     np = get_numpy()
@@ -762,23 +942,20 @@ def planarize_ldel1(
 
     For every pair of intersecting 1-localized Delaunay triangles, a
     triangle whose circumcircle contains a vertex of the other is
-    removed (:func:`contest_triangles`); Li et al. prove this leaves a
-    planar graph.  Gabriel edges are always retained.  ``cache`` is
-    accepted so callers can pass one cache through every stage; the
-    contest needs no memo.
+    removed (:func:`contest_losers`, reusing ``ldel1.circles`` when the
+    kernel left them); Li et al. prove this leaves a planar graph.
+    Gabriel edges are always retained.  ``cache`` is accepted so callers
+    can pass one cache through every stage; the contest needs no memo.
     """
     if ldel1.k != 1:
         raise ValueError("planarization applies to LDel^1")
-    removed, _ = contest_triangles(udg.positions, ldel1.triangles, udg.radius)
-    survivors = tuple(t for t, gone in zip(ldel1.triangles, removed) if not gone)
-    graph = _gabriel_plus_triangles(udg, ldel1.gabriel_edges, survivors, "PLDel")
+    rows = ldel1.triangle_rows
+    removed = contest_losers(udg.positions, rows, udg.radius, circles=ldel1.circles)
+    keep = [not gone for gone in removed] if isinstance(removed, list) else ~removed
+    survivors, _ = _kept(rows, keep)
+    graph = _gabriel_plus_triangles(udg, ldel1._gabriel, survivors, "PLDel")
     resolve_degenerate_crossings(graph)
-    return LDelResult(
-        graph=graph,
-        triangles=survivors,
-        gabriel_edges=ldel1.gabriel_edges,
-        k=1,
-    )
+    return LDelResult(graph=graph, triangles=survivors, gabriel_edges=ldel1._gabriel, k=1)
 
 
 def planar_local_delaunay_graph(

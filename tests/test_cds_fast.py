@@ -14,6 +14,7 @@ loops it falls back to without numpy; both are held to the protocol
 other, work counts too.
 """
 
+import json
 import math
 import random
 
@@ -271,6 +272,29 @@ class TestFastPipeline:
         assert {name for name, _ in record["spans"]} == {
             "backbone.phase.cds", "backbone.phase.ldel",
         }
+
+    def test_ledger_summary_serializes_like_the_protocol(self, deployment):
+        # The service's /build response carries these scalars as JSON.
+        points = [tuple(p) for p in deployment.positions]
+        n = len(points)
+
+        def summary(result):
+            return {
+                attr: {
+                    "total": stats.total,
+                    "max": stats.max_per_node(),
+                    "avg": stats.avg_per_node(),
+                    "avg_all": round(stats.avg_per_node(n), 3),
+                    "node0": stats.node_total(0),
+                    "by_kind": stats.by_kind(),
+                }
+                for attr in ("stats_cds", "stats_icds", "stats_ldel")
+                for stats in (getattr(result, attr),)
+            }
+
+        fast = summary(build_backbone(points, RADIUS, mode="fast"))
+        protocol = summary(build_backbone(points, RADIUS))
+        assert json.dumps(fast, sort_keys=True) == json.dumps(protocol, sort_keys=True)
 
     def test_unknown_mode_rejected(self):
         udg = UnitDiskGraph([(0.0, 0.0)], RADIUS)

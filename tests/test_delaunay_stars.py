@@ -26,7 +26,7 @@ from repro.core.compat import np
 from repro.geometry.primitives import Point
 from repro.geometry.triangulation import delaunay, delaunay_stars_by_inversion
 from repro.graphs.udg import UnitDiskGraph
-from repro.topology.ldel import proposed_triangles
+from repro.topology.ldel import proposed_triangles, triangle_tuples
 
 pytestmark = pytest.mark.skipif(np is None, reason="requires numpy")
 
@@ -60,10 +60,12 @@ def assert_stars_match(points):
 
 def assert_proposals_match(points, radius=RADIUS):
     pts = [Point(float(x), float(y)) for x, y in points]
-    soa = proposed_triangles(UnitDiskGraph(pts, radius))
+    soa_tris, soa_by = proposed_triangles(UnitDiskGraph(pts, radius))
     with compat.numpy_disabled():
-        ref = proposed_triangles(UnitDiskGraph(pts, radius))
-    assert soa == ref
+        ref_tris, ref_by = proposed_triangles(UnitDiskGraph(pts, radius))
+    # The kernel's (m, 3) arrays against the reference's tuple lists.
+    assert triangle_tuples(soa_tris) == ref_tris
+    assert triangle_tuples(soa_by) == ref_by
 
 
 coord = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False, width=64)

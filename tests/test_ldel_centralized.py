@@ -9,6 +9,7 @@ from repro.graphs.udg import UnitDiskGraph
 from repro.topology.delaunay_udg import unit_delaunay_graph
 from repro.topology.gabriel import gabriel_graph
 from repro.topology.ldel import (
+    LDelResult,
     candidate_triangles,
     is_k_localized_delaunay,
     local_delaunay_graph,
@@ -122,6 +123,29 @@ class TestPlanarization:
             pldel = planar_local_delaunay_graph(udg)
             for u, v in pldel.gabriel_edges:
                 assert pldel.graph.has_edge(u, v)
+
+
+class TestResultForms:
+    def test_lazy_forms_and_pickles(self, small_deployments):
+        import pickle
+
+        udg = small_deployments[0].udg()
+        pldel = planar_local_delaunay_graph(udg)
+        triangles, gabriel = pldel.triangles, pldel.gabriel_edges
+        assert triangles == tuple(sorted(triangles))
+        assert all(type(x) is int for t in triangles for x in t)
+        assert gabriel == gabriel_graph(udg).edge_set()
+        revived = pickle.loads(pickle.dumps(pldel))
+        assert revived.triangles == triangles and revived.gabriel_edges == gabriel
+        # A pickle from before the lazy forms held the tuple fields.
+        old = LDelResult.__new__(LDelResult)
+        old.__setstate__({
+            "graph": pldel.graph, "triangles": triangles,
+            "gabriel_edges": gabriel, "k": 1,
+        })
+        assert old.triangles == triangles and old.gabriel_edges == gabriel
+        assert old.circles is None
+        assert planarize_ldel1(udg, old).graph.edge_set() == pldel.graph.edge_set()
 
 
 def crossing_report(graph):

@@ -1,9 +1,14 @@
 """Tests for the message-passing simulator substrate."""
 
+import pickle
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import compat
 from repro.geometry.primitives import Point
 from repro.graphs.udg import UnitDiskGraph
 from repro.sim.messages import Message
@@ -108,6 +113,175 @@ class TestMessageStats:
         stats = MessageStats()
         assert stats.max_per_node() == 0
         assert stats.avg_per_node() == 0.0
+
+
+class CounterLedger:
+    """The ``Counter``-keyed ledger the columnar one replaced: the oracle."""
+
+    def __init__(self):
+        self.per_node, self.per_kind, self.per_node_kind = Counter(), Counter(), Counter()
+
+    def record(self, node, kind, count):
+        if count < 0:
+            raise ValueError
+        if count:
+            self.per_node[node] += count
+            self.per_kind[kind] += count
+            self.per_node_kind[node, kind] += count
+
+    def record_counts(self, kind, nodes, counts):
+        if min(counts, default=0) < 0:
+            raise ValueError
+        for node, count in zip(nodes, counts):
+            self.record(node, kind, count)
+
+    def merge(self, other, relabel=None):
+        for (node, kind), sent in other.per_node_kind.items():
+            self.record(node if relabel is None else relabel[node], kind, sent)
+
+    def copy(self):
+        out = CounterLedger()
+        out.merge(self)
+        return out
+
+
+KINDS = ("Hello", "Status", "Proposal", "Kept")
+NODES = 12
+_count = st.integers(-1, 3)
+
+
+def _charge():
+    single = st.tuples(
+        st.just("record"), st.integers(0, NODES - 1), st.sampled_from(KINDS), _count
+    )
+    bulk = st.tuples(
+        st.just("record_counts"),
+        st.sampled_from(KINDS),
+        st.lists(st.integers(0, NODES - 1), unique=True, max_size=NODES),
+        st.lists(_count, min_size=NODES, max_size=NODES),
+    )
+    return st.one_of(single, bulk)
+
+
+_ops = st.lists(
+    st.one_of(
+        _charge(),
+        st.tuples(
+            st.just("merge"),
+            st.lists(_charge(), max_size=6),
+            st.one_of(st.none(), st.permutations(range(2 * NODES))),
+        ),
+        st.tuples(st.just("copy")),
+    ),
+    max_size=25,
+)
+
+
+def _apply(ledger, ref, op):
+    """One op on both ledgers; both raise ValueError together or neither."""
+    if op[0] == "record":
+        _, node, kind, count = op
+        calls = [(x.record, (node, kind, count)) for x in (ledger, ref)]
+    else:
+        _, kind, nodes, counts = op
+        counts = counts[: len(nodes)]
+        calls = [(x.record_counts, (kind, nodes, counts)) for x in (ledger, ref)]
+    outcomes = []
+    for fn, args in calls:
+        try:
+            fn(*args)
+            outcomes.append(None)
+        except ValueError:
+            outcomes.append(ValueError)
+    assert outcomes[0] == outcomes[1]
+
+
+def _assert_same(ledger, ref):
+    assert ledger.per_node == ref.per_node
+    assert ledger.per_kind == ref.per_kind
+    assert ledger.per_node_kind == ref.per_node_kind
+    assert list(ledger.per_kind) == list(ref.per_kind)
+    assert ledger.by_kind() == dict(ref.per_kind)
+    assert ledger.total == sum(ref.per_kind.values())
+    assert ledger.max_per_node() == max(ref.per_node.values(), default=0)
+    expected_avg = ledger.total / len(ref.per_node) if ref.per_node else 0.0
+    assert ledger.avg_per_node() == expected_avg
+    for node in range(-1, 2 * NODES + 1):
+        assert ledger.node_total(node) == ref.per_node.get(node, 0)
+        assert (node in ledger.per_node) == (node in ref.per_node)
+    scalars = (ledger.total, ledger.max_per_node(), ledger.node_total(0))
+    assert all(type(x) is int for x in scalars)
+    assert all(type(x) is int for x in ledger.by_kind().values())
+    assert all(type(x) is int for x in ledger.per_node_kind.values())
+
+
+class TestColumnarLedger:
+    @pytest.mark.parametrize("numpy_on", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_ops)
+    def test_matches_counter_ledger(self, numpy_on, ops):
+        if numpy_on and compat.np is None:
+            pytest.skip("numpy not installed")
+        compat.set_numpy_enabled(numpy_on)
+        try:
+            ledger, ref = MessageStats(), CounterLedger()
+            for op in ops:
+                if op[0] == "copy":
+                    kept, kept_ref = ledger, ref.copy()
+                    ledger, ref = ledger.copy(), ref.copy()
+                    ledger.record(0, "Hello", 1)
+                    ref.record(0, "Hello", 1)
+                    _assert_same(kept, kept_ref)  # the copy is independent
+                elif op[0] == "merge":
+                    sub, sub_ref = MessageStats(), CounterLedger()
+                    for charge in op[1]:
+                        _apply(sub, sub_ref, charge)
+                    ledger.merge(sub, relabel=op[2])
+                    ref.merge(sub_ref, relabel=op[2])
+                else:
+                    _apply(ledger, ref, op)
+                _assert_same(ledger, ref)
+            _assert_same(pickle.loads(pickle.dumps(ledger)), ref)
+        finally:
+            compat.set_numpy_enabled(None)
+
+    def test_nothing_recorded(self):
+        stats = MessageStats()
+        stats.record_counts("Hello", range(5), 0)
+        stats.record_counts("Hello", [], [])
+        stats.record(3, "Hello", 0)
+        assert stats.per_node == {} and stats.per_kind == {} and stats.per_node_kind == {}
+        assert "Hello" not in stats.per_kind and stats.per_kind["Hello"] == 0
+        assert stats.by_kind() == {} and stats.total == 0
+
+    def test_negative_counts_leave_the_ledger_unchanged(self):
+        stats = MessageStats()
+        stats.record(1, "Hello", 2)
+        for bad in (lambda: stats.record(0, "Hello", -1),
+                    lambda: stats.record_counts("Hello", [0, 1], [3, -1]),
+                    lambda: stats.record_counts("Kept", range(3), -2)):
+            with pytest.raises(ValueError):
+                bad()
+        assert stats.per_node_kind == {(1, "Hello"): 2}
+        assert list(stats.per_kind) == ["Hello"]
+
+    def test_relabel_must_cover_every_sender(self):
+        sub = MessageStats()
+        sub.record(3, "Kept")
+        with pytest.raises(IndexError):
+            MessageStats().merge(sub, relabel=[5, 6])
+
+    def test_old_counter_pickles_load(self):
+        stats = MessageStats.__new__(MessageStats)
+        stats.__setstate__({
+            "per_node": Counter({4: 3, 1: 1}),
+            "per_kind": Counter({"Status": 1, "Hello": 3}),
+            "per_node_kind": Counter({(4, "Hello"): 3, (1, "Status"): 1}),
+        })
+        assert stats.per_node_kind == {(4, "Hello"): 3, (1, "Status"): 1}
+        assert list(stats.per_kind) == ["Status", "Hello"]
+        stats.record(1, "Hello")
+        assert stats.node_total(1) == 2
 
 
 class TestBroadcastRadio:

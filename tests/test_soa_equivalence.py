@@ -33,10 +33,14 @@ from repro.sharding.build import sharded_pldel
 from repro.topology.gabriel import gabriel_graph
 from repro.topology.ldel import (
     candidate_triangles,
+    contest_losers,
     contest_triangles,
     local_delaunay_graph,
     planar_local_delaunay_graph,
+    proposed_triangles,
+    triangle_tuples,
 )
+from repro.workloads.corpus import CORPUS, get_instance
 from repro.workloads.generators import connected_udg_instance
 
 pytestmark = pytest.mark.skipif(
@@ -157,6 +161,9 @@ class TestRaggedHelpers:
         assert not sorted_member(np, hay[:0], probe).any()
 
 
+@pytest.mark.skipif(
+    not compat.numpy_active(), reason="snapshots exist only while numpy is active"
+)
 class TestSnapshotCache:
     def test_edge_swap_drops_cached_snapshot(self):
         # Same node and edge counts after the swap: only invalidation
@@ -204,6 +211,36 @@ def _crossing_triangle_sets(count=30):
         yield pts, sorted(tris)
 
 
+def _mask(losers):
+    """A removal mask as a list of bools (the kernel returns an array)."""
+    return [bool(gone) for gone in losers]
+
+
+def _assert_losers_match(pts, tris, cell):
+    """``contest_losers`` equals both contest kernels' and the scalar mask."""
+    losers = _mask(contest_losers(pts, tris, cell))
+    assert losers == contest_triangles(pts, tris, cell)[0]
+    with compat.numpy_disabled():
+        ref = contest_triangles(pts, triangle_tuples(tris), cell)[0]
+        assert contest_losers(pts, triangle_tuples(tris), cell) == ref
+    assert losers == ref
+    return ref
+
+
+#: Two hand-made pairs, ids into ``_CONTESTED``.  Triangles 0 and 1
+#: cross, and only 0's circumcircle holds a vertex of 1 (node 3), so 0
+#: alone loses.  Triangles 2 and 3 do not cross although 2's
+#: circumcircle holds node 9: neither loses, which a contest that
+#: skipped the crossing test on contested pairs would get wrong.
+_CONTESTED = [
+    Point(0.0, 0.0), Point(4.0, 0.0), Point(2.0, 1.0),
+    Point(1.0, 0.3), Point(1.2, 0.3), Point(1.1, 0.9),
+    Point(10.0, 0.0), Point(14.0, 0.0), Point(12.0, 1.0),
+    Point(11.0, 0.6), Point(10.5, 1.5), Point(11.5, 1.8),
+]
+_CONTESTED_TRIANGLES = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]
+
+
 class TestContest:
     def test_contest_matches_scalar_on_intersecting_sets(self):
         removals = 0
@@ -214,8 +251,28 @@ class TestContest:
             assert ref_pairs, "generated set has no intersecting pair"
             assert soa_removed == ref_removed
             assert soa_pairs == ref_pairs
+            assert _mask(contest_losers(pts, tris, RADIUS)) == ref_removed
             removals += sum(ref_removed)
         assert removals > 0
+
+    def test_losers_on_one_sided_and_uncrossed_contests(self):
+        ref = _assert_losers_match(_CONTESTED, _CONTESTED_TRIANGLES, 5.0)
+        assert ref == [True, False, False, False]
+        _, pairs = contest_triangles(_CONTESTED, _CONTESTED_TRIANGLES, 5.0)
+        assert pairs == [(0, 1)]
+
+    @pytest.mark.parametrize(
+        "source", sorted(CORPUS) + [f"module:{name}" for name in sorted(DEPLOYMENTS)]
+    )
+    def test_losers_match_on_proposals(self, source):
+        # Every proposal, accepted or not: proposals from different
+        # corners cross far more often than accepted LDel^1 triangles.
+        if source.startswith("module:"):
+            udg = UnitDiskGraph(DEPLOYMENTS[source[7:]](), RADIUS)
+        else:
+            udg = get_instance(source).udg()
+        tris, _ = proposed_triangles(udg)
+        _assert_losers_match(udg.positions, tris, udg.radius)
 
 
 class TestShardedPipeline:
