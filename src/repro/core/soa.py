@@ -34,6 +34,12 @@ The ragged-array helpers (:func:`gather_csr_rows`,
 :func:`triangle_edge_keys`, :func:`coordinates`) are shared by the vectorized
 Gabriel / LDel / planarization kernels in :mod:`repro.topology` and
 the connector election in :mod:`repro.protocols.cds_fast`.
+
+Every per-row construction kernel (Gabriel, the LDel^1 proposals and
+verdicts, the Algorithm 3 contest, the crossing test) runs its rows in
+blocks of at most :data:`BLOCK_ENTRIES` gathered entries
+(:func:`row_blocks`), so its temporaries stay bounded whatever the
+deployment's size.
 """
 
 from __future__ import annotations
@@ -48,6 +54,34 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only dependency
 
 
 # -- ragged helpers -----------------------------------------------------------
+
+#: Gathered entries per block of a construction kernel (see
+#: :func:`row_blocks`).  Each row's arithmetic is independent of every
+#: other row's, so the block size changes the peak memory and nothing
+#: else: outputs and ``construction.*`` counters are the same at any
+#: budget.
+BLOCK_ENTRIES = 1 << 16
+
+
+def row_blocks(np: Any, counts: Any) -> list[slice]:
+    """Consecutive row slices whose ``counts`` sum to at most the budget.
+
+    ``counts[i]`` is the number of entries row ``i`` gathers (its CSR
+    row lengths, its member count, or a fixed width per pair).  Rows are
+    taken greedily in order; a row longer than :data:`BLOCK_ENTRIES`
+    forms its own block.  Concatenating per-block results in block
+    order therefore reproduces the whole-array result row for row.
+    """
+    ends = np.cumsum(counts)
+    blocks: list[slice] = []
+    start, rows = 0, ends.shape[0]
+    while start < rows:
+        base = int(ends[start - 1]) if start else 0
+        stop = int(np.searchsorted(ends, base + BLOCK_ENTRIES, side="right"))
+        stop = max(stop, start + 1)
+        blocks.append(slice(start, stop))
+        start = stop
+    return blocks
 
 
 def gather_csr_rows(np: Any, indptr: Any, indices: Any, rows: Any) -> tuple[Any, Any]:
@@ -274,21 +308,37 @@ def udg_edge_arrays(np: Any, xs: Any, ys: Any, radius: float) -> tuple[Any, Any]
     dys = ys[i] - ys[j]
     close = dxs * dxs + dys * dys <= radius * radius
     i, j = i[close], j[close]
-    edge_u = np.minimum(i, j)
-    edge_v = np.maximum(i, j)
-    final = np.lexsort((edge_v, edge_u))
-    return edge_u[final], edge_v[final]
+    # Each pair comes out once, so sorting the keys u * n + v sorts
+    # the edges by (u, v).
+    keys = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    return keys // n, keys % n
 
 
 def _csr_from_edges(np: Any, n: int, edge_u: Any, edge_v: Any) -> tuple[Any, Any]:
-    """Sorted CSR adjacency from an undirected edge list."""
-    sym_u = np.concatenate([edge_u, edge_v])
-    sym_v = np.concatenate([edge_v, edge_u])
-    degrees = np.bincount(sym_u, minlength=n)
+    """Sorted CSR adjacency from an undirected edge list.
+
+    Precondition: ``edge_u < edge_v`` elementwise and the edges sorted
+    by ``(u, v)``, as :func:`udg_edge_arrays` and ``Graph.edge_keys()``
+    give them.  Then row ``x`` is its lower neighbours (the ``u`` of
+    edges ending at ``x``, ascending after one stable argsort of
+    ``edge_v``) followed by its upper neighbours (the ``v`` of edges
+    starting at ``x``, already ascending and contiguous).
+    """
+    m = edge_u.shape[0]
+    lower = np.bincount(edge_v, minlength=n)
+    upper = np.bincount(edge_u, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    order = np.lexsort((sym_v, sym_u))
-    return indptr, sym_v[order].astype(np.int64, copy=False)
+    np.cumsum(lower + upper, out=indptr[1:])
+    # Entry k of a group that starts at flat index s goes to row slot
+    # k - s, so each group's offset is its row start minus s.
+    lower_off = indptr[:-1] - (np.cumsum(lower) - lower)
+    upper_off = indptr[:-1] + lower - (np.cumsum(upper) - upper)
+    by_v = np.argsort(edge_v, kind="stable")
+    ranks = np.arange(m)
+    indices = np.empty(2 * m, dtype=np.int64)
+    indices[lower_off[edge_v[by_v]] + ranks] = edge_u[by_v]
+    indices[upper_off[edge_u] + ranks] = edge_v
+    return indptr, indices
 
 
 # -- degree-class neighbour tables -------------------------------------------

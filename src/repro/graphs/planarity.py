@@ -58,10 +58,11 @@ def _vector_crossing_pairs(
     this path is free to bin with array arithmetic while the scalar
     path keeps its incremental average — the crossing *set* is
     identical either way, which is all the deterministic resolution
-    sweep consumes.
+    sweep consumes.  The exact test runs in blocks of candidate pairs
+    (:func:`~repro.core.soa.row_blocks`).
     """
     from repro.core.compat import get_numpy
-    from repro.core.soa import bbox_grid_pairs, coordinates
+    from repro.core.soa import bbox_grid_pairs, coordinates, row_blocks
     from repro.geometry.predicates import segments_cross_batch
 
     np = get_numpy()
@@ -89,9 +90,12 @@ def _vector_crossing_pairs(
         | (ev[pi] == ev[pj])
     )
     pi, pj = pi[~share], pj[~share]
-    cross = segments_cross_batch(
-        ux[pi], uy[pi], vx[pi], vy[pi], ux[pj], uy[pj], vx[pj], vy[pj]
-    )
+    cross = np.zeros(pi.shape[0], dtype=bool)
+    for block in row_blocks(np, np.ones(pi.shape[0], dtype=np.int64)):
+        bi, bj = pi[block], pj[block]
+        cross[block] = segments_cross_batch(
+            ux[bi], uy[bi], vx[bi], vy[bi], ux[bj], uy[bj], vx[bj], vy[bj]
+        )
     pi, pj = pi[cross], pj[cross]
     return list(zip(
         zip(eu[pi].tolist(), ev[pi].tolist()), zip(eu[pj].tolist(), ev[pj].tolist())

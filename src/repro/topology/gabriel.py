@@ -28,7 +28,7 @@ def _soa_gabriel_keys(udg: UnitDiskGraph):
     Returns the surviving edges' sorted keys ``u * n + v``, or ``None``
     when numpy is masked out.
     """
-    from repro.core.soa import gather_csr_rows, snapshot_for
+    from repro.core.soa import gather_csr_rows, row_blocks, snapshot_for
     from repro.core.compat import get_numpy
 
     np = get_numpy()
@@ -56,24 +56,30 @@ def _soa_gabriel_keys(udg: UnitDiskGraph):
     # N(u) ∪ N(v).  Quasi-style models break that implication (the
     # blocker's link to u may be a dropped gray-zone link while its
     # link to v survives), so they scan both endpoints' rows.
-    owner, wit = gather_csr_rows(np, snap.indptr, snap.indices, eu)
-    if not udg.adjacency_is_disk_rule:
-        owner_v, wit_v = gather_csr_rows(np, snap.indptr, snap.indices, ev)
-        owner = np.concatenate([owner, owner_v])
-        wit = np.concatenate([wit, wit_v])
-    wx, wy = xs[wit], ys[wit]
-    ux_o, uy_o = ux[owner], uy[owner]
-    vx_o, vy_o = vx[owner], vy[owner]
-    skip = (
-        (wit == eu[owner])
-        | (wit == ev[owner])
-        | ((wx == ux_o) & (wy == uy_o))
-        | ((wx == vx_o) & (wy == vy_o))
-    )
-    dxw = mx[owner] - wx
-    dyw = my[owner] - wy
-    inside = ~skip & (dxw * dxw + dyw * dyw < threshold[owner])
-    blocked = np.bincount(owner[inside], minlength=eu.shape[0]) > 0
+    both = not udg.adjacency_is_disk_rule
+    deg = snap.degrees()
+    witnesses = deg[eu] + deg[ev] if both else deg[eu]
+    blocked = np.zeros(eu.shape[0], dtype=bool)
+    for block in row_blocks(np, witnesses):
+        owner, wit = gather_csr_rows(np, snap.indptr, snap.indices, eu[block])
+        if both:
+            owner_v, wit_v = gather_csr_rows(np, snap.indptr, snap.indices, ev[block])
+            owner = np.concatenate([owner, owner_v])
+            wit = np.concatenate([wit, wit_v])
+        owner += block.start
+        wx, wy = xs[wit], ys[wit]
+        ux_o, uy_o = ux[owner], uy[owner]
+        vx_o, vy_o = vx[owner], vy[owner]
+        skip = (
+            (wit == eu[owner])
+            | (wit == ev[owner])
+            | ((wx == ux_o) & (wy == uy_o))
+            | ((wx == vx_o) & (wy == vy_o))
+        )
+        dxw = mx[owner] - wx
+        dyw = my[owner] - wy
+        inside = ~skip & (dxw * dxw + dyw * dyw < threshold[owner])
+        blocked[owner[inside]] = True
     survive = (threshold <= 0.0) | ~blocked
     return eu[survive] * snap.n + ev[survive]
 
@@ -85,8 +91,9 @@ def gabriel_graph(
 
     A blocker inside the diameter disk of ``uv`` is within ``|uv|`` of
     both endpoints, hence a UDG neighbor of both; the emptiness test is
-    local to 1-hop neighborhoods.  With numpy available the whole test
-    runs as one ragged-array kernel over the shared SoA snapshot
+    local to 1-hop neighborhoods.  With numpy available the test runs
+    as a ragged-array kernel over the shared SoA snapshot, in blocks of
+    edges under :data:`repro.core.soa.BLOCK_ENTRIES` witnesses
     (bit-identical edge set, returned as an array-backed graph);
     otherwise a shared ``cache`` (from the
     LDel pipeline) serves the neighborhoods memoized.

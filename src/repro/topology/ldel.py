@@ -206,14 +206,8 @@ def _node_candidates(
 # output is bit-identical — the equivalence suite and the benchmark
 # tripwires both assert edge-set equality against the reference path.
 
-#: Queries per block of stars; bounds the flat arrays (and the routed
-#: lockstep's record pool, ~block x avg-degree rows) so n=1e5
-#: deployments stay in memory.
-_SOA_CHUNK = 8192
-
-
-def _soa_candidate_chunk(np, snap, pos, r_sq, qs):
-    """Candidate rows for one block of query nodes.
+def _soa_candidate_block(np, snap, pos, r_sq, qs):
+    """Candidate rows for one block of query nodes (see :func:`_soa_proposals`).
 
     Returns parallel lists of (K, 3) ascending id triples and the (K,)
     query node that proposed each row.
@@ -319,7 +313,7 @@ def _soa_proposals(udg: UnitDiskGraph, node_ids: Optional[Sequence[int]]):
     queries run :func:`_node_candidates` itself, so the triple set and
     the proposer sets equal the scalar loop's.
     """
-    from repro.core.soa import snapshot_for
+    from repro.core.soa import row_blocks, snapshot_for
 
     np = get_numpy()
     if np is None:
@@ -336,14 +330,18 @@ def _soa_proposals(udg: UnitDiskGraph, node_ids: Optional[Sequence[int]]):
     obs.count("construction.local_delaunay_calls", int((deg >= 2).sum()))
     eligible = queries[deg >= 2]  # m = deg + 1 >= 3
 
+    # Blocks by member count bound the star kernels' flat arrays and
+    # the routed lockstep's record pool.  A query gathers its m = deg + 1
+    # members and up to m - 1 star triangles of three corners each, so
+    # it counts 4 m entries.
     parts = [np.zeros((0, 3), dtype=np.int64)]
     proposers = [np.zeros(0, dtype=np.int64)]
-    for s in range(0, eligible.shape[0], _SOA_CHUNK):
-        chunk_tris, chunk_props = _soa_candidate_chunk(
-            np, snap, udg.positions, r_sq, eligible[s: s + _SOA_CHUNK]
+    for block in row_blocks(np, 4 * (deg[deg >= 2] + 1)):
+        block_tris, block_props = _soa_candidate_block(
+            np, snap, udg.positions, r_sq, eligible[block]
         )
-        parts += chunk_tris
-        proposers += chunk_props
+        parts += block_tris
+        proposers += block_props
     tris = np.concatenate(parts, axis=0)
     props = np.concatenate(proposers)
     corner = np.argmax(tris == props[:, None], axis=1)
@@ -369,15 +367,16 @@ def _soa_corner_verdicts(udg: UnitDiskGraph, triangles):
     """Vectorized k=1 :func:`corner_verdicts`, or ``None``.
 
     Returns the (K, 3) verdicts and the triangles' circumcircle rows
-    (:func:`_circle_rows`).  One ragged gather of every corner's CSR
-    row, keyed by ``triangle * 3 + corner``: rows naming the other two
-    corners count toward the radio rule, every other row is a witness
-    tested against the batched circumcircle (exact-rescued rows
-    identical to the scalar
+    (:func:`_circle_rows`).  Per block of triangles (:func:`row_blocks`
+    over their corners' summed degrees), one ragged gather of every
+    corner's CSR row, keyed by ``triangle * 3 + corner``: rows naming
+    the other two corners count toward the radio rule, every other row
+    is a witness tested against the batched circumcircle (exact-rescued
+    rows identical to the scalar
     :func:`~repro.geometry.circle.circumcircle`) with the same
     tolerance-shrunk open-disk containment as ``Circle.contains``.
     """
-    from repro.core.soa import gather_csr_rows, snapshot_for
+    from repro.core.soa import gather_csr_rows, row_blocks, snapshot_for
     from repro.geometry.circle import circumcircles_batch
 
     np = get_numpy()
@@ -395,23 +394,28 @@ def _soa_corner_verdicts(udg: UnitDiskGraph, triangles):
     valid, ccx, ccy, rad = circumcircles_batch(
         xs[u], ys[u], xs[v], ys[v], xs[w], ys[w]
     )
-    slot_parts, wit_parts = [], []
-    for corner in range(3):
-        owner, vals = gather_csr_rows(np, snap.indptr, snap.indices, tris[:, corner])
-        slot_parts.append(owner * 3 + corner)
-        wit_parts.append(vals)
-    slot = np.concatenate(slot_parts)
-    wit = np.concatenate(wit_parts)
-    owner = slot // 3
-    is_corner = (wit == u[owner]) | (wit == v[owner]) | (wit == w[owner])
-    hears_both = np.bincount(slot[is_corner], minlength=3 * count) == 2
-    slot, owner, wit = slot[~is_corner], owner[~is_corner], wit[~is_corner]
-    r = rad[owner] - 1e-9
-    dxw = ccx[owner] - xs[wit]
-    dyw = ccy[owner] - ys[wit]
-    inside = valid[owner] & (r > 0.0) & (dxw * dxw + dyw * dyw < r * r)
-    blocked = np.bincount(slot[inside], minlength=3 * count) > 0
-    verdicts = valid[:, None] & (hears_both & ~blocked).reshape(count, 3)
+    accepts = np.zeros(3 * count, dtype=bool)
+    for block in row_blocks(np, snap.degrees()[tris].sum(axis=1)):
+        rows = tris[block]
+        slot_parts, wit_parts = [], []
+        for corner in range(3):
+            owner, vals = gather_csr_rows(np, snap.indptr, snap.indices, rows[:, corner])
+            slot_parts.append(owner * 3 + corner)
+            wit_parts.append(vals)
+        slot = np.concatenate(slot_parts)
+        wit = np.concatenate(wit_parts)
+        owner = slot // 3 + block.start
+        is_corner = (wit == u[owner]) | (wit == v[owner]) | (wit == w[owner])
+        slots = 3 * rows.shape[0]
+        hears_both = np.bincount(slot[is_corner], minlength=slots) == 2
+        slot, owner, wit = slot[~is_corner], owner[~is_corner], wit[~is_corner]
+        r = rad[owner] - 1e-9
+        dxw = ccx[owner] - xs[wit]
+        dyw = ccy[owner] - ys[wit]
+        inside = valid[owner] & (r > 0.0) & (dxw * dxw + dyw * dyw < r * r)
+        blocked = np.bincount(slot[inside], minlength=slots) > 0
+        accepts[3 * block.start: 3 * block.stop] = hears_both & ~blocked
+    verdicts = valid[:, None] & accepts.reshape(count, 3)
     return verdicts, _circle_rows(np, valid, ccx, ccy, rad)
 
 
@@ -491,9 +495,10 @@ def _soa_contest(positions: Sequence[Point], triangles, cell: float, circles, pa
     so ``pi, pj`` are all the intersecting pairs
     (:func:`contest_triangles`' contract); the mask is the same either
     way.  ``circles`` are the triangles' :func:`_circle_rows`, or
-    ``None`` to compute them here.
+    ``None`` to compute them here.  The pairs are enumerated whole and
+    tested in blocks (:func:`~repro.core.soa.row_blocks`).
     """
-    from repro.core.soa import bbox_grid_pairs, coordinates
+    from repro.core.soa import bbox_grid_pairs, coordinates, row_blocks
     from repro.geometry.circle import circumcircles_batch, contains_batch
 
     np = get_numpy()
@@ -519,26 +524,37 @@ def _soa_contest(positions: Sequence[Point], triangles, cell: float, circles, pa
         | (by1[pj] < by0[pi])
     )
     pi, pj = pi[overlap], pj[overlap]
-    # held_i: triangle pi's circumcircle holds a vertex of triangle pj.
-    held_i = np.zeros(pi.shape[0], dtype=bool)
-    held_j = np.zeros(pi.shape[0], dtype=bool)
-    for corner in range(3):
-        held_i |= contains_batch(
-            ccx[pi], ccy[pi], rad[pi], tx[pj, corner], ty[pj, corner]
-        )
-        held_j |= contains_batch(
-            ccx[pj], ccy[pj], rad[pj], tx[pi, corner], ty[pi, corner]
-        )
-    if not pairs:
-        contested = held_i | held_j
-        pi, pj = pi[contested], pj[contested]
-        held_i, held_j = held_i[contested], held_j[contested]
-    obs.count("construction.triangle_pairs_tested", int(pi.shape[0]))
-    inter = _soa_triangles_intersect(np, xs, ys, tris, pi, pj)
-    obs.count("construction.triangle_pairs_intersecting", int(inter.sum()))
-    removed[pi[inter & held_i]] = True
-    removed[pj[inter & held_j]] = True
-    return removed, pi[inter], pj[inter]
+    tested = 0
+    out_i, out_j = [pi[:0]], [pj[:0]]
+    # A pair's crossing test compares nine side pairs.
+    for block in row_blocks(np, np.full(pi.shape[0], 9)):
+        bi, bj = pi[block], pj[block]
+        # held_i: triangle bi's circumcircle holds a vertex of triangle bj.
+        held_i = np.zeros(bi.shape[0], dtype=bool)
+        held_j = np.zeros(bi.shape[0], dtype=bool)
+        for corner in range(3):
+            held_i |= contains_batch(
+                ccx[bi], ccy[bi], rad[bi], tx[bj, corner], ty[bj, corner]
+            )
+            held_j |= contains_batch(
+                ccx[bj], ccy[bj], rad[bj], tx[bi, corner], ty[bi, corner]
+            )
+        if not pairs:
+            contested = held_i | held_j
+            bi, bj = bi[contested], bj[contested]
+            held_i, held_j = held_i[contested], held_j[contested]
+        if bi.shape[0] == 0:
+            continue  # usual on the build path: no circumcircle holds a vertex
+        tested += bi.shape[0]
+        inter = _soa_triangles_intersect(np, xs, ys, tris, bi, bj)
+        removed[bi[inter & held_i]] = True
+        removed[bj[inter & held_j]] = True
+        out_i.append(bi[inter])
+        out_j.append(bj[inter])
+    found_i, found_j = np.concatenate(out_i), np.concatenate(out_j)
+    obs.count("construction.triangle_pairs_tested", tested)
+    obs.count("construction.triangle_pairs_intersecting", int(found_i.shape[0]))
+    return removed, found_i, found_j
 
 
 # -- the three LDel^1 decisions -----------------------------------------------

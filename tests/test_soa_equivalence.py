@@ -21,9 +21,17 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import compat
-from repro.core.soa import cross_join, segment_pairs, snapshot_for, sorted_member
+from repro.core.soa import (
+    _csr_from_edges,
+    cross_join,
+    segment_pairs,
+    snapshot_for,
+    sorted_member,
+)
 from repro.core.spanner import build_backbone
 from repro.geometry.primitives import Point
 from repro.graphs.udg import UnitDiskGraph
@@ -79,6 +87,18 @@ def _boundary_points():
     for _ in range(20):
         pts.append(Point(rng.uniform(0.0, 60.0), 25.0 + rng.uniform(-4.0, 4.0)))
     return pts
+
+
+@st.composite
+def _sorted_edge_sets(draw):
+    """``(n, edges)``: distinct ``u < v`` pairs sorted by ``(u, v)``.
+
+    ``n`` starts at 1 and the edge set may be empty, so isolated nodes,
+    a single node and no edges all occur.
+    """
+    n = draw(st.integers(min_value=1, max_value=30))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    return n, sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]})
 
 
 def _dense_points(n=150, side=70.0, seed=23):
@@ -159,6 +179,26 @@ class TestRaggedHelpers:
         expected = [int(k) in {2, 3, 5, 8, 13} for k in probe]
         assert sorted_member(np, hay, probe).tolist() == expected
         assert not sorted_member(np, hay[:0], probe).any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sorted_edge_sets())
+    @example((1, []))
+    @example((4, []))
+    @example((5, [(0, 3), (1, 3), (3, 4)]))
+    def test_csr_from_edges_matches_the_lexsort_reference(self, case):
+        np = compat.np
+        n, edges = case
+        edge_u = np.array([u for u, _ in edges], dtype=np.int64)
+        edge_v = np.array([v for _, v in edges], dtype=np.int64)
+        sym_u = np.concatenate([edge_u, edge_v])
+        sym_v = np.concatenate([edge_v, edge_u])
+        want_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sym_u, minlength=n), out=want_ptr[1:])
+        want_ind = sym_v[np.lexsort((sym_v, sym_u))]
+        indptr, indices = _csr_from_edges(np, n, edge_u, edge_v)
+        assert indptr.dtype == indices.dtype == np.int64
+        assert indptr.tolist() == want_ptr.tolist()
+        assert indices.tolist() == want_ind.tolist()
 
 
 @pytest.mark.skipif(
