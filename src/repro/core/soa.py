@@ -4,8 +4,8 @@ The object layer (:class:`~repro.graphs.graph.Graph` and friends) is
 the semantic reference, but before this module every consumer that
 wanted flat data built its own conversion: the UDG construction walked
 grid buckets point by point, the oracle re-sorted every adjacency list
-into CSR, and the sharded/incremental paths re-derived grid cells per
-tile.  :class:`SoaSnapshot` is the one conversion all of them share —
+into CSR, and the incremental path re-derived grid cells per tile.
+:class:`SoaSnapshot` is the one conversion all of them share —
 positions, CSR adjacency, bulk edge arrays and per-node grid cells,
 produced once per deployment and cached on the graph.
 
@@ -516,8 +516,8 @@ def snapshot_for(graph: "Graph") -> Optional[SoaSnapshot]:
     """The graph's cached :class:`SoaSnapshot`, built on first use.
 
     The cache rides on the instance (``graph._soa_snapshot``) so every
-    consumer — construction kernels, sharded tiles, the distance
-    oracle, routing experiments — shares one conversion.  Every
+    consumer — construction kernels, the distance oracle, routing
+    experiments — shares one conversion.  Every
     :class:`~repro.graphs.graph.Graph` method that changes the edge set
     drops the cached snapshot, so a cached one is always current.
     """

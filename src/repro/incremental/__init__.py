@@ -2,13 +2,12 @@
 
 The paper's structures are *localized*: every Gabriel test, LDel
 acceptance, planarization contest, and clusterhead decision depends
-only on a bounded neighborhood of its anchor.  The sharded build
-(:mod:`repro.sharding`) exploits that spatially — per-tile builds with
-per-stage halos stitch into the exact serial output.  This package
-exploits it *temporally*: when a batch of nodes joins, leaves, or
-moves, only the tiles whose stage halo contains a changed point can
-produce different outputs, so the maintainer recomputes exactly those
-tiles and splices the results into the retained structures.
+only on a bounded neighborhood of its anchor.  This package exploits
+that *temporally*: when a batch of nodes joins, leaves, or moves, only
+the tiles (:mod:`repro.incremental.tiles`) whose halo contains a
+changed point can produce different outputs, so the maintainer
+recomputes exactly those tiles and splices the results into the
+retained structures.
 
 The correctness tripwire is non-negotiable and cheap to state: after
 every event batch, the maintained UDG, roles, and backbone graphs are

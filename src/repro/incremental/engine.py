@@ -57,9 +57,9 @@ from repro.geometry.primitives import Point, dist_sq
 from repro.incremental.connectors import IncrementalConnectors
 from repro.incremental.events import Event, check_batch
 from repro.incremental.pldel import IncrementalPLDel
+from repro.incremental.tiles import ELECTION_HALO
 from repro.incremental.udg import DynamicUdg
 from repro.protocols.connectors import _edge
-from repro.sharding.tiles import stage_halo
 
 Edge = tuple[int, int]
 
@@ -390,7 +390,7 @@ class IncrementalMaintainer:
         """Count role flips inside vs outside the election halo."""
         if not flipped:
             return 0, 0
-        halo = stage_halo("election") * self.radius
+        halo = ELECTION_HALO * self.radius
         halo_sq = halo * halo
         certified = fallback = 0
         for u in flipped:

@@ -1,9 +1,8 @@
 """Cavity-local PLDel maintenance over a dynamic tile grid.
 
-The retained state is the sharded planarizer's per-tile phase-A
-outputs — :func:`repro.sharding.build._phase_a`-equivalent Gabriel
-edges and accepted LDel^1 triangles, keyed by
-:class:`~repro.sharding.tiles.DynamicTileGrid` tiles — plus the
+The retained state is the per-tile phase-A outputs — the Gabriel
+edges and accepted LDel^1 triangles each tile owns (:func:`_phase_a`),
+keyed by :class:`~repro.incremental.tiles.DynamicTileGrid` tiles — plus the
 Algorithm 3 contest state *per accepted triangle*: whether it was
 removed, and which accepted triangles it intersects.  A maintenance
 step receives the *dirty points* of an event batch (old and new
@@ -12,7 +11,7 @@ the *dirty ids* (members whose position or identity changed), and
 recomputes exactly the invalidation footprint:
 
 * **phase A** (Gabriel + LDel acceptance) is a function of the members
-  within ``stage_halo('ldel', 1) = 2r`` of the tile box, so a tile is
+  within ``ACCEPTANCE_HALO = 2r`` of the tile box, so a tile is
   phase-A dirty iff some dirty point lies within ``2r`` of it;
 * **contests** are replayed per triangle.  Diffing the dirty tiles'
   old and new accepted lists yields the *gone* triangles (no longer
@@ -58,13 +57,17 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro import obs
 from repro.geometry.predicates import segments_cross
 from repro.geometry.primitives import Point, dist
-from repro.sharding.build import _phase_a
-from repro.sharding.tiles import DynamicTileGrid, stage_halo
+from repro.graphs.udg import UnitDiskGraph
+from repro.incremental.tiles import ACCEPTANCE_HALO, DynamicTileGrid, box_distance
+from repro.topology.gabriel import gabriel_graph
 from repro.topology.ldel import (
     _EDGE_BBOX_SLACK,
     Triangle,
     contest_triangles,
+    corner_verdicts,
     degenerate_crossing_losers,
+    proposed_triangles,
+    triangle_tuples,
 )
 
 if TYPE_CHECKING:
@@ -137,7 +140,7 @@ class IncrementalPLDel:
             # No member position, role, or id changed: every cached
             # output is a function of unchanged inputs.
             return [], [], stats
-        acceptance_halo = stage_halo("ldel", 1) * self.udg.radius
+        acceptance_halo = ACCEPTANCE_HALO * self.udg.radius
 
         with obs.span("incremental.phase.pldel_phase_a"):
             dirty_a: set[TileKey] = set()
@@ -210,18 +213,15 @@ class IncrementalPLDel:
             if not core:
                 continue
             dirty_members.update(gids)
-            coords = [(pos[g][0], pos[g][1]) for g in gids]
-            result = _phase_a(
-                (None, bbox, gids, coords, core, self.udg.radius, 1,
-                 ("gabriel", "ldel"))
+            gabriel, accepted = _phase_a(
+                bbox, gids, core, [pos[g] for g in gids], self.udg.radius
             )
-            for u, v in result["gabriel_edges"]:
+            for u, v in gabriel:
                 edge = (u, v) if u < v else (v, u)
                 tile_gabriel.setdefault(self.grid.key_of(pos[edge[0]]), []).append(
                     edge
                 )
-            for t in result["accepted"]:
-                tri = tuple(t)
+            for tri in accepted:
                 tile_tris.setdefault(self.grid.key_of(pos[tri[0]]), []).append(tri)
         return tile_gabriel, tile_tris
 
@@ -464,6 +464,42 @@ class IncrementalPLDel:
                 self._crossing.setdefault(edge, set()).add(other)
                 self._crossing.setdefault(other, set()).add(edge)
         self._edges.insert(edge, box)
+
+
+def _phase_a(
+    box: Box,
+    gids: list[int],
+    core_gids: Sequence[int],
+    points: list[Point],
+    radius: float,
+) -> tuple[list[Edge], list[Triangle]]:
+    """The Gabriel edges and accepted LDel^1 triangles a core owns.
+
+    ``gids`` are the sorted ids of every member within
+    :data:`ACCEPTANCE_HALO` of ``box`` and ``points`` their positions;
+    ``core_gids`` are those whose half-open tile is in the core (box
+    distance alone cannot see which side of a tile line a point falls
+    on).  Local ids keep id order, so an edge's smaller endpoint and a
+    triangle's anchor are the same node in both views, and the core
+    owns the edges and triangles whose anchor it holds.
+    """
+    udg = UnitDiskGraph(points, radius)
+    local = {gid: u for u, gid in enumerate(gids)}
+    core = {local[g] for g in core_gids}
+    gabriel = [
+        (gids[u], gids[v]) for u, v in gabriel_graph(udg).edges() if min(u, v) in core
+    ]
+    # Only nodes within r of the core can be a vertex of an owned
+    # (core-anchored) triangle, hence the only useful proposers.
+    proposers = [u for u, p in enumerate(points) if box_distance(box, p) <= radius]
+    candidates = triangle_tuples(proposed_triangles(udg, proposers)[0])
+    owned = [t for t in candidates if t[0] in core]
+    accepted = [
+        (gids[a], gids[b], gids[c])
+        for (a, b, c), ok in zip(owned, corner_verdicts(udg, owned))
+        if all(ok)
+    ]
+    return gabriel, accepted
 
 
 class _BoxIndex:

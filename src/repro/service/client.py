@@ -184,7 +184,7 @@ class ServiceClient:
         stream: bool = False,
     ) -> "dict | Iterator[tuple[str, Any]]":
         """``POST /build`` — or, with ``stream=True``, the SSE variant
-        yielding ``start`` / ``tile`` / ``result`` / ``end`` events."""
+        yielding ``start`` / ``result`` (or ``error``) / ``end`` events."""
         payload: dict[str, Any] = {"pipeline": pipeline, "scenario": dict(scenario)}
         if params:
             payload["params"] = dict(params)

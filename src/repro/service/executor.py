@@ -163,7 +163,6 @@ def run_batch(
     timeout: Optional[float] = None,
     metrics: Optional[MetricsRegistry] = None,
     metric_name: str = "executor.task",
-    on_outcome: Optional[Callable[[TaskOutcome], None]] = None,
     tracker: Optional[PoolTracker] = None,
 ) -> BatchOutcome:
     """Fan ``worker`` over ``tasks``; capture every outcome.
@@ -171,8 +170,6 @@ def run_batch(
     ``mode`` is ``"process"`` (default; silently degrades to threads
     when process pools cannot start), ``"thread"``, or ``"serial"``.
     ``timeout`` bounds each task's wall-clock wait in seconds.
-    ``on_outcome`` is invoked with each :class:`TaskOutcome` as it is
-    collected (in input order) — the streaming tier's per-tile seam.
     Pools left with abandoned (timed-out) work are registered with
     ``tracker`` (the global one by default) so a graceful shutdown can
     join them.
@@ -184,22 +181,20 @@ def run_batch(
     started = time.perf_counter()
 
     if mode == "serial" or not tasks:
-        outcomes = []
-        for index, task in enumerate(tasks):
-            outcome = _run_serial(index, worker, task, metrics, metric_name)
-            _notify(on_outcome, outcome)
-            outcomes.append(outcome)
+        outcomes = [
+            _run_serial(index, worker, task, metrics, metric_name)
+            for index, task in enumerate(tasks)
+        ]
         return BatchOutcome(outcomes, "serial", 1, time.perf_counter() - started)
 
     pool, actual_mode = _make_pool(mode, workers)
     futures: list[concurrent.futures.Future] = []
     try:
         futures = [pool.submit(_timed, worker, task) for task in tasks]
-        outcomes = []
-        for index, future in enumerate(futures):
-            outcome = _collect(index, future, timeout, metrics, metric_name)
-            _notify(on_outcome, outcome)
-            outcomes.append(outcome)
+        outcomes = [
+            _collect(index, future, timeout, metrics, metric_name)
+            for index, future in enumerate(futures)
+        ]
     finally:
         # Abandoned (timed-out) workers keep their slots; don't block
         # the batch response on them — track the pool instead so a
@@ -208,17 +203,6 @@ def run_batch(
             tracker.register(pool)
         pool.shutdown(wait=False, cancel_futures=True)
     return BatchOutcome(outcomes, actual_mode, workers, time.perf_counter() - started)
-
-
-def _notify(
-    on_outcome: Optional[Callable[[TaskOutcome], None]], outcome: TaskOutcome
-) -> None:
-    if on_outcome is None:
-        return
-    try:
-        on_outcome(outcome)
-    except Exception:
-        pass  # an observer bug must not fail the batch
 
 
 def _make_pool(

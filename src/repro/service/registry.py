@@ -32,20 +32,13 @@ from repro.topology.gabriel import gabriel_graph
 from repro.topology.greedy_spanner import greedy_spanner
 from repro.topology.knn import knn_graph
 from repro.topology.ldel import local_delaunay_graph, planar_local_delaunay_graph
-from repro.sharding.build import (
-    sharded_backbone,
-    sharded_gabriel,
-    sharded_ldel,
-    sharded_pldel,
-    sharded_udg,
-)
 from repro.topology.mst import euclidean_mst
 from repro.topology.rdg import restricted_delaunay_graph
 from repro.topology.rng import relative_neighborhood_graph
 from repro.topology.yao import yao_graph
 from repro.topology.yao_sink import yao_sink_graph
 from repro.topology.yao_yao import yao_yao_graph
-from repro.workloads.generators import Deployment, QuasiDeployment, connected_udg_instance
+from repro.workloads.generators import Deployment, connected_udg_instance
 
 
 class RegistryError(ValueError):
@@ -123,18 +116,6 @@ class PipelineSpec:
     builder: Callable[[Deployment, dict], BuildProduct]
     routable: bool = False
 
-    def check(self, deployment: Deployment) -> None:
-        """Refuse a radio model this pipeline cannot honour.
-
-        The sharded builders tile from points and radius alone, so they
-        would silently read a quasi-UDG deployment as a sharp disk graph.
-        """
-        if self.name.startswith("sharded:") and isinstance(deployment, QuasiDeployment):
-            raise RegistryError(
-                f"pipeline {self.name!r} builds the sharp-disk UDG; "
-                "quasi-UDG deployments are not supported"
-            )
-
     def canonicalize(self, params: Optional[Mapping[str, Any]]) -> dict:
         """Validated params with defaults filled in, in schema order."""
         supplied = dict(params or {})
@@ -150,7 +131,6 @@ class PipelineSpec:
         return canonical
 
     def build(self, deployment: Deployment, params: Optional[Mapping[str, Any]] = None) -> BuildProduct:
-        self.check(deployment)
         return self.builder(deployment, self.canonicalize(params))
 
 
@@ -254,56 +234,6 @@ _MEASURE_PARAM = ParamSpec("measure", bool, False)
 #: for message-trace studies.
 _MODE_PARAM = ParamSpec("mode", str, "fast", choices=MODES)
 
-#: Parameters shared by every ``sharded:*`` pipeline.  ``workers=0``
-#: means "auto" (the executor's default worker count).
-_SHARD_PARAMS = (
-    ParamSpec("shards", int, 4, minimum=1),
-    ParamSpec("workers", int, 0, minimum=0),
-)
-
-
-def _sharded_builder(
-    name: str, construct: Callable[..., tuple]
-) -> Callable[[Deployment, dict], BuildProduct]:
-    """Builder for a tiled construction from :mod:`repro.sharding`.
-
-    ``construct`` returns ``(product, ShardingStats)``; the stats ride
-    in ``extras["sharding"]`` so ``POST /build`` responses surface the
-    grid, the executor mode and the stitch counters.
-    """
-
-    def builder(deployment: Deployment, params: dict) -> BuildProduct:
-        kwargs = {k: v for k, v in params.items() if k not in ("shards", "workers")}
-        result, stats = construct(
-            list(deployment.points),
-            deployment.radius,
-            shards=params["shards"],
-            max_workers=params["workers"] or None,
-            **kwargs,
-        )
-        graph = result if isinstance(result, Graph) else result.graph
-        return BuildProduct(name, graph, extras={"sharding": stats.as_dict()})
-
-    return builder
-
-
-def _sharded_backbone_builder(deployment: Deployment, params: dict) -> BuildProduct:
-    result, stats = sharded_backbone(
-        list(deployment.points),
-        deployment.radius,
-        shards=params["shards"],
-        max_workers=params["workers"] or None,
-        election=params["election"],
-    )
-    extras = {
-        "sharding": stats.as_dict(),
-        "dominators": len(result.dominators),
-        "connectors": len(result.connectors),
-        "backbone_nodes": len(result.backbone_nodes),
-    }
-    return BuildProduct("sharded:backbone", result.ldel_icds, extras=extras)
-
-
 def _specs() -> tuple[PipelineSpec, ...]:
     backbone_members = (
         ("cds", "the connected dominating set (paper's CDS)"),
@@ -362,26 +292,6 @@ def _specs() -> tuple[PipelineSpec, ...]:
         PipelineSpec("backbone", "alias of ldel_icds: the routable planar backbone",
                      (_ELECTION_PARAM, _MODE_PARAM, _MEASURE_PARAM),
                      _backbone_builder("ldel_icds"), routable=True)
-    )
-    # Tiled sharded constructions: bit-identical to their serial
-    # counterparts, built per-tile in parallel workers and stitched
-    # (see repro.sharding and docs/scaling.md).
-    specs.extend(
-        [
-            PipelineSpec("sharded:udg", "unit disk graph, tiled sharded build",
-                         _SHARD_PARAMS, _sharded_builder("sharded:udg", sharded_udg)),
-            PipelineSpec("sharded:gg", "Gabriel graph, tiled sharded build",
-                         _SHARD_PARAMS, _sharded_builder("sharded:gg", sharded_gabriel)),
-            PipelineSpec("sharded:ldel1", "raw LDel^k, tiled sharded build",
-                         _SHARD_PARAMS + (ParamSpec("k", int, 1, minimum=1),),
-                         _sharded_builder("sharded:ldel1", sharded_ldel)),
-            PipelineSpec("sharded:ldel", "planarized LDel (PLDel), tiled sharded build",
-                         _SHARD_PARAMS, _sharded_builder("sharded:ldel", sharded_pldel)),
-            PipelineSpec("sharded:backbone",
-                         "paper backbone with the PLDel stage tiled sharded",
-                         _SHARD_PARAMS + (_ELECTION_PARAM,),
-                         _sharded_backbone_builder),
-        ]
     )
     return tuple(specs)
 

@@ -15,8 +15,8 @@ Endpoints:
 * ``POST /route``  — greedy/GPSR routing on a cached backbone build;
 * ``POST /route_batch`` — many (source, target) queries at once through
   the vectorized route engine, chunked, with optional failure replay;
-* ``POST /build_stream`` — the same build as an SSE stream: per-tile
-  progress events as shards land, then the full result;
+* ``POST /build_stream`` — the same build as an SSE stream: a
+  ``start`` event, then the full result (or an ``error``) and ``end``;
 * ``POST /session`` — open a live incremental maintenance session;
 * ``POST /session/{id}/step`` — apply one event batch, stream the
   topology delta (edges added/removed) back;

@@ -1,15 +1,11 @@
-"""Server-sent-event streaming: build progress and topology deltas.
+"""Server-sent-event streaming: build results and topology deltas.
 
-The paper's construction is *localized* — per-tile results are
-independently certifiable — which is exactly what lets the serving
-layer stream them out as they land instead of blocking on the global
-build.  Two SSE surfaces exploit that:
+Two SSE surfaces:
 
 * ``POST /build_stream`` — a build request whose response is an event
-  stream: a ``start`` event, a ``tile`` event per finished shard tile
-  (``sharded:*`` pipelines; the PR 3 tile/stitch structure), the full
-  ``result`` document (identical to what ``POST /build`` would have
-  returned), and ``end``;
+  stream: a ``start`` event as soon as the request validates, then the
+  full ``result`` document (identical to what ``POST /build`` would
+  have returned) or an ``error`` event, and ``end``;
 * ``POST /session/{id}/stream`` — a *sequence* of incremental event
   batches applied to a live maintenance session, answered with one
   ``delta`` event per batch (the PR 6 topology delta: edges added and
@@ -27,8 +23,6 @@ client-side parser used by :class:`~repro.service.client.ServiceClient`.
 from __future__ import annotations
 
 import json
-import queue
-import threading
 from typing import Any, Iterable, Iterator
 
 from repro.service.server import ServiceError, SpannerService
@@ -103,81 +97,20 @@ def _build_events(
         yield sse_event(
             "result", {"key": key, "params": params, "cache": "hit", **cached.summary()}
         )
-        yield sse_event("end", {"events": 2})
-        return
-    service.metrics.inc("build.cache_misses")
-
-    from repro.sharding.build import tile_observer
-
-    events: "queue.Queue[tuple[str, Any]]" = queue.Queue()
-    done = object()
-
-    def run_build() -> None:
-        # The observer contextvar is set in this thread, so only tile
-        # work done on behalf of this build reports into this stream.
+    else:
+        service.metrics.inc("build.cache_misses")
         try:
-            with tile_observer(
-                lambda phase, info: events.put(("tile", {"phase": phase, **info}))
-            ):
-                product = service._construct(name, scenario, params)
-            service.cache.put(key, product)
-            events.put(("product", product))
+            product = service._construct(name, scenario, params)
         except Exception as exc:
-            events.put(("error", f"{type(exc).__name__}: {exc}"))
-        finally:
-            events.put((done, None))  # type: ignore[arg-type]
-
-    worker = threading.Thread(target=run_build, daemon=True)
-    worker.start()
-    emitted = 1
-    try:
-        while True:
-            kind, value = events.get()
-            if kind is done:
-                break
-            if kind == "tile":
-                emitted += 1
-                service.metrics.inc("streaming.tile_events")
-                yield sse_event("tile", value)
-            elif kind == "product":
-                emitted += 1
-                yield sse_event(
-                    "result",
-                    {"key": key, "params": params, "cache": "miss", **value.summary()},
-                )
-            else:  # error
-                emitted += 1
-                service.metrics.inc("streaming.errors")
-                yield sse_event("error", {"error": value})
-        yield sse_event("end", {"events": emitted + 1})
-    finally:
-        worker.join(timeout=60)
-
-
-def _tile_event_info(outcome_index: int, total: int, value: Any, seconds: float) -> dict:
-    """The JSON body of one ``tile`` event, from a tile worker's result."""
-    info: dict[str, Any] = {
-        "index": outcome_index,
-        "tiles": total,
-        "seconds": round(seconds, 6),
-    }
-    if isinstance(value, dict):
-        tile = value.get("tile")
-        if tile is not None:
-            info["tile"] = list(tile)
-        nodes = value.get("nodes")
-        if isinstance(nodes, dict):
-            info.update(nodes)
-        for field in ("candidates", "contests", "straddle_contests"):
-            if field in value:
-                info[field] = value[field]
-        survivors = value.get("survivors")
-        if survivors is not None:
-            info["survivors"] = len(survivors)
-        accepted = value.get("accepted")
-        if accepted is not None:
-            info["accepted"] = len(accepted)
-    return info
+            service.metrics.inc("streaming.errors")
+            yield sse_event("error", {"error": f"{type(exc).__name__}: {exc}"})
+        else:
+            service.cache.put(key, product)
+            yield sse_event(
+                "result",
+                {"key": key, "params": params, "cache": "miss", **product.summary()},
+            )
+    yield sse_event("end", {"events": 3})
 
 
 # -- streaming sessions -------------------------------------------------------

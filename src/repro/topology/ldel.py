@@ -24,8 +24,7 @@ proposals, with the corners that proposed each triangle),
 is its removal mask alone), and :func:`degenerate_crossing_losers`
 holds the tie-break for exactly cocircular crossings.  The centralized
 construction below, the fast protocol
-(:mod:`repro.protocols.ldel_fast`), the sharded tile workers
-(:mod:`repro.sharding.build`) and the incremental maintainer
+(:mod:`repro.protocols.ldel_fast`) and the incremental maintainer
 (:mod:`repro.incremental.pldel`) compose them.  The message-passing
 protocol (paper Algorithms 2 and 3 verbatim) lives in
 :mod:`repro.protocols.ldel_protocol` and is tested to produce the same
@@ -560,14 +559,13 @@ def _soa_contest(positions: Sequence[Point], triangles, cell: float, circles, pa
 # -- the three LDel^1 decisions -----------------------------------------------
 #
 # Every LDel path — the centralized reference below, the fast protocol
-# (:mod:`repro.protocols.ldel_fast`), the sharded tile workers
-# (:mod:`repro.sharding.build`), the incremental maintainer
-# (:mod:`repro.incremental.pldel`, contests only) — composes these
-# three functions; each picks the SoA kernel or the scalar reference
-# itself.  With numpy they take and return arrays: triangles as (m, 3)
-# int64 rows (ascending ids), per-corner decisions as (m, 3) bool
-# masks.  The scalar reference takes and returns the same values as
-# tuples and lists.
+# (:mod:`repro.protocols.ldel_fast`) and the incremental maintainer
+# (:mod:`repro.incremental.pldel`) — composes these three functions;
+# each picks the SoA kernel or the scalar reference itself.  With numpy
+# they take and return arrays: triangles as (m, 3) int64 rows
+# (ascending ids), per-corner decisions as (m, 3) bool masks.  The
+# scalar reference takes and returns the same values as tuples and
+# lists.
 
 
 def proposed_triangles(
@@ -583,7 +581,7 @@ def proposed_triangles(
     degrees at ``u`` (:func:`_node_candidates`).  Returns the sorted
     distinct triangles and, per triangle, which of its three (sorted)
     corners proposed it.  ``node_ids`` restricts the proposing nodes
-    (a sharded tile passes the nodes near its core); default is every
+    (a maintainer tile passes the nodes near its core); default is every
     node.
     """
     soa = _soa_proposals(udg, node_ids)
@@ -937,8 +935,8 @@ def resolve_degenerate_crossings(graph: Graph) -> Graph:
     the edge *set* alone, not of set-iteration order.  When crossings
     chain (edge B crosses both A and C), which edges survive depends on
     processing order; sorting pins it down, which is what lets the
-    sharded and incremental constructions stitch tiles into a graph
-    bit-identical to the serial pipeline's.
+    incremental maintainer stitch tiles into a graph bit-identical to
+    the serial pipeline's.
     """
     pairs = [
         (e1, e2) if e1 <= e2 else (e2, e1) for e1, e2 in crossing_pairs(graph)

@@ -9,8 +9,8 @@ quasi-UDG variants scale them by the gray-zone parameter ``epsilon``
 longer than the reliable-zone radius the proofs assume).
 
 Paper-bound invariants are exact claims; the bit-identity invariants
-(sharded-vs-serial, SoA-vs-reference, fast-vs-protocol) are the
-implementation's own contracts, promoted to tripwires.
+(SoA-vs-reference, fast-vs-protocol) are the implementation's own
+contracts, promoted to tripwires.
 """
 
 from __future__ import annotations
@@ -272,25 +272,6 @@ def _lemma3_messages(ctx: "PipelineBuild") -> Check:
     )
 
 
-def _sharded_identity(ctx: "PipelineBuild") -> Check:
-    from repro.sharding.build import sharded_pldel
-
-    result, _ = sharded_pldel(
-        list(ctx.deployment.points),
-        ctx.deployment.radius,
-        shards=4,
-        executor_mode="serial",
-    )
-    same = result.graph.edge_set() == ctx.graph.edge_set()
-    diff = len(result.graph.edge_set() ^ ctx.graph.edge_set())
-    return Check(
-        passed=same,
-        value=float(diff),
-        bound=0.0,
-        detail="" if same else f"{diff} edges differ sharded vs serial",
-    )
-
-
 def _soa_identity(ctx: "PipelineBuild") -> Check:
     from repro.core.compat import numpy_disabled
     from repro.topology.ldel import planar_local_delaunay_graph
@@ -491,14 +472,6 @@ INVARIANTS: tuple[Invariant, ...] = (
         description="constant messages per node during CDS construction",
         pipelines=("backbone",),
         metric=_lemma3_messages,
-    ),
-    Invariant(
-        name="sharded-identity",
-        description="sharded PLDel is bit-identical to the serial build",
-        pipelines=("ldel",),
-        models=("udg",),
-        metric=_sharded_identity,
-        kind="identity",
     ),
     Invariant(
         name="soa-identity",

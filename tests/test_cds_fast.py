@@ -4,9 +4,9 @@ The direct-computation constructors (:mod:`repro.protocols.cds_fast`,
 :mod:`repro.protocols.ldel_fast`) claim to reproduce the
 message-passing protocols exactly — same sets, same certified edges,
 same round counts, same per-node/per-kind message ledgers.  This suite
-pins that claim over the sharding deployments (random, degenerate
-grid, collinear, tile-boundary-straddling, dense) plus ID-permuted
-variants, and adds the Lemma 3 property test (constant messages per
+pins that claim over adversarial deployments (random, degenerate grid,
+collinear, r-aligned-boundary-straddling, dense) plus ID-permuted
+variants and a descending-id line, and adds the Lemma 3 property test (constant messages per
 node on the protocol path, independent of n at fixed density).  The
 connector election has two fast paths, the SoA kernel and the scalar
 loops it falls back to without numpy; both are held to the protocol
@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core import compat
 from repro.core.spanner import build_backbone
+from repro.geometry.primitives import Point
 from repro.graphs.udg import UnitDiskGraph
 from repro.protocols.cds import build_cds_family
 from repro.protocols.cds_fast import fast_clustering, fast_connectors
@@ -38,7 +39,6 @@ from repro.protocols.ldel_fast import fast_ldel_protocol
 from repro.protocols.ldel_protocol import run_ldel_protocol
 from repro.sim.stats import MessageStats
 from repro.workloads.corpus import get_instance
-from test_sharding import DEPLOYMENTS
 
 RADIUS = 25.0
 
@@ -46,6 +46,70 @@ PRIORITIES = {
     "lowest-id": lowest_id_priority,
     "highest-degree": highest_degree_priority,
 }
+
+
+def _random_points(n=80, side=120.0, seed=7):
+    rng = random.Random(seed)
+    return [Point(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
+
+
+def _grid_points(rows=8, cols=8, spacing=12.5):
+    # spacing = radius/2 puts every other column exactly on an
+    # r-aligned line, and every unit square is an exactly cocircular
+    # quadruple.
+    return [
+        Point(c * spacing, r * spacing) for r in range(rows) for c in range(cols)
+    ]
+
+
+def _collinear_points(n=14, spacing=10.0):
+    # A line crossing several 25-unit cells, nodes at multiples of 10:
+    # indices 5 and 10 sit exactly on cell boundaries (x=50, x=100).
+    return [Point(i * spacing, 30.0) for i in range(n)]
+
+
+def _boundary_points():
+    """Nodes exactly on r-aligned lines plus clusters straddling them.
+
+    With radius 25 the lines sit at multiples of 25; this set
+    places nodes *on* x=25/y=25 lines (including a corner), and tight
+    clusters on both sides so Gabriel witnesses and LDel proposals
+    cross the boundary.
+    """
+    pts = [
+        Point(25.0, 10.0), Point(25.0, 25.0), Point(25.0, 40.0),  # on x=25
+        Point(10.0, 25.0), Point(40.0, 25.0),                     # on y=25
+        Point(50.0, 50.0),                                        # on a corner
+    ]
+    rng = random.Random(13)
+    for _ in range(40):
+        # Clusters hugging the x=25 line from both sides.
+        pts.append(Point(25.0 + rng.uniform(-8.0, 8.0), rng.uniform(0.0, 60.0)))
+    for _ in range(20):
+        pts.append(Point(rng.uniform(0.0, 60.0), 25.0 + rng.uniform(-4.0, 4.0)))
+    return pts
+
+
+def _dense_points(n=150, side=70.0, seed=23):
+    """Dense enough that LDel^1 accepts intersecting triangles."""
+    rng = random.Random(seed)
+    return [Point(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
+
+
+DEPLOYMENTS = {
+    "random": _random_points,
+    "grid": _grid_points,
+    "collinear": _collinear_points,
+    "boundary": _boundary_points,
+    "dense": _dense_points,
+}
+
+
+def _descending_line(n=120, spacing=20.0):
+    """A path whose ids descend left to right: every MIS decision
+    depends on the one before it, so the election's dependency chain
+    spans the whole deployment."""
+    return [Point((n - 1 - i) * spacing, 0.0) for i in range(n)]
 
 
 def _permuted(points, seed=4):
@@ -61,6 +125,7 @@ def _deployments():
     cases += [
         (f"{name}-permuted", _permuted(make())) for name, make in sorted(DEPLOYMENTS.items())
     ]
+    cases.append(("descending-line", _descending_line()))
     return cases
 
 
@@ -332,40 +397,3 @@ class TestLemma3MessageBound:
     @given(seed=st.integers(min_value=0, max_value=10**6))
     def test_constant_per_node_property(self, seed):
         assert _max_messages_per_node(150, seed) <= LEMMA3_BOUND
-
-
-class TestShardedElection:
-    def test_reversed_id_chain_falls_back_and_stays_exact(self):
-        """Descending ids along a line make every MIS decision depend on
-        the previous one — the certification chain escapes any constant
-        halo, so the per-tile election must flag unresolved nodes and
-        the coordinator reconciliation must still match the protocol."""
-        from repro.sharding.build import sharded_backbone
-
-        n = 120
-        pts = [((n - 1 - i) * 20.0, 0.0) for i in range(n)]
-        serial = build_backbone(pts, RADIUS)
-        result, stats = sharded_backbone(
-            pts, RADIUS, shards=6, executor_mode="serial"
-        )
-        assert stats.counters["election_unresolved"] > 0
-        assert result.dominators == serial.dominators
-        assert result.connectors == serial.connectors
-        assert result.ldel_icds.edge_set() == serial.ldel_icds.edge_set()
-
-    def test_counters_present(self):
-        from repro.sharding.build import sharded_backbone
-
-        pts = [p for p in DEPLOYMENTS["boundary"]()]
-        with obs.recording() as record:
-            _, stats = sharded_backbone(
-                [tuple(p) for p in pts], RADIUS, shards=4, executor_mode="serial"
-            )
-        assert "election_certified" in stats.counters
-        assert "election_unresolved" in stats.counters
-        assert "sharding.phase.election" in {name for name, _ in record["spans"]}
-        total = (
-            stats.counters["election_certified"]
-            + stats.counters["election_unresolved"]
-        )
-        assert total == len(pts)

@@ -25,6 +25,12 @@ from repro.incremental.events import (
     parse_events,
 )
 from repro.incremental.session import IncrementalSession
+from repro.incremental.tiles import (
+    ACCEPTANCE_HALO,
+    ELECTION_HALO,
+    DynamicTileGrid,
+    box_distance,
+)
 from repro.mobility.session import run_mobility_session
 from repro.workloads.generators import connected_udg_instance
 
@@ -270,6 +276,40 @@ class TestMaintainerEquivalence:
         assert 0.0 <= data["dirty_fraction"] <= 1.0
 
 
+class TestDynamicTileGrid:
+    def test_points_on_tile_lines_belong_to_one_tile(self):
+        grid = DynamicTileGrid(25.0, tile_cells=2)
+        # Half-open cores: a point on a line belongs to the tile on its
+        # right / top, also past the origin and at any distance.
+        assert grid.key_of(Point(50.0, 0.0)) == (1, 0)
+        assert grid.key_of(Point(49.999, 50.0)) == (0, 1)
+        assert grid.key_of(Point(-50.0, -0.001)) == (-1, -1)
+        assert grid.key_of(Point(5000.0, -5000.0)) == (100, -100)
+        assert grid.box((1, -1)) == (50.0, -50.0, 100.0, 0.0)
+
+    @pytest.mark.parametrize("tile_cells", [1, 2, 3])
+    def test_keys_within_is_exactly_the_halo(self, tile_cells):
+        grid = DynamicTileGrid(25.0, tile_cells=tile_cells)
+        rng = random.Random(tile_cells)
+        for _ in range(50):
+            p = Point(rng.uniform(-200.0, 200.0), rng.uniform(-200.0, 200.0))
+            halo = rng.choice([ACCEPTANCE_HALO, ELECTION_HALO]) * 25.0
+            window = range(-20, 21)
+            brute = {
+                (ix, iy)
+                for ix in window
+                for iy in window
+                if box_distance(grid.box((ix, iy)), p) <= halo
+            }
+            assert set(grid.keys_within(p, halo)) == brute
+
+    def test_invalid_inputs(self):
+        with pytest.raises(ValueError):
+            DynamicTileGrid(0.0)
+        with pytest.raises(ValueError):
+            DynamicTileGrid(25.0, tile_cells=0)
+
+
 def _planted_step(pldel, triangles, moves=()):
     """One contest-and-stitch step over planted accepted triangles.
 
@@ -346,7 +386,7 @@ class TestContestReplay:
 
     @pytest.mark.parametrize("scalar", [False, True])
     def test_sliver_loses_the_contest(self, scalar):
-        # The crafted pair of the sharded contest test: the sliver's
+        # A crafted Algorithm 3 contest across two tiles: the sliver's
         # huge circumcircle swallows a vertex of the crossing triangle,
         # whose own circumcircle holds no sliver vertex.  Uniform
         # deployments never accept such a pair, so the two triangles

@@ -7,6 +7,8 @@ nothing but the service, so it runs unchanged against the per-module
 timing dicts the span layer replaced.
 """
 
+import gc
+
 from repro.service.server import SpannerService
 
 SCENARIO = {"nodes": 90, "side": 110.0, "radius": 25.0, "seed": 5}
@@ -30,10 +32,6 @@ COUNTER_NAMES = {
     "incremental.vanished_links",
     "oracle.apsp_misses", "oracle.measurements", "oracle.snapshot_hits",
     "oracle.snapshot_misses", "oracle.stretch_calls",
-    "sharding.accepted_triangles", "sharding.builds", "sharding.candidates",
-    "sharding.election_certified", "sharding.gabriel_edges",
-    "sharding.local_delaunay_calls", "sharding.surviving_triangles",
-    "sharding.tiles",
 }
 HISTOGRAM_NAMES = {
     "backbone.phase.cds", "backbone.phase.ldel",
@@ -44,10 +42,6 @@ HISTOGRAM_NAMES = {
     "incremental.phase.pldel_phase_a", "incremental.phase.pldel_stitch",
     "incremental.phase.roles", "incremental.phase.udg",
     "oracle.stage.apsp", "oracle.stage.kernel", "oracle.stage.snapshot",
-    "sharding.phase.assign", "sharding.phase.build", "sharding.phase.clustering",
-    "sharding.phase.contest", "sharding.phase.contest_assign",
-    "sharding.phase.election", "sharding.phase.stitch",
-    "sharding.tile_seconds",
 }
 #: The ``gc`` section's names (collections during recorded work).
 GC_COUNTER_NAMES = {"python.gc.collections"}
@@ -67,8 +61,6 @@ def _drive_mix(service):
     _build(service, "ldel")
     _build(service, "ldel1", {"k": 2})
     _build(service, "gg", {"measure": True})
-    _build(service, "sharded:ldel")
-    _build(service, "sharded:backbone")
     session = service.session_create({"scenario": SCENARIO})["session"]
     service.session_step(
         session, {"events": [{"kind": "move", "node": 4, "x": 30.0, "y": 30.0}]}
@@ -79,17 +71,26 @@ def _drive_mix(service):
     })
 
 
-
 def test_metric_names_unchanged():
-    service = SpannerService(executor_mode="serial")
-    _drive_mix(service)
-    snapshot = service.metrics_snapshot()
-    service.close()
+    # The array kernels leave few tracked objects behind, so whether
+    # the mix reaches the default young-generation threshold depends on
+    # what ran before it.  Start from empty generations and a low
+    # threshold (restored afterwards) so its recorded work collects.
+    threshold = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(50, *threshold[1:])
+    try:
+        service = SpannerService(executor_mode="serial")
+        _drive_mix(service)
+        snapshot = service.metrics_snapshot()
+        service.close()
+    finally:
+        gc.set_threshold(*threshold)
     assert set(snapshot["counters"]) == COUNTER_NAMES
     assert set(snapshot["latency"]) == HISTOGRAM_NAMES
-    # Garbage collections have a section of their own; which
+    # Garbage collections have a section of their own; which older
     # generations ran depends on the allocator's history, but the
-    # builds above always trigger at least the young one.
+    # young one always does.
     assert set(snapshot["gc"]["counters"]) == GC_COUNTER_NAMES
     assert "python.gc.gen0" in snapshot["gc"]["latency"]
     assert set(snapshot["gc"]["latency"]) <= GC_HISTOGRAM_NAMES

@@ -8,7 +8,6 @@ import threading
 import pytest
 
 from repro import obs
-from repro.service import executor
 from repro.service.server import SpannerService
 from test_metric_names import SCENARIO, _build
 
@@ -121,20 +120,25 @@ class TestGarbageCollectionLayer:
 
 
 class TestServiceFold:
-    def test_sharded_counts_match_across_tile_executors(self, monkeypatch):
-        original = executor.run_batch
+    def test_batch_counts_match_across_executors(self):
+        # Pool threads and processes record under their own
+        # recording and hand the record back with the product, so the
+        # folded counters and span counts cannot depend on where the
+        # work ran.
+        requests = [
+            {"pipeline": pipeline, "scenario": dict(SCENARIO, seed=seed)}
+            for pipeline, seed in (("backbone", 5), ("ldel", 9), ("gg", 11))
+        ]
         counters, observations, used = {}, {}, {}
         for mode in ("serial", "thread", "process"):
-            def forced(tasks, worker, _tiles=mode, **kwargs):
-                kwargs["mode"] = _tiles
-                return original(tasks, worker, **kwargs)
-
-            monkeypatch.setattr(executor, "run_batch", forced)
             service = SpannerService(executor_mode="serial")
-            body = _build(service, "sharded:ldel", {"workers": 2})
+            body = service.batch(
+                {"requests": requests, "executor": {"mode": mode, "max_workers": 2}}
+            )
             snapshot = service.metrics_snapshot()
             service.close()
-            used[mode] = body["sharding"]["mode"]
+            assert body["succeeded"] == len(requests)
+            used[mode] = body["executor"]["mode"]
             counters[mode] = snapshot["counters"]
             observations[mode] = {
                 name: series["count"] for name, series in snapshot["latency"].items()
@@ -142,7 +146,8 @@ class TestServiceFold:
         assert used["serial"] == "serial" and used["thread"] == "thread"
         assert counters["serial"] == counters["thread"] == counters["process"]
         assert observations["serial"] == observations["thread"] == observations["process"]
-        assert observations["serial"]["sharding.tile_seconds"] == body["sharding"]["tiles"]
+        assert observations["serial"]["backbone.phase.cds"] == 1
+        assert observations["serial"]["build.construct"] == len(requests)
 
     def test_bodies_carry_no_wall_time(self):
         # Two independent services answer byte-identical bodies, so no
@@ -152,7 +157,6 @@ class TestServiceFold:
             out = [
                 _build(service, "backbone", {"measure": True}),
                 _build(service, "ldel"),
-                _build(service, "sharded:backbone", {"workers": 1}),
             ]
             session = service.session_create({"scenario": SCENARIO})["session"]
             out.append(service.session_step(

@@ -152,16 +152,11 @@ class TestPersistence:
 class TestStreaming:
     def test_build_stream_event_order(self, async_server):
         client = ServiceClient(async_server.url, timeout=120)
-        events = list(client.build(
-            "sharded:ldel", SCENARIO, params={"shards": 4}, stream=True
-        ))
-        names = [name for name, _ in events]
-        assert names[0] == "start"
-        assert names[-1] == "end"
-        assert "result" in names
+        events = list(client.build("ldel", SCENARIO, stream=True))
+        assert [name for name, _ in events] == ["start", "result", "end"]
         result = dict(events)["result"]
-        serial = client.build("ldel", SCENARIO)
-        assert result["edges"] == serial["edges"]  # stitched == serial
+        built = client.build("ldel", SCENARIO)
+        assert (result["key"], result["edges"]) == (built["key"], built["edges"])
 
     def test_build_stream_cache_hit_short_circuit(self, async_server):
         client = ServiceClient(async_server.url, timeout=120)
@@ -170,6 +165,9 @@ class TestStreaming:
         assert dict(first)["result"]["cache"] == "miss"
         assert dict(second)["result"]["cache"] == "hit"
         assert dict(second)["result"]["edges"] == dict(first)["result"]["edges"]
+        # ``end`` counts every frame of the stream, itself included.
+        assert dict(first)["end"]["events"] == len(first) == 3
+        assert dict(second)["end"]["events"] == len(second) == 3
 
     def test_session_stream_deltas(self, async_server):
         client = ServiceClient(async_server.url, timeout=120)

@@ -59,6 +59,15 @@ class TestEndpoints:
             client.build("not-a-pipeline", SCENARIO)
         assert excinfo.value.status == 400
 
+    def test_removed_sharded_pipeline_400(self, client):
+        # The tiled build path is gone; its names answer like any
+        # unknown pipeline, with the listing of the known ones.
+        with pytest.raises(ClientError) as excinfo:
+            client.build("sharded:ldel", SCENARIO)
+        assert excinfo.value.status == 400
+        message = excinfo.value.message
+        assert "unknown pipeline" in message and "backbone" in message
+
     def test_invalid_json_400(self, client):
         import urllib.request
 

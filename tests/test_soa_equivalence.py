@@ -5,8 +5,8 @@ the *same* graphs as the scalar reference path — not approximately,
 bit for bit.  This suite holds every consumer to that on the
 deployments where vectorized shortcuts are most likely to diverge:
 random clouds at two sizes, exact grids (cocircular quadruples
-everywhere), collinear lines, the tile-boundary stress set from the
-sharding suite (nodes exactly on tile lines), and a denser cloud.
+everywhere), collinear lines, a boundary stress set (nodes exactly on
+r-aligned lines, where the maintainer's tiles meet), and a denser cloud.
 Each test builds once with the kernels active and once under
 :func:`repro.core.compat.numpy_disabled` and compares the outputs.
 
@@ -37,7 +37,6 @@ from repro.geometry.primitives import Point
 from repro.graphs.udg import UnitDiskGraph
 from repro.incremental import IncrementalMaintainer
 from repro.incremental.events import Event
-from repro.sharding.build import sharded_pldel
 from repro.topology.gabriel import gabriel_graph
 from repro.topology.ldel import (
     candidate_triangles,
@@ -313,19 +312,6 @@ class TestContest:
             udg = get_instance(source).udg()
         tris, _ = proposed_triangles(udg)
         _assert_losers_match(udg.positions, tris, udg.radius)
-
-
-class TestShardedPipeline:
-    def test_sharded_pldel_identical(self, points):
-        soa, _ = sharded_pldel(points, RADIUS, shards=4)
-        with compat.numpy_disabled():
-            ref, _ = sharded_pldel(points, RADIUS, shards=4)
-        _assert_same_result(soa, ref)
-
-    def test_sharded_matches_serial_soa(self, points):
-        sharded, _ = sharded_pldel(points, RADIUS, shards=4)
-        serial = planar_local_delaunay_graph(UnitDiskGraph(points, RADIUS))
-        _assert_same_result(sharded, serial)
 
 
 class TestBackbone:
