@@ -10,10 +10,18 @@ the sparse graphs this library produces.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Any, Iterator
 
 from repro.geometry.predicates import segments_cross
 from repro.graphs.graph import Graph
+
+
+#: Absolute slack on per-edge bounding boxes, matching the 1e-12
+#: tolerance of :func:`repro.geometry.predicates.on_segment` so the
+#: box rejection can never contradict ``segments_cross`` (a proper
+#: crossing implies exactly-overlapping boxes; the collinear-touch
+#: branch implies overlap within the ``on_segment`` slack).
+_EDGE_BBOX_SLACK = 1e-12
 
 
 def _candidate_pairs(graph: Graph) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
@@ -47,23 +55,64 @@ def _candidate_pairs(graph: Graph) -> Iterator[tuple[tuple[int, int], tuple[int,
                 yield edges[i], edges[j]
 
 
+def crossing_index_pairs(
+    np: Any, xs: Any, ys: Any, eu: Any, ev: Any
+) -> tuple[Any, Any, int, int]:
+    """Index pairs ``(i, j)``, ``i < j``, of segments that properly cross.
+
+    Segment ``k`` runs from node ``eu[k]`` to node ``ev[k]`` (ids into
+    ``xs, ys``).  Candidate pairs come from a uniform grid over the
+    segments' bounding boxes, widened by :data:`_EDGE_BBOX_SLACK`,
+    whose cell is the mean segment length.  Pairs sharing a node id are
+    dropped, and so are pairs whose widened boxes miss each other (most
+    of what the grid offers); the rest get the exact
+    :func:`~repro.geometry.predicates.segments_cross` test in blocks
+    (:func:`~repro.core.soa.row_blocks`).  The cell size only controls
+    how many candidates the exact test sees, never which pairs cross
+    (two crossing segments' widened boxes meet, so they share a cell),
+    so this path is free to bin with array arithmetic while the scalar
+    path keeps its incremental average.  Returns the crossing pairs,
+    sorted, plus the number of pairs the grid offered and the number
+    given the exact test.
+    """
+    from repro.core.soa import bbox_grid_pairs, row_blocks
+    from repro.geometry.predicates import segments_cross_batch
+
+    ux, uy, vx, vy = xs[eu], ys[eu], xs[ev], ys[ev]
+    lengths = np.hypot(ux - vx, uy - vy)
+    cell = max(float(lengths.sum()) / max(eu.shape[0], 1), 1e-9)
+    slack = _EDGE_BBOX_SLACK
+    x0, y0 = np.minimum(ux, vx), np.minimum(uy, vy)
+    x1, y1 = np.maximum(ux, vx), np.maximum(uy, vy)
+    pi, pj = bbox_grid_pairs(np, x0 - slack, y0 - slack, x1 + slack, y1 + slack, cell)
+    offered = int(pi.shape[0])
+    skip = (
+        (eu[pi] == eu[pj])
+        | (eu[pi] == ev[pj])
+        | (ev[pi] == eu[pj])
+        | (ev[pi] == ev[pj])
+        | (x1[pi] + slack < x0[pj] - slack)
+        | (x1[pj] + slack < x0[pi] - slack)
+        | (y1[pi] + slack < y0[pj] - slack)
+        | (y1[pj] + slack < y0[pi] - slack)
+    )
+    pi, pj = pi[~skip], pj[~skip]
+    cross = np.zeros(pi.shape[0], dtype=bool)
+    for block in row_blocks(np, np.ones(pi.shape[0], dtype=np.int64)):
+        bi, bj = pi[block], pj[block]
+        cross[block] = segments_cross_batch(
+            ux[bi], uy[bi], vx[bi], vy[bi], ux[bj], uy[bj], vx[bj], vy[bj]
+        )
+    return pi[cross], pj[cross], offered, int(pi.shape[0])
+
+
 def _vector_crossing_pairs(
     graph: Graph,
 ) -> "list[tuple[tuple[int, int], tuple[int, int]]] | None":
-    """Vectorized crossing enumeration; ``None`` when numpy is masked.
-
-    The grid cell size only controls how many candidate pairs the
-    exact test sees, never which pairs cross (two crossing edges share
-    the cell containing their intersection point at any cell size), so
-    this path is free to bin with array arithmetic while the scalar
-    path keeps its incremental average — the crossing *set* is
-    identical either way, which is all the deterministic resolution
-    sweep consumes.  The exact test runs in blocks of candidate pairs
-    (:func:`~repro.core.soa.row_blocks`).
-    """
+    """:func:`crossing_index_pairs` over the edge keys; ``None`` when
+    numpy is masked."""
     from repro.core.compat import get_numpy
-    from repro.core.soa import bbox_grid_pairs, coordinates, row_blocks
-    from repro.geometry.predicates import segments_cross_batch
+    from repro.core.soa import coordinates
 
     np = get_numpy()
     if np is None:
@@ -74,29 +123,7 @@ def _vector_crossing_pairs(
     n = graph.node_count
     xs, ys = coordinates(np, graph.positions)
     eu, ev = keys // n, keys % n
-    ux, uy, vx, vy = xs[eu], ys[eu], xs[ev], ys[ev]
-    lengths = np.hypot(ux - vx, uy - vy)
-    cell = max(float(lengths.sum()) / keys.shape[0], 1e-9)
-    pi, pj = bbox_grid_pairs(
-        np,
-        np.minimum(ux, vx), np.minimum(uy, vy),
-        np.maximum(ux, vx), np.maximum(uy, vy),
-        cell,
-    )
-    share = (
-        (eu[pi] == eu[pj])
-        | (eu[pi] == ev[pj])
-        | (ev[pi] == eu[pj])
-        | (ev[pi] == ev[pj])
-    )
-    pi, pj = pi[~share], pj[~share]
-    cross = np.zeros(pi.shape[0], dtype=bool)
-    for block in row_blocks(np, np.ones(pi.shape[0], dtype=np.int64)):
-        bi, bj = pi[block], pj[block]
-        cross[block] = segments_cross_batch(
-            ux[bi], uy[bi], vx[bi], vy[bi], ux[bj], uy[bj], vx[bj], vy[bj]
-        )
-    pi, pj = pi[cross], pj[cross]
+    pi, pj, _, _ = crossing_index_pairs(np, xs, ys, eu, ev)
     return list(zip(
         zip(eu[pi].tolist(), ev[pi].tolist()), zip(eu[pj].tolist(), ev[pj].tolist())
     ))

@@ -14,12 +14,15 @@ Why this is sound (and what the equivalence suite pins down):
 
 * **Clustering** converges to the greedy maximal independent set in
   priority order: a node elects itself exactly when every neighbor of
-  smaller-or-equal priority has left the white set, so processing
-  nodes as an event cascade (election → domination → unblock)
-  reproduces both the membership and the round each event lands in.
-  The protocol's timeline is ``elect at T → IamDominator delivered at
-  T+1 → first IamDominatee delivered at T+2``, which is the recurrence
-  :func:`fast_clustering` replays.
+  smaller-or-equal priority has left the white set.  The protocol's
+  timeline is ``elect at T → IamDominator delivered at T+1 → first
+  IamDominatee delivered at T+2``, so one round of the protocol is one
+  round of array passes over the CSR (:func:`_soa_clustering`):
+  deliver the ``IamDominator`` of the last round's elections, unblock
+  the nodes that left the white set then, elect every white node with
+  no blockers left.  Priorities are ranked once, so any ``PriorityFn``
+  works and ties stay ties.  The scalar reference replays the same
+  recurrence as an event cascade (election → domination → unblock).
 * **Connectors** (Algorithm 1) resolve each ``(u, v, slot)`` arena one
   full round after proposing; under ``smallest-id`` the winners are
   exactly the local minima of the proposer conflict graph, and under
@@ -32,8 +35,11 @@ Since every rule is local and order-independent, the connector
 election is sort-and-join work over integer arrays
 (:func:`_soa_connectors`, on the graph's shared
 :class:`~repro.core.soa.SoaSnapshot`).  ``dominators_of`` becomes a
-CSR, and "is a neighbour" / "is a dominator of" are binary searches
-into sorted ``a * n + b`` pair keys:
+CSR plus a padded per-node table (one column per dominator slot, at
+most five under the disk rule), so "is a dominator of" is a few
+column compares.  "Is a neighbour" is the UDG's own distance test
+while its adjacency is the disk rule, and a binary search into the
+sorted directed edge keys on a quasi-UDG:
 
 * slot 0 is a ragged self-join of each dominatee's dominator row
   (pairs ``u < v``);
@@ -49,9 +55,10 @@ into sorted ``a * n + b`` pair keys:
   pass;
 * the ledger charges each node's per-kind totals once.
 
-The scalar loops in :func:`fast_connectors` are the reference: they
-run under :func:`~repro.core.compat.numpy_disabled` (or without numpy)
-and the tests compare the kernel with them.
+The scalar loops in :func:`fast_clustering` and :func:`fast_connectors`
+are the reference: they run under
+:func:`~repro.core.compat.numpy_disabled` (or without numpy) and the
+tests compare the kernels with them.
 
 The protocol path stays authoritative: it is the executable model of
 the paper (message traces, loss/async variants).  This path is the
@@ -62,7 +69,7 @@ serving-layer implementation, held bit-identical to it by
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro import obs
 from repro.core.compat import get_numpy
@@ -112,19 +119,19 @@ def fast_clustering(
     on every field: dominators, ``dominators_of``, round count, and
     message ledger.  Raises :class:`RuntimeError` when the protocol
     would stall (adjacent priority ties that never get dominated).
+    Runs :func:`_soa_clustering` on the graph's shared SoA snapshot
+    when numpy is active, and the event cascade below otherwise.
     """
     chosen = priority or lowest_id_priority
     ledger = stats if stats is not None else MessageStats()
     n = udg.node_count
     if n == 0:
         return ClusteringOutcome(frozenset(), {}, 0, ledger)
+    soa = _soa_clustering(udg, chosen, ledger)
+    if soa is not None:
+        return soa
 
-    snap = snapshot_for(udg)
-    if snap is None:
-        neighbors = [sorted(udg.neighbors(x)) for x in range(n)]
-    else:
-        ptr, ind = snap.indptr.tolist(), snap.indices.tolist()
-        neighbors = [ind[ptr[x] : ptr[x + 1]] for x in range(n)]
+    neighbors = [sorted(udg.neighbors(x)) for x in range(n)]
     pri = [chosen(x, len(neighbors[x])) for x in range(n)]
     ledger.record_counts(HELLO, range(n), 1)
 
@@ -210,6 +217,114 @@ def fast_clustering(
     return ClusteringOutcome(
         dominators=frozenset(dominators),
         dominators_of={w: frozenset(ds) for w, ds in doms_of.items()},
+        rounds=rounds,
+        stats=ledger,
+    )
+
+
+def _priority_ranks(np: Any, chosen: PriorityFn, degrees: list[int]) -> Any:
+    """Each node's priority as an int64 rank: equal tuples share a rank.
+
+    ``rank[a] < rank[b]`` exactly when ``chosen(a, ·) < chosen(b, ·)``,
+    so the kernel compares integers where the protocol compares tuples.
+    """
+    pri = [chosen(x, d) for x, d in enumerate(degrees)]
+    order = sorted(range(len(pri)), key=pri.__getitem__)
+    rank = [0] * len(pri)
+    for prev, x in zip(order, order[1:]):
+        rank[x] = rank[prev] + (pri[prev] < pri[x])
+    return np.array(rank, dtype=np.int64)
+
+
+def _soa_clustering(
+    udg: UnitDiskGraph, chosen: PriorityFn, ledger: MessageStats
+) -> Optional[ClusteringOutcome]:
+    """:func:`fast_clustering` as round-synchronous passes over the CSR.
+
+    Returns ``None`` without numpy.  Round ``r`` replays the protocol's
+    deliveries and ``finish_round`` on whole node sets: the
+    ``IamDominator`` of every node elected in round ``r - 1`` reaches
+    its row (white neighbours turn dominatee), every node that left
+    the white set in round ``r - 1`` (those dominators and the
+    dominatees made then) unblocks the neighbours it was blocking (one
+    masked gather, one ``bincount`` subtract), and every white node
+    left with no blockers elects.  A dominatee sends one
+    ``IamDominatee`` per dominator it hears, so its count is a
+    ``bincount`` of the deliveries.
+    """
+    np = get_numpy()
+    if np is None:
+        return None
+    snap = snapshot_for(udg)
+    n = snap.n
+    indptr, indices = snap.indptr, snap.indices
+    degree = snap.degrees()
+    rank = _priority_ranks(np, chosen, degree.tolist())
+    ledger.record_counts(HELLO, range(n), 1)
+
+    # A neighbour blocks x while white iff its rank is not above x's.
+    owner = np.repeat(np.arange(n, dtype=np.int64), degree)
+    blockers = np.bincount(owner[rank[indices] <= rank[owner]], minlength=n)
+    status = np.zeros(n, dtype=np.int8)
+    elected_round = np.zeros(n, dtype=np.int64)
+    #: (dominatee, dominator) per IamDominator heard.
+    heard: list[tuple[Any, Any]] = []
+
+    def deliver(sources: Any) -> Any:
+        """IamDominator from ``sources`` lands; returns the new dominatees."""
+        src, w = gather_csr_rows(np, indptr, indices, sources)
+        keep = status[w] != _DOMINATOR
+        heard.append((w[keep], sources[src[keep]]))
+        fresh = sorted_unique(np, w[keep & (status[w] == _WHITE)])
+        status[fresh] = _DOMINATEE
+        return fresh
+
+    elected = dominated = np.zeros(0, dtype=np.int64)
+    # Round 1 has no leavers; each later round has some (else the
+    # round before it stalled), and they decide who is unblocked.
+    newly = np.nonzero(blockers == 0)[0]
+    white_count = n
+    round_index = 0
+    while white_count:
+        round_index += 1
+        fresh = deliver(elected)
+        leavers = np.concatenate([elected, dominated])
+        if leavers.shape[0]:
+            src, y = gather_csr_rows(np, indptr, indices, leavers)
+            y = y[rank[y] >= rank[leavers[src]]]
+            blockers -= np.bincount(y, minlength=n)
+            newly = y[blockers[y] == 0]
+        elected = sorted_unique(np, newly[status[newly] == _WHITE])
+        status[elected] = _DOMINATOR
+        elected_round[elected] = round_index
+        white_count -= fresh.shape[0] + elected.shape[0]
+        dominated = fresh
+        if white_count and not elected.shape[0] and not fresh.shape[0]:
+            white = np.nonzero(status == _WHITE)[0][:5].tolist()
+            raise RuntimeError(f"clustering stalled; white nodes remain: {white}")
+    # The last elections' IamDominator broadcasts land before quiescence.
+    deliver(elected)
+
+    heard_by = np.concatenate([w for w, _ in heard])
+    keys = np.sort(heard_by * n + np.concatenate([d for _, d in heard]))
+    dominators = np.nonzero(status == _DOMINATOR)[0]
+    ledger.record_counts(IAM_DOMINATEE, range(n), np.bincount(heard_by, minlength=n))
+    ledger.record_counts(IAM_DOMINATOR, dominators, 1)
+    # Quiescence: IamDominator at T+1, the dominatees' reactions at T+2.
+    rounds = int((elected_round[dominators] + 1 + (degree[dominators] > 0)).max())
+
+    # One int object per node id, shared by every set naming it, as the
+    # scalar body's sets share them.
+    ids = list(range(n))
+    holder, dom = keys // n, [ids[d] for d in (keys % n).tolist()]
+    starts = np.nonzero(np.diff(holder, prepend=-1))[0]
+    bounds = starts.tolist() + [keys.shape[0]]
+    return ClusteringOutcome(
+        dominators=frozenset(dominators.tolist()),
+        dominators_of={
+            ids[w]: frozenset(dom[a:b])
+            for w, a, b in zip(holder[starts].tolist(), bounds, bounds[1:])
+        },
         rounds=rounds,
         stats=ledger,
     )
@@ -376,7 +491,8 @@ def _rounds(slot2: bool, proposed: bool, any_message: bool) -> int:
 
 
 def _elect(
-    np: Any, n: int, adj_keys: Any, u: Any, v: Any, x: Any, smallest_id: bool
+    np: Any, adjacent: Callable[[Any, Any], Any], u: Any, v: Any, x: Any,
+    smallest_id: bool,
 ) -> tuple[Any, int]:
     """Which proposals win their ``(u, v)`` arena; also the arena count.
 
@@ -397,7 +513,7 @@ def _elect(
     if smallest_id:
         # Sorted by id within each arena, so sx[a] < sx[b].
         a, b = segment_pairs(np, starts, np.diff(np.append(starts, m)))
-        won[b[sorted_member(np, adj_keys, sx[a] * n + sx[b])]] = False
+        won[b[adjacent(sx[a], sx[b])]] = False
     out = np.empty(m, dtype=bool)
     out[order] = won
     return out, int(starts.shape[0])
@@ -414,6 +530,33 @@ def dominator_pairs(np: Any, clustering: ClusteringOutcome) -> tuple[Any, Any]:
     return np.repeat(holders, sizes), dom
 
 
+def _adjacency_test(np: Any, udg: UnitDiskGraph, snap: Any) -> Callable[[Any, Any], Any]:
+    """Elementwise "``a`` and ``b`` are radio neighbours" for distinct ids.
+
+    Under the disk rule that is the UDG's own inclusive
+    ``dx * dx + dy * dy <= radius * radius`` test on the snapshot's
+    coordinates, the arithmetic :func:`~repro.core.soa.udg_edge_arrays`
+    built the links with; otherwise (a quasi-UDG dropped gray-zone
+    links) a binary search into the directed edge keys.
+    """
+    n, xs, ys = snap.n, snap.xs, snap.ys
+    if udg.adjacency_is_disk_rule:
+        r_sq = udg.radius * udg.radius
+
+        def within(a: Any, b: Any) -> Any:
+            dx, dy = xs[a], ys[a]
+            dx -= xs[b]
+            dy -= ys[b]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            return dx <= r_sq
+
+        return within
+    adj_keys = snap.directed_keys()
+    return lambda a, b: sorted_member(np, adj_keys, a * n + b)
+
+
 def _soa_connectors(
     udg: UnitDiskGraph,
     clustering: ClusteringOutcome,
@@ -424,8 +567,9 @@ def _soa_connectors(
     """:func:`fast_connectors` as sort-and-join passes over the CSR.
 
     Returns ``None`` without numpy.  Integer keys ``a * n + b`` stand
-    for ordered node pairs; membership is a binary search into sorted
-    keys, never a hash.
+    for ordered node pairs.  Dominator membership reads the padded
+    per-node table, adjacency comes from :func:`_adjacency_test`; no
+    membership test hashes.
     """
     np = get_numpy()
     if np is None:
@@ -435,7 +579,7 @@ def _soa_connectors(
         return None
     n = snap.n
     indptr, indices = snap.indptr, snap.indices
-    adj_keys = snap.directed_keys()
+    adjacent = _adjacency_test(np, udg, snap)
 
     is_dom = np.zeros(n, dtype=bool)
     is_dom[np.fromiter(clustering.dominators, dtype=np.int64)] = True
@@ -445,6 +589,18 @@ def _soa_connectors(
     dom_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(dom_owner, minlength=n), out=dom_ptr[1:])
     dom_start = dom_ptr[:-1]
+    # Padded dominator table, one column per slot: column c holds each
+    # node's c-th dominator, -1 past its count (at most 5 columns
+    # under the disk rule).
+    table = np.full((int(np.diff(dom_ptr).max(initial=0)), n), -1, dtype=np.int64)
+    table[np.arange(dom_keys.shape[0]) - dom_start[dom_owner], dom_owner] = dom_ids
+
+    def dominates(d: Any, x: Any) -> Any:
+        hit = np.zeros(x.shape[0], dtype=bool)
+        for column in table:
+            hit |= column[x] == d
+        return hit
+
     # A proposer's own dominators; dominators sit the election out.
     mine = np.where(is_dom, 0, dom_ptr[1:] - dom_start)
 
@@ -462,8 +618,8 @@ def _soa_connectors(
     keys = sorted_unique(np, pick[owner[hop]] * n + far)
     keys = keys[
         (keys // n != keys % n)
-        & ~sorted_member(np, adj_keys, keys)
-        & ~sorted_member(np, dom_keys, keys)
+        & ~adjacent(keys // n, keys % n)
+        & ~dominates(keys % n, keys // n)
     ]
     two_hop = keys % n
     reach = np.bincount(keys // n, minlength=n)
@@ -473,8 +629,8 @@ def _soa_connectors(
     )
     x1, u1, v1 = dom_owner[a], dom_ids[a], two_hop[b]
 
-    won0, arenas0 = _elect(np, n, adj_keys, u0, v0, x0, smallest_id)
-    won1, arenas1 = _elect(np, n, adj_keys, u1, v1, x1, smallest_id)
+    won0, arenas0 = _elect(np, adjacent, u0, v0, x0, smallest_id)
+    won1, arenas1 = _elect(np, adjacent, u1, v1, x1, smallest_id)
 
     # Slot 2: dominatees of v (not of u) next to a slot-1 winner for
     # (u, v); ``first`` is the smallest such adjacent winner.
@@ -482,14 +638,14 @@ def _soa_connectors(
     owner, x2 = gather_csr_rows(np, indptr, indices, fw)
     owner, x2 = owner[~is_dom[x2]], x2[~is_dom[x2]]
     u2, v2, w2 = fu[owner], fv[owner], fw[owner]
-    fit = sorted_member(np, dom_keys, x2 * n + v2) & ~sorted_member(np, dom_keys, x2 * n + u2)
+    fit = dominates(v2, x2) & ~dominates(u2, x2)
     u2, v2, w2, x2 = u2[fit], v2[fit], w2[fit], x2[fit]
     order = np.lexsort((w2, x2, v2, u2))
     u2, v2, w2, x2 = u2[order], v2[order], w2[order], x2[order]
     head = np.ones(x2.shape[0], dtype=bool)
     head[1:] = (u2[1:] != u2[:-1]) | (v2[1:] != v2[:-1]) | (x2[1:] != x2[:-1])
     u2, v2, w2, x2 = u2[head], v2[head], w2[head], x2[head]
-    won2, arenas2 = _elect(np, n, adj_keys, u2, v2, x2, smallest_id)
+    won2, arenas2 = _elect(np, adjacent, u2, v2, x2, smallest_id)
 
     proposals = x0.shape[0] + x1.shape[0] + x2.shape[0]
     obs.count("cds.connector_proposals", proposals)

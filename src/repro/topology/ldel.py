@@ -50,10 +50,10 @@ from repro import obs
 from repro.core.compat import get_numpy
 from repro.geometry.circle import circumcircle
 from repro.geometry.predicates import segments_cross
-from repro.geometry.primitives import Point, angle_at, dist_sq
+from repro.geometry.primitives import Point, angle_at, dist, dist_sq
 from repro.geometry.triangulation import delaunay
 from repro.graphs.graph import Graph
-from repro.graphs.planarity import crossing_pairs
+from repro.graphs.planarity import _EDGE_BBOX_SLACK, crossing_pairs
 from repro.graphs.udg import UnitDiskGraph
 from repro.topology.construction_cache import ConstructionCache
 from repro.topology.gabriel import gabriel_graph
@@ -418,142 +418,90 @@ def _soa_corner_verdicts(udg: UnitDiskGraph, triangles):
     return verdicts, _circle_rows(np, valid, ccx, ccy, rad)
 
 
-#: Triangle sides in :func:`_triangle_edges` order, as corner slots.
-_SIDE_START = [0, 1, 0]
-_SIDE_END = [1, 2, 2]
+def _soa_contest(np, xs, ys, tris, circles, gabriel_keys):
+    """Vectorized Algorithm 3 contest over one crossing enumeration.
 
+    Two triangles intersect exactly when a side of one properly crosses
+    a side of the other (sides sharing an id never cross), which is
+    what :func:`_triangles_intersect` decides.  So the segments are
+    enumerated once: ``S``, the sorted unique keys ``u * n + v`` of
+    ``gabriel_keys`` plus every triangle side, goes through
+    :func:`~repro.graphs.planarity.crossing_index_pairs`.  A sorted
+    (segment, triangle) incidence maps each crossing segment pair to
+    the triangle pairs holding those sides (kept where the triangles'
+    boxes meet, as in the reference), and the six
+    circumcircle-holds-vertex tests run on those pairs alone.
+    ``circles`` are the triangles' :func:`_circle_rows`, or ``None`` to
+    compute them here.
 
-def _soa_triangles_intersect(np, xs, ys, tris, pi, pj):
-    """Which triangle pairs overlap improperly (vectorized 9-way test).
-
-    Each pair's 18 side-versus-vertex orientation codes are computed
-    once (one call per direction), and the nine side pairs read their
-    four codes each from them.  Side pairs sharing a vertex id, with
-    disjoint slack-inflated boxes, or with a coincident endpoint are
-    rejected exactly as :func:`_triangles_intersect` and
-    :func:`~repro.geometry.predicates.segments_cross` reject them;
-    side pairs with a collinear code go to the scalar
-    ``segments_cross``, whose ``on_segment`` branches decide them.
+    Returns ``(removed, pi, pj, keys, slot, ci, cj)``: the removal mask,
+    the intersecting triangle pairs (``pi < pj``, sorted), ``S``, each
+    side's index into ``S`` as a (3, m) array (the side order of
+    :func:`~repro.core.soa.triangle_edge_keys`), and the crossing
+    segment pairs (``ci < cj``, sorted) for the degenerate-crossing
+    sweep.
     """
-    from repro.geometry.predicates import orientation_codes_batch
-
-    s, e = _SIDE_START, _SIDE_END
-    ti, tj = tris[pi], tris[pj]
-    xi, yi, xj, yj = xs[ti], ys[ti], xs[tj], ys[tj]
-    # oi[p, a, c]: side a of triangle i against vertex c of triangle j.
-    oi = orientation_codes_batch(
-        xi[:, s, None], yi[:, s, None], xi[:, e, None], yi[:, e, None],
-        xj[:, None, :], yj[:, None, :],
-    )
-    oj = orientation_codes_batch(
-        xj[:, s, None], yj[:, s, None], xj[:, e, None], yj[:, e, None],
-        xi[:, None, :], yi[:, None, :],
-    )
-    # Side a of i is segment (p1, q1), side b of j is (p2, q2); the
-    # [p, a, b] entries of segments_cross's four orientations:
-    o1, o2 = oi[:, :, s], oi[:, :, e]
-    o3, o4 = oj[:, :, s].transpose(0, 2, 1), oj[:, :, e].transpose(0, 2, 1)
-
-    p1, q1 = ti[:, s, None], ti[:, e, None]
-    p2, q2 = tj[:, None, s], tj[:, None, e]
-    share = (p1 == p2) | (p1 == q2) | (q1 == p2) | (q1 == q2)
-    x1, y1, x2, y2 = xi[:, s, None], yi[:, s, None], xi[:, e, None], yi[:, e, None]
-    x3, y3, x4, y4 = xj[:, None, s], yj[:, None, s], xj[:, None, e], yj[:, None, e]
-    miss = (
-        (np.maximum(x1, x2) + _EDGE_BBOX_SLACK < np.minimum(x3, x4) - _EDGE_BBOX_SLACK)
-        | (np.maximum(x3, x4) + _EDGE_BBOX_SLACK < np.minimum(x1, x2) - _EDGE_BBOX_SLACK)
-        | (np.maximum(y1, y2) + _EDGE_BBOX_SLACK < np.minimum(y3, y4) - _EDGE_BBOX_SLACK)
-        | (np.maximum(y3, y4) + _EDGE_BBOX_SLACK < np.minimum(y1, y2) - _EDGE_BBOX_SLACK)
-    )
-    same = (
-        ((x1 == x3) & (y1 == y3))
-        | ((x1 == x4) & (y1 == y4))
-        | ((x2 == x3) & (y2 == y3))
-        | ((x2 == x4) & (y2 == y4))
-    )
-    cand = ~share & ~miss & ~same
-    collinear = (o1 == 0) | (o2 == 0) | (o3 == 0) | (o4 == 0)
-    cross = cand & ~collinear & (o1 != o2) & (o3 != o4)
-    for p, a, b in zip(*np.nonzero(cand & collinear)):
-        ends = (ti[p, s[a]], ti[p, e[a]], tj[p, s[b]], tj[p, e[b]])
-        cross[p, a, b] = segments_cross(
-            *(Point(float(xs[i]), float(ys[i])) for i in ends)
-        )
-    return cross.any(axis=(1, 2))
-
-
-def _soa_contest(positions: Sequence[Point], triangles, cell: float, circles, pairs: bool):
-    """Vectorized Algorithm 3 contest; ``None`` defers to the scalar loop.
-
-    Returns ``(removed, pi, pj)`` arrays: the removal mask and the
-    intersecting index pairs (``pi < pj``, sorted).  Containment comes
-    first: the six circumcircle-holds-vertex tests run on every pair
-    with overlapping boxes, and the crossing test only on the pairs
-    where one holds, since only those can remove a triangle.  With
-    ``pairs`` the crossing test runs on every overlapping pair instead,
-    so ``pi, pj`` are all the intersecting pairs
-    (:func:`contest_triangles`' contract); the mask is the same either
-    way.  ``circles`` are the triangles' :func:`_circle_rows`, or
-    ``None`` to compute them here.  The pairs are enumerated whole and
-    tested in blocks (:func:`~repro.core.soa.row_blocks`).
-    """
-    from repro.core.soa import bbox_grid_pairs, coordinates, row_blocks
+    from repro.core.soa import cross_join, sorted_unique, triangle_edge_keys
     from repro.geometry.circle import circumcircles_batch, contains_batch
+    from repro.graphs.planarity import crossing_index_pairs
 
-    np = get_numpy()
-    if np is None:
-        return None
-    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    removed = np.zeros(tris.shape[0], dtype=bool)
-    xs, ys = coordinates(np, positions)
+    n, m = xs.shape[0], tris.shape[0]
+    keys = sorted_unique(np, np.concatenate([gabriel_keys, triangle_edge_keys(np, n, tris)]))
+    ci, cj, offered, tested = crossing_index_pairs(np, xs, ys, keys // n, keys % n)
+    obs.count("construction.triangle_pairs_candidate", offered)
+    obs.count("construction.triangle_pairs_tested", tested)
+    # Side keys again rather than kept: nothing rides along the
+    # enumeration, whose grid sets the planarization's peak.
+    slot = np.searchsorted(keys, triangle_edge_keys(np, n, tris))
+
+    # Side k of the (3, m) layout belongs to triangle k % m (no side
+    # when m = 0, so the modulus never sees a row).
+    holder = np.argsort(slot, kind="stable") % m
+    start = np.zeros(keys.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slot, minlength=keys.shape[0]), out=start[1:])
+    count = start[1:] - start[:-1]
+    a, b = cross_join(np, start[ci], count[ci], start[cj], count[cj])
+    ta, tb = holder[a], holder[b]
+    pair = sorted_unique(np, np.minimum(ta, tb) * m + np.maximum(ta, tb))
+    pi, pj = pair // m, pair % m
+    # A touch within the on_segment slack can join sides of triangles
+    # whose boxes miss by less than it; like the reference, pair only
+    # triangles whose boxes meet.
     tx, ty = xs[tris], ys[tris]
+    bx0, by0, bx1, by1 = tx.min(axis=1), ty.min(axis=1), tx.max(axis=1), ty.max(axis=1)
+    meet = ~(
+        (bx1[pi] < bx0[pj]) | (bx1[pj] < bx0[pi]) | (by1[pi] < by0[pj]) | (by1[pj] < by0[pi])
+    )
+    pi, pj = pi[meet], pj[meet]
+    obs.count("construction.triangle_pairs_intersecting", int(pi.shape[0]))
+
     if circles is None:
         circles = _circle_rows(np, *circumcircles_batch(
             tx[:, 0], ty[:, 0], tx[:, 1], ty[:, 1], tx[:, 2], ty[:, 2]
         ))
     ccx, ccy, rad = circles[:, 0], circles[:, 1], circles[:, 2]
-    bx0, by0 = tx.min(axis=1), ty.min(axis=1)
-    bx1, by1 = tx.max(axis=1), ty.max(axis=1)
-    pi, pj = bbox_grid_pairs(np, bx0, by0, bx1, by1, cell)
-    obs.count("construction.triangle_pairs_candidate", int(pi.shape[0]))
-    overlap = ~(
-        (bx1[pi] < bx0[pj])
-        | (bx1[pj] < bx0[pi])
-        | (by1[pi] < by0[pj])
-        | (by1[pj] < by0[pi])
-    )
-    pi, pj = pi[overlap], pj[overlap]
-    tested = 0
-    out_i, out_j = [pi[:0]], [pj[:0]]
-    # A pair's crossing test compares nine side pairs.
-    for block in row_blocks(np, np.full(pi.shape[0], 9)):
-        bi, bj = pi[block], pj[block]
-        # held_i: triangle bi's circumcircle holds a vertex of triangle bj.
-        held_i = np.zeros(bi.shape[0], dtype=bool)
-        held_j = np.zeros(bi.shape[0], dtype=bool)
-        for corner in range(3):
-            held_i |= contains_batch(
-                ccx[bi], ccy[bi], rad[bi], tx[bj, corner], ty[bj, corner]
-            )
-            held_j |= contains_batch(
-                ccx[bj], ccy[bj], rad[bj], tx[bi, corner], ty[bi, corner]
-            )
-        if not pairs:
-            contested = held_i | held_j
-            bi, bj = bi[contested], bj[contested]
-            held_i, held_j = held_i[contested], held_j[contested]
-        if bi.shape[0] == 0:
-            continue  # usual on the build path: no circumcircle holds a vertex
-        tested += bi.shape[0]
-        inter = _soa_triangles_intersect(np, xs, ys, tris, bi, bj)
-        removed[bi[inter & held_i]] = True
-        removed[bj[inter & held_j]] = True
-        out_i.append(bi[inter])
-        out_j.append(bj[inter])
-    found_i, found_j = np.concatenate(out_i), np.concatenate(out_j)
-    obs.count("construction.triangle_pairs_tested", tested)
-    obs.count("construction.triangle_pairs_intersecting", int(found_i.shape[0]))
-    return removed, found_i, found_j
+    # held_i: triangle pi's circumcircle holds a vertex of triangle pj.
+    held_i = np.zeros(pi.shape[0], dtype=bool)
+    held_j = np.zeros(pi.shape[0], dtype=bool)
+    for corner in range(3):
+        held_i |= contains_batch(ccx[pi], ccy[pi], rad[pi], tx[pj, corner], ty[pj, corner])
+        held_j |= contains_batch(ccx[pj], ccy[pj], rad[pj], tx[pi, corner], ty[pi, corner])
+    removed = np.zeros(m, dtype=bool)
+    removed[pi[held_i]] = True
+    removed[pj[held_j]] = True
+    return removed, pi, pj, keys, slot.reshape(3, m), ci, cj
+
+
+def _soa_contest_of(positions: Sequence[Point], triangles, circles):
+    """:func:`_soa_contest` over bare triangles, or ``None`` without numpy."""
+    from repro.core.soa import coordinates
+
+    np = get_numpy()
+    if np is None:
+        return None
+    xs, ys = coordinates(np, positions)
+    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    return _soa_contest(np, xs, ys, tris, circles, np.zeros(0, dtype=np.int64))
 
 
 # -- the three LDel^1 decisions -----------------------------------------------
@@ -620,7 +568,7 @@ def corner_verdicts(
 
     With ``with_circles``, returns ``(verdicts, circles)``: the k=1
     kernel's circumcircles as (m, 3) ``(cx, cy, r)`` rows (``r`` NaN
-    for a degenerate triangle), for :func:`contest_losers` to reuse;
+    for a degenerate triangle), for the contest to reuse;
     ``circles`` is ``None`` where the scalar loop decided.
     """
     soa = _soa_corner_verdicts(udg, triangles) if k == 1 else None
@@ -655,14 +603,16 @@ def contest_triangles(
     Whenever two triangles intersect, a triangle whose circumcircle
     contains a vertex of the other is removed.  Returns the removal
     mask and the sorted intersecting index pairs ``(i, j)``, ``i < j``.
-    Candidate pairs come from a uniform grid of side ``cell`` over the
-    bounding boxes; a box-overlap test rejects most before the nine-way
-    segment-crossing test runs.  :func:`contest_losers` is the mask
-    alone, without the pairs.
+    With numpy the kernel enumerates crossing sides once
+    (:func:`_soa_contest`, which sizes its own grid); the scalar
+    reference pairs triangles whose bounding boxes share a cell of a
+    grid of side ``cell`` and overlap, then runs the nine-way
+    segment-crossing test.  :func:`contest_losers` is the mask alone,
+    without the pairs.
     """
-    soa = _soa_contest(positions, triangles, cell, None, pairs=True)
+    soa = _soa_contest_of(positions, triangles, None)
     if soa is not None:
-        removed, pi, pj = soa
+        removed, pi, pj = soa[:3]
         return removed.tolist(), list(zip(pi.tolist(), pj.tolist()))
     pos = positions
     circles = [circumcircle(pos[u], pos[v], pos[w]) for u, v, w in triangles]
@@ -702,12 +652,10 @@ def contest_losers(
     """The triangles Algorithm 3's contest removes, as a mask.
 
     Equal to ``contest_triangles(positions, triangles, cell)[0]``, which
-    is its scalar reference.  The kernel runs the crossing test only on
-    pairs where a circumcircle holds a vertex of the other triangle
-    (see :func:`_soa_contest`).  ``circles`` optionally passes the
+    is its scalar reference.  ``circles`` optionally passes the
     triangles' circumcircle rows from :func:`corner_verdicts`.
     """
-    soa = _soa_contest(positions, triangles, cell, circles, pairs=False)
+    soa = _soa_contest_of(positions, triangles, circles)
     if soa is not None:
         return soa[0]
     return contest_triangles(positions, triangles, cell)[0]
@@ -816,14 +764,6 @@ def _gabriel_plus_triangles(
     )
     keys = np.concatenate([gabriel_keys, triangle_edge_keys(np, n, triangles)])
     return Graph.from_keys(udg.positions, sorted_unique(np, keys), name=name)
-
-
-#: Absolute slack on per-edge bounding boxes, matching the 1e-12
-#: tolerance of :func:`repro.geometry.predicates.on_segment` so the
-#: box rejection can never contradict ``segments_cross`` (a proper
-#: crossing implies exactly-overlapping boxes; the collinear-touch
-#: branch implies overlap within the ``on_segment`` slack).
-_EDGE_BBOX_SLACK = 1e-12
 
 
 def _triangle_edges(
@@ -936,7 +876,10 @@ def resolve_degenerate_crossings(graph: Graph) -> Graph:
     chain (edge B crosses both A and C), which edges survive depends on
     processing order; sorting pins it down, which is what lets the
     incremental maintainer stitch tiles into a graph bit-identical to
-    the serial pipeline's.
+    the serial pipeline's.  :func:`planarize_ldel1`'s kernel applies the
+    same tie-break to the crossing pairs its contest already
+    enumerated; this graph-level form serves the message-passing LDel
+    protocols and the scalar reference.
     """
     pairs = [
         (e1, e2) if e1 <= e2 else (e2, e1) for e1, e2 in crossing_pairs(graph)
@@ -956,20 +899,52 @@ def planarize_ldel1(
 
     For every pair of intersecting 1-localized Delaunay triangles, a
     triangle whose circumcircle contains a vertex of the other is
-    removed (:func:`contest_losers`, reusing ``ldel1.circles`` when the
-    kernel left them); Li et al. prove this leaves a planar graph.
-    Gabriel edges are always retained.  ``cache`` is accepted so callers
-    can pass one cache through every stage; the contest needs no memo.
+    removed; Li et al. prove this leaves a planar graph.  Gabriel edges
+    are always retained, and :func:`degenerate_crossing_losers` breaks
+    the exactly-cocircular crossings that survive.  With numpy one
+    crossing enumeration over the Gabriel edges plus every triangle
+    side (:func:`_soa_contest`, reusing ``ldel1.circles`` when the
+    kernel left them) feeds both: the sweep takes the crossing pairs
+    whose two edges both survive, since removal never creates a
+    crossing.  The scalar reference runs :func:`contest_triangles` and
+    then :func:`resolve_degenerate_crossings` on the assembled graph.
+    ``cache`` is accepted so callers can pass one cache through every
+    stage; the contest needs no memo.
     """
+    from repro.core.soa import pair_keys, snapshot_for
+
     if ldel1.k != 1:
         raise ValueError("planarization applies to LDel^1")
     rows = ldel1.triangle_rows
-    removed = contest_losers(udg.positions, rows, udg.radius, circles=ldel1.circles)
-    keep = [not gone for gone in removed] if isinstance(removed, list) else ~removed
-    survivors, _ = _kept(rows, keep)
-    graph = _gabriel_plus_triangles(udg, ldel1._gabriel, survivors, "PLDel")
-    resolve_degenerate_crossings(graph)
-    return LDelResult(graph=graph, triangles=survivors, gabriel_edges=ldel1._gabriel, k=1)
+    gabriel = ldel1._gabriel
+    np = get_numpy()
+    if np is None:
+        removed = contest_triangles(udg.positions, rows, udg.radius)[0]
+        survivors, _ = _kept(rows, [not gone for gone in removed])
+        graph = _gabriel_plus_triangles(udg, gabriel, survivors, "PLDel")
+        resolve_degenerate_crossings(graph)
+        return LDelResult(graph=graph, triangles=survivors, gabriel_edges=gabriel, k=1)
+
+    n = udg.node_count
+    gabriel_keys = (
+        gabriel.edge_keys() if isinstance(gabriel, Graph) else pair_keys(np, n, gabriel)
+    )
+    snap = snapshot_for(udg)
+    removed, _, _, keys, slot, ci, cj = _soa_contest(
+        np, snap.xs, snap.ys, rows, ldel1.circles, gabriel_keys
+    )
+    alive = np.zeros(keys.shape[0], dtype=bool)
+    alive[np.searchsorted(keys, gabriel_keys)] = True
+    alive[slot[:, ~removed]] = True
+    live = alive[ci] & alive[cj]
+    if live.any():
+        pos = udg.positions
+        ends = (keys[ci[live]].tolist(), keys[cj[live]].tolist())
+        pairs = [((a // n, a % n), (b // n, b % n)) for a, b in zip(*ends)]
+        losers = degenerate_crossing_losers(pairs, lambda u, v: dist(pos[u], pos[v]))
+        alive[np.searchsorted(keys, pair_keys(np, n, losers))] = False
+    graph = Graph.from_keys(udg.positions, keys[alive], name="PLDel")
+    return LDelResult(graph=graph, triangles=rows[~removed], gabriel_edges=gabriel, k=1)
 
 
 def planar_local_delaunay_graph(

@@ -25,9 +25,11 @@ from repro.graphs.planarity import crossing_pairs
 from repro.graphs.udg import UnitDiskGraph
 from repro.topology.gabriel import gabriel_graph
 from repro.topology.ldel import (
+    LDelResult,
     contest_losers,
     contest_triangles,
     corner_verdicts,
+    planarize_ldel1,
     proposed_triangles,
 )
 from repro.workloads.corpus import CORPUS, get_instance
@@ -71,12 +73,18 @@ def _kernel_outputs(udg):
     """Every blocked kernel's output on ``udg``, plus the counters."""
     np = compat.np
     with obs.recording() as record:
-        gabriel = gabriel_graph(udg).edge_keys()
+        gabriel_edges = gabriel_graph(udg)
+        gabriel = gabriel_edges.edge_keys()
         tris, proposed = proposed_triangles(udg)
         verdicts, circles = corner_verdicts(udg, tris, with_circles=True)
         # Every proposal, accepted or not, so the contest sees crossings.
         removed, pairs = contest_triangles(udg.positions, tris, udg.radius)
         losers = contest_losers(udg.positions, tris, udg.radius, circles=circles)
+        # The planarization's one enumeration feeds contest and sweep.
+        pldel = planarize_ldel1(udg, LDelResult(
+            graph=gabriel_edges, triangles=tris, gabriel_edges=gabriel_edges, k=1,
+            circles=circles,
+        ))
         # Gabriel plus every proposal's sides has crossing edges.
         sides = soa.triangle_edge_keys(np, udg.node_count, tris)
         keys = soa.sorted_unique(np, np.concatenate([gabriel, sides]))
@@ -96,6 +104,8 @@ def _kernel_outputs(udg):
         "pairs": pairs,
         "losers": losers,
         "crossings": crossings,
+        "pldel": pldel.graph.edge_keys(),
+        "pldel_triangles": pldel.triangle_rows,
         "counts": counts,
     }
 

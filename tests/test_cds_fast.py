@@ -24,9 +24,11 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import compat
+from repro.core.soa import sorted_member
 from repro.core.spanner import build_backbone
 from repro.geometry.primitives import Point
 from repro.graphs.udg import UnitDiskGraph
+from repro.protocols import cds_fast
 from repro.protocols.cds import build_cds_family
 from repro.protocols.cds_fast import fast_clustering, fast_connectors
 from repro.protocols.clustering import (
@@ -38,7 +40,7 @@ from repro.protocols.connectors import run_connectors
 from repro.protocols.ldel_fast import fast_ldel_protocol
 from repro.protocols.ldel_protocol import run_ldel_protocol
 from repro.sim.stats import MessageStats
-from repro.workloads.corpus import get_instance
+from repro.workloads.corpus import CORPUS, get_instance
 
 RADIUS = 25.0
 
@@ -112,6 +114,21 @@ def _descending_line(n=120, spacing=20.0):
     return [Point((n - 1 - i) * spacing, 0.0) for i in range(n)]
 
 
+def _radius_apart_points(seed=9):
+    """Clusters whose members sit exactly ``RADIUS`` apart, or one
+    rounding step either side of it: axis-aligned partners at
+    +-``RADIUS`` and partners on the circle at rotated angles."""
+    rng = random.Random(seed)
+    pts = []
+    for _ in range(12):
+        x, y = rng.uniform(0.0, 150.0), rng.uniform(0.0, 150.0)
+        pts += [(x, y), (x + RADIUS, y), (x, y + RADIUS), (x - RADIUS, y)]
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        pts.append((x + RADIUS * math.cos(angle), y + RADIUS * math.sin(angle)))
+        pts.append((x + rng.uniform(-9.0, 9.0), y + rng.uniform(-9.0, 9.0)))
+    return pts
+
+
 def _permuted(points, seed=4):
     """The same deployment with node ids shuffled (ids drive every
     election tie-break, so this is the adversarial re-labeling case)."""
@@ -165,6 +182,100 @@ class TestFastClustering:
         assert outcome.rounds == 0
 
 
+def _hub_with_repeats():
+    """A hub hearing 40 nodes, four of them on repeated points, plus
+    three isolated nodes: coincident nodes are adjacent, the hub's row
+    is long and the isolated nodes elect themselves in round 1."""
+    rng = random.Random(5)
+    pts = [(50.0, 50.0)]
+    for _ in range(36):
+        angle, dist = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(3.0, 24.0)
+        pts.append((50.0 + dist * math.cos(angle), 50.0 + dist * math.sin(angle)))
+    pts += [pts[3], pts[3], pts[7], (50.0, 50.0)]
+    pts += [(300.0, 300.0), (400.0, 50.0), (50.0, 400.0)]
+    return pts
+
+
+#: Extra clustering inputs: (name, points).
+CLUSTERING_CASES = {
+    "hub-repeats": _hub_with_repeats,
+    "isolated": lambda: [(100.0 * i, 0.0) for i in range(6)],
+    "one-node": lambda: [(0.0, 0.0)],
+    "descending-line": _descending_line,
+}
+
+
+def assert_same_clustering(got, want) -> None:
+    assert got.dominators == want.dominators
+    assert got.dominators_of == want.dominators_of
+    assert got.rounds == want.rounds
+    assert_same_stats(got.stats, want.stats)
+
+
+def assert_clustering_paths_agree(udg: UnitDiskGraph, priority) -> None:
+    """The array kernel, the scalar body and the protocol, field by field."""
+    protocol = run_clustering(udg, priority=priority)
+    with compat.numpy_disabled():
+        scalar = fast_clustering(udg, priority=priority)
+    assert_same_clustering(scalar, protocol)
+    if compat.numpy_active():
+        kernel = cds_fast._soa_clustering(udg, priority, MessageStats())
+        assert kernel is not None
+        assert_same_clustering(kernel, protocol)
+        assert_same_clustering(fast_clustering(udg, priority=priority), protocol)
+
+
+class TestClusteringKernel:
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("priority", sorted(PRIORITIES))
+    @pytest.mark.parametrize("entry", sorted(CORPUS))
+    def test_corpus(self, entry, index, priority):
+        assert_clustering_paths_agree(
+            get_instance(entry, index).udg(), PRIORITIES[priority]
+        )
+
+    @pytest.mark.parametrize("priority", sorted(PRIORITIES))
+    @pytest.mark.parametrize("case", sorted(CLUSTERING_CASES))
+    def test_edge_cases(self, case, priority):
+        udg = UnitDiskGraph(CLUSTERING_CASES[case](), RADIUS)
+        assert_clustering_paths_agree(udg, PRIORITIES[priority])
+
+    def test_empty_graph_on_every_path(self):
+        udg = UnitDiskGraph([], RADIUS)
+        with compat.numpy_disabled():
+            scalar = fast_clustering(udg)
+        for outcome in (fast_clustering(udg), scalar):
+            assert outcome.dominators == frozenset()
+            assert outcome.dominators_of == {}
+            assert outcome.rounds == 0
+            assert outcome.stats.total == 0
+
+    def test_ties_released_by_domination(self):
+        # Adjacent nodes 2k-1 and 2k share a priority, so each blocks
+        # the other; the tie breaks only when 2k-1 is dominated and
+        # leaves the white set, which must unblock 2k.
+        udg = UnitDiskGraph([(20.0 * i, 0.0) for i in range(12)], RADIUS)
+        outcome = run_clustering(udg, priority=lambda node, degree: ((node + 1) // 2,))
+        assert outcome.dominators == {0, 2, 4, 6, 8, 10}
+        assert_clustering_paths_agree(udg, lambda node, degree: ((node + 1) // 2,))
+
+    def test_stall_reports_the_same_white_nodes(self):
+        # Nodes 0-3 of the path elect and dominate in a cascade; from
+        # node 4 on, adjacent nodes share one priority and block each
+        # other forever.
+        udg = UnitDiskGraph([(20.0 * i, 0.0) for i in range(12)], RADIUS)
+
+        def tied(node, degree):
+            return (0,) if node >= 4 else (-1, node)
+
+        message = r"^clustering stalled; white nodes remain: \[4, 5, 6, 7, 8\]$"
+        with compat.numpy_disabled(), pytest.raises(RuntimeError, match=message):
+            fast_clustering(udg, priority=tied)
+        if compat.numpy_active():
+            with pytest.raises(RuntimeError, match=message):
+                cds_fast._soa_clustering(udg, tied, MessageStats())
+
+
 class TestFastConnectors:
     @pytest.mark.parametrize("election", ["smallest-id", "first-response"])
     @pytest.mark.parametrize("rebroadcast", [False, True])
@@ -197,6 +308,45 @@ class TestFastConnectors:
             fast_connectors(udg, clustering, election=election),
             run_connectors(udg, clustering, election=election),
         )
+
+    @pytest.mark.parametrize("election", ["smallest-id", "first-response"])
+    @pytest.mark.parametrize("rebroadcast", [False, True])
+    def test_pairs_exactly_radius_apart(self, election, rebroadcast):
+        # The kernel decides adjacency by distance under the disk rule;
+        # here many pairs sit exactly at (or one rounding step off) the
+        # radius, so it must use the UDG's own inclusive test.
+        udg = UnitDiskGraph(_radius_apart_points(), RADIUS)
+        xs = [p[0] for p in udg.positions]
+        ys = [p[1] for p in udg.positions]
+        exact = [
+            (u, v) for u, v in udg.edges()
+            if (xs[u] - xs[v]) ** 2 + (ys[u] - ys[v]) ** 2 == RADIUS * RADIUS
+        ]
+        assert len(exact) >= 20
+        clustering = run_clustering(udg)
+        kwargs = dict(election=election, rebroadcast_dominatees=rebroadcast)
+        protocol = run_connectors(udg, clustering, **kwargs)
+        assert_same_connectors(fast_connectors(udg, clustering, **kwargs), protocol)
+        with compat.numpy_disabled():
+            scalar = fast_connectors(udg, clustering, **kwargs)
+        assert_same_connectors(scalar, protocol)
+
+    @pytest.mark.skipif(not compat.numpy_active(), reason="the kernel needs numpy")
+    @pytest.mark.parametrize("entry", ["quasi-field", "quasi-hotspots", "paper-table1"])
+    def test_adjacency_lookup_follows_the_radio_model(self, entry, monkeypatch):
+        # A quasi-UDG dropped gray-zone links, so its adjacency must
+        # come from the edge keys (binary search), never the distance.
+        udg = get_instance(entry).udg()
+        clustering = run_clustering(udg)
+        searched = []
+
+        def spy(np, keys, probe):
+            searched.append(probe.shape[0])
+            return sorted_member(np, keys, probe)
+
+        monkeypatch.setattr(cds_fast, "sorted_member", spy)
+        fast_connectors(udg, clustering)
+        assert bool(searched) == (not udg.adjacency_is_disk_rule)
 
     @pytest.mark.skipif(compat.np is None, reason="requires numpy")
     @pytest.mark.parametrize("election", ["smallest-id", "first-response"])

@@ -5,7 +5,11 @@ tests feed the library exactly the inputs that assumption excludes and
 check the documented guarantees still hold.
 """
 
+import random
 
+import pytest
+
+from repro.core import compat
 from repro.geometry.primitives import Point
 from repro.geometry.triangulation import (
     _in_circumcircle,
@@ -21,8 +25,13 @@ from repro.graphs.udg import UnitDiskGraph
 from repro.protocols.ldel2_protocol import run_ldel2_protocol
 from repro.protocols.ldel_protocol import run_ldel_protocol
 from repro.topology.ldel import (
+    LDelResult,
+    contest_losers,
+    local_delaunay_graph,
     planar_local_delaunay_graph,
+    planarize_ldel1,
     resolve_degenerate_crossings,
+    triangle_tuples,
 )
 
 
@@ -150,3 +159,119 @@ class TestPlanarityOnCocircularDeployments:
         result = build_backbone(pts, 1.6)
         assert is_planar_embedding(result.ldel_icds)
         assert is_connected(result.ldel_icds_prime)
+
+
+def _grid(spacing, side=8):
+    return [Point(c * spacing, r * spacing) for r in range(side) for c in range(side)]
+
+
+def _jittered_grid():
+    # The lower rows on an exact lattice, the upper rows jittered:
+    # cocircular quads next to general-position ones.
+    rng = random.Random(3)
+    return [
+        Point(p.x + rng.uniform(-4.0, 4.0), p.y + rng.uniform(-4.0, 4.0))
+        if i >= 32 else p
+        for i, p in enumerate(_grid(12.5))
+    ]
+
+
+#: (points, radius) where the degenerate-crossing sweep removes edges.
+SWEEP_CASES = {
+    "square": (TestPlanarityOnCocircularDeployments.SQUARE, 3.0),
+    "two-squares": (
+        [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1),
+         Point(10, 0), Point(11, 0), Point(11, 1), Point(10, 1)],
+        1.5,
+    ),
+    "grid-12.5": (_grid(12.5), 25.0),
+    "grid-10": (_grid(10.0, 7), 25.0),
+    "jittered-grid": (_jittered_grid(), 25.0),
+}
+
+
+def _old_composition(udg, ldel1):
+    """The contest, the assembled graph, then the graph-level sweep.
+
+    Returns the surviving triangles, the edges before the sweep and
+    the edges after it, all from the scalar reference.
+    """
+    with compat.numpy_disabled():
+        rows = triangle_tuples(ldel1.triangles)
+        removed = contest_losers(udg.positions, rows, udg.radius)
+        survivors = [t for t, gone in zip(rows, removed) if not gone]
+        graph = Graph(udg.positions, ldel1.gabriel_edges)
+        graph.add_edges_bulk(
+            pair for u, v, w in survivors for pair in ((u, v), (v, w), (u, w))
+        )
+        before = graph.edge_set()
+        resolve_degenerate_crossings(graph)
+    return survivors, before, graph.edge_set()
+
+
+class TestPlanarizeMatchesTheOldComposition:
+    """``planarize_ldel1`` feeds the contest and the sweep from one
+    crossing enumeration; it must equal running them one after the
+    other on every input where the sweep has work."""
+
+    def _check(self, udg, ldel1):
+        survivors, before, after = _old_composition(udg, ldel1)
+        pldel = planarize_ldel1(udg, ldel1)
+        assert list(pldel.triangles) == survivors
+        assert pldel.graph.edge_set() == after
+        assert is_planar_embedding(pldel.graph)
+        return len(ldel1.triangles) - len(survivors), len(before) - len(after)
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_ldel1(self, case):
+        points, radius = SWEEP_CASES[case]
+        udg = UnitDiskGraph(points, radius)
+        _, swept = self._check(udg, local_delaunay_graph(udg, k=1))
+        assert swept > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_triangles_over_gabriel(self, seed):
+        # Random short triangles on the jittered grid stand in for
+        # LDel^1: they intersect far more often than accepted triangles,
+        # so the contest removes some, the sweep then meets sides of
+        # removed triangles that must not count as live, and surviving
+        # sides still cross one another.
+        points, radius = SWEEP_CASES["jittered-grid"]
+        udg = UnitDiskGraph(points, radius)
+        gabriel = local_delaunay_graph(udg, k=1)._gabriel
+        rng = random.Random(seed)
+        tris = set()
+        while len(tris) < 60:
+            a, b, c = sorted(rng.sample(range(len(points)), 3))
+            if all(udg.has_edge(x, y) for x, y in ((a, b), (b, c), (a, c))):
+                tris.add((a, b, c))
+        ldel1 = LDelResult(
+            graph=gabriel, triangles=sorted(tris), gabriel_edges=gabriel, k=1
+        )
+        contested, swept = self._check(udg, ldel1)
+        assert contested > 0 and swept > 0
+
+    @pytest.mark.parametrize("live_first", [True, False])
+    def test_live_edge_crossing_only_a_removed_side(self, live_first):
+        # A Gabriel edge crosses two sides of triangle (0, 1, 2), which
+        # the contest removes (its circumcircle holds node 3 of the
+        # triangle it crosses).  The long live edge crosses no live
+        # edge, so the sweep must leave it, although it would lose the
+        # length tie-break against either dead side.  Its ids come
+        # first or last, so it leads its crossing pairs or trails them.
+        contest = [
+            Point(0.0, 0.0), Point(4.0, 0.0), Point(2.0, 1.0),
+            Point(1.0, 0.3), Point(1.2, 0.3), Point(1.1, 0.9),
+        ]
+        live = [Point(3.0, -5.0), Point(3.0, 5.0)]
+        points = live + contest if live_first else contest + live
+        shift, edge = (2, (0, 1)) if live_first else (0, (6, 7))
+        udg = UnitDiskGraph(points, 12.0)
+        gabriel = frozenset({edge})
+        triangles = [tuple(shift + i for i in t) for t in ((0, 1, 2), (3, 4, 5))]
+        ldel1 = LDelResult(
+            graph=Graph(points, gabriel), triangles=triangles, gabriel_edges=gabriel, k=1
+        )
+        contested, swept = self._check(udg, ldel1)
+        assert (contested, swept) == (1, 0)
+        assert planarize_ldel1(udg, ldel1).graph.has_edge(*edge)

@@ -1,5 +1,10 @@
 """Unit tests for repro.graphs.planarity."""
 
+import random
+
+import pytest
+
+from repro.core import compat
 from repro.geometry.primitives import Point
 from repro.graphs.graph import Graph
 from repro.graphs.planarity import crossing_pairs, is_planar_embedding
@@ -68,3 +73,32 @@ class TestCrossingPairs:
         ]
         g = Graph(pts, [(0, 1), (2, 3), (4, 5)])
         assert len(crossing_pairs(g)) == 2
+
+    @pytest.mark.skipif(not compat.numpy_active(), reason="the kernel needs numpy")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kernel_matches_scalar_on_touches(self, seed):
+        # Lattice segments overlap, touch mid-segment and meet at
+        # repeated coordinates; the last two segments touch within the
+        # on_segment slack although their boxes miss by 1e-13, which
+        # the kernel's box rejection must not drop.
+        rng = random.Random(seed)
+        pts = [Point(float(x), float(y)) for x in range(5) for y in range(5)]
+        pts += [pts[rng.randrange(25)] for _ in range(3)]
+        edges = set()
+        while len(edges) < 40:
+            u, v = sorted(rng.sample(range(len(pts)), 2))
+            if pts[u] != pts[v]:
+                edges.add((u, v))
+        n = len(pts)
+        pts += [Point(10.0, 0.0), Point(11.0, 0.0), Point(11.0 + 1e-13, 0.0), Point(12.0, 0.0)]
+        edges |= {(n, n + 1), (n + 2, n + 3)}
+        graph = Graph(pts, sorted(edges))
+
+        def normalized(pairs):
+            return sorted(tuple(sorted(pair)) for pair in pairs)
+
+        kernel = normalized(crossing_pairs(graph))
+        with compat.numpy_disabled():
+            scalar = normalized(crossing_pairs(graph))
+        assert kernel == scalar
+        assert ((n, n + 1), (n + 2, n + 3)) in kernel

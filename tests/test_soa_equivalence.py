@@ -250,6 +250,30 @@ def _crossing_triangle_sets(count=30):
         yield pts, sorted(tris)
 
 
+def _degenerate_triangle_sets(count=12):
+    """Triangles on an exact lattice, some corners repeated under new ids.
+
+    Lattice sides are collinear with one another and meet at shared
+    coordinates, so the crossing test sees touching, overlapping and
+    coincident-endpoint sides; a repeated point is the same coordinate
+    under a second id, which shares no id with the original.
+    """
+    lattice = [Point(5.0 * x, 5.0 * y) for x in range(6) for y in range(6)]
+    for seed in range(count):
+        rng = random.Random(seed)
+        pts = lattice + [lattice[rng.randrange(len(lattice))] for _ in range(8)]
+        tris = set()
+        while len(tris) < 40:
+            a, b, c = sorted(rng.sample(range(len(pts)), 3))
+            if max(
+                math.dist(pts[a], pts[b]),
+                math.dist(pts[b], pts[c]),
+                math.dist(pts[a], pts[c]),
+            ) <= 12.0:
+                tris.add((a, b, c))
+        yield pts, sorted(tris)
+
+
 def _mask(losers):
     """A removal mask as a list of bools (the kernel returns an array)."""
     return [bool(gone) for gone in losers]
@@ -293,6 +317,33 @@ class TestContest:
             assert _mask(contest_losers(pts, tris, RADIUS)) == ref_removed
             removals += sum(ref_removed)
         assert removals > 0
+
+    def test_contest_matches_scalar_on_lattices_and_repeated_points(self):
+        intersecting = removals = 0
+        for pts, tris in _degenerate_triangle_sets():
+            soa_removed, soa_pairs = contest_triangles(pts, tris, RADIUS)
+            with compat.numpy_disabled():
+                ref_removed, ref_pairs = contest_triangles(pts, tris, RADIUS)
+            assert soa_removed == ref_removed
+            assert soa_pairs == ref_pairs
+            assert _mask(contest_losers(pts, tris, RADIUS)) == ref_removed
+            intersecting += len(ref_pairs)
+            removals += sum(ref_removed)
+        assert intersecting > 0 and removals > 0
+
+    def test_slack_touch_between_disjoint_boxes_is_no_pair(self):
+        # Collinear bottom sides touch within the on_segment slack
+        # (segments_cross says they cross), but the triangles' boxes
+        # miss by 1e-13, and the reference pairs only meeting boxes.
+        pts = [
+            Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, 1.0),
+            Point(1.0 + 1e-13, 0.0), Point(2.0, 0.0), Point(1.5, 1.0),
+        ]
+        tris = [(0, 1, 2), (3, 4, 5)]
+        with compat.numpy_disabled():
+            ref = contest_triangles(pts, tris, RADIUS)
+        assert ref == ([False, False], [])
+        assert contest_triangles(pts, tris, RADIUS) == ref
 
     def test_losers_on_one_sided_and_uncrossed_contests(self):
         ref = _assert_losers_match(_CONTESTED, _CONTESTED_TRIANGLES, 5.0)
