@@ -26,12 +26,14 @@ invalidation footprint and repairs only that:
   inputs (node set, adjacency, dominator roles, dominator sets)
   actually changed; a pure-geometry batch skips it.
 * **PLDel backbone** — :class:`~repro.incremental.pldel.IncrementalPLDel`
-  repairs the planarizer tile-by-tile and replays its contests per
-  triangle.  Its dirty points are *member relevant* only: the old/new
-  positions of moved backbone members, the positions of nodes whose
-  membership or id changed — PLDel is built over the backbone subset,
-  so an event that never touches a member costs the planarizer
-  nothing.
+  recomputes the stars, verdicts and Gabriel tests of its cavity and
+  replays its contests per triangle.  Its dirty ids are *member
+  relevant* only: the labels whose member moved, arrived, left or was
+  renamed in, and the nodes whose membership flipped; the cavity adds
+  their member neighbours before and after the batch.  PLDel is built
+  over the backbone subset, so an event that never touches a member —
+  a non-member's move that flips no role, whatever links it makes or
+  breaks — costs the planarizer nothing.
 * **Assembly** — the ICDS edge set and the dominatee–dominator links
   are kept live and patched from the step's own deltas (appeared and
   vanished links, membership flips, changed dominator sets); an edge
@@ -144,7 +146,9 @@ class IncrementalMaintainer:
             for u, is_dom in enumerate(self._status)
         ]
         backbone = [u for u, member in enumerate(self._member) if member]
-        self.pldel.step(self._member, [self.udg.positions[u] for u in backbone])
+        self.pldel.step(
+            self._member, [self.udg.positions[u] for u in backbone], backbone
+        )
         adjacency = self.udg.adjacency
         #: the UDG links between backbone members (the ICDS edges).
         self._icds_edges = {
@@ -230,6 +234,14 @@ class IncrementalMaintainer:
             #: renamed, or removed — the pre-state side of the PLDel dirt.
             member_points: list[Point] = []
             seeds: set[int] = set()
+            #: labels whose node moved, arrived, or was renamed in, and
+            #: the labels a member moved at, left or was renamed from
+            #: (whose planarizer state is stale whoever holds them now).
+            placed: set[int] = set()
+            placed_members: set[int] = set()
+            #: pre-event neighbours of the members an event moved,
+            #: renamed, or removed (the old side of the PLDel cavity).
+            near: set[int] = set()
             #: UDG pairs at labels a leave retired or renamed into, and
             #: the links whose dominatee label it did so to.
             relabeled: set[Edge] = set()
@@ -238,12 +250,16 @@ class IncrementalMaintainer:
             for event in events:
                 if event.kind == "move":
                     mover = cast(int, event.node)
+                    placed.add(mover)
                     if member[mover]:
                         member_points.append(self.udg.positions[mover])
                         member_points.append(event.point)
+                        placed_members.add(mover)
+                        near.update(self.udg.adjacency[mover])
                     delta = self.udg.move(mover, event.point)
                 elif event.kind == "join":
                     delta = self.udg.join(event.point)
+                    placed.add(self.udg.node_count - 1)
                     status.append(False)
                     member.append(False)
                 else:
@@ -252,6 +268,8 @@ class IncrementalMaintainer:
                     for x in (node,) if node == last else (node, last):
                         if member[x]:
                             member_points.append(self.udg.positions[x])
+                            placed_members.add(x)
+                            near.update(self.udg.adjacency[x])
                         relabeled.update(_edge(x, w) for w in self.udg.adjacency[x])
                         doms = self._doms_of.pop(x, None)
                         if doms:
@@ -261,7 +279,10 @@ class IncrementalMaintainer:
                     if delta.renamed is not None:
                         # Swap-remove: the last node's state moves to `node`.
                         status[node], member[node] = status[last], member[last]
-                        seeds = {node if s == last else s for s in seeds}
+                        seeds = _relabel(seeds, last, node)
+                        placed = _relabel(placed, last, node)
+                        placed.add(node)
+                        near = _relabel(near, last, node)
                         relabeled.update(_edge(node, w) for w in self.udg.adjacency[node])
                     status.pop()
                     member.pop()
@@ -323,14 +344,22 @@ class IncrementalMaintainer:
 
         with obs.span("incremental.phase.pldel"):
             # PLDel is built over the backbone members alone, so its dirty
-            # ids are the event-touched nodes that are members on either
-            # side of the batch, plus every node whose membership flipped.
-            dirty_ids = {s for s in seeds if member[s]} | membership_diff
+            # ids are the labels whose member moved, arrived, left or was
+            # renamed in, plus every node whose membership flipped; a
+            # non-member's move leaves it untouched.
+            dirty_ids = {x for x in placed if x < n and member[x]}
+            dirty_ids.update(x for x in placed_members if x < n)
+            dirty_ids |= membership_diff
+            # A member that lost its role without moving still has its
+            # pre-batch links (to members; a member that moved is placed).
+            for x in membership_diff:
+                if not member[x] and x not in placed:
+                    near.update(self.udg.adjacency[x])
             pldel_points = list(member_points)
             for s in sorted(dirty_ids):
                 pldel_points.append(self.udg.positions[s])
             ldel_added, ldel_removed, pldel_stats = self.pldel.step(
-                member, pldel_points, dirty_ids
+                member, pldel_points, dirty_ids, {x for x in near if x < n}
             )
 
         with obs.span("incremental.phase.assemble"):
@@ -450,3 +479,8 @@ class IncrementalMaintainer:
             if mine != theirs
         ]
         return {"identical": not mismatches, "mismatches": mismatches}
+
+
+def _relabel(labels: set[int], last: int, node: int) -> set[int]:
+    """``labels`` after a leave renamed ``last`` into ``node``."""
+    return {node if x == last else x for x in labels}

@@ -1,20 +1,37 @@
-"""Cavity-local PLDel maintenance over a dynamic tile grid.
+"""Cavity-local PLDel maintenance at node and triangle grain.
 
-The retained state is the per-tile phase-A outputs — the Gabriel
-edges and accepted LDel^1 triangles each tile owns (:func:`_phase_a`),
-keyed by :class:`~repro.incremental.tiles.DynamicTileGrid` tiles — plus the
-Algorithm 3 contest state *per accepted triangle*: whether it was
-removed, and which accepted triangles it intersects.  A maintenance
-step receives the *dirty points* of an event batch (old and new
-positions of every moved, re-roled, or renamed backbone member) plus
-the *dirty ids* (members whose position or identity changed), and
-recomputes exactly the invalidation footprint:
+LDel^1 is 1-local: a member's proposals are the star of
+``Del(N_1[w])``, a corner's verdict reads ``N_1(c)``, and a Gabriel
+test reads its endpoints' neighbourhoods.  So the retained state is
+kept per node and per triangle:
 
-* **phase A** (Gabriel + LDel acceptance) is a function of the members
-  within ``ACCEPTANCE_HALO = 2r`` of the tile box, so a tile is
-  phase-A dirty iff some dirty point lies within ``2r`` of it;
-* **contests** are replayed per triangle.  Diffing the dirty tiles'
-  old and new accepted lists yields the *gone* triangles (no longer
+* each member's **star** — the triangles it proposes, after the side
+  and 60° filters;
+* the **accepted** LDel^1 triangles, indexed by corner;
+* the **Gabriel** edges, indexed by endpoint;
+
+plus the Algorithm 3 contest state *per accepted triangle*: whether it
+was removed, and which accepted triangles it intersects.  A maintenance
+step receives the *dirty ids* — members whose position or label
+changed, plus every node whose membership flipped — and the pre-batch
+neighbours of the members an event moved or removed.  Its **cavity**
+``D`` is the dirty ids plus their neighbours before and after the
+batch, read from the adjacency, so it is exact at ``dist == r``.  No
+member outside ``D`` has a changed closed neighbourhood, which bounds
+what the step recomputes:
+
+* **stars** of ``D``'s members only, by one
+  :func:`~repro.topology.ldel.proposed_triangles` call on a local
+  :class:`~repro.graphs.udg.UnitDiskGraph` over the members within two
+  hops of ``D``;
+* **verdicts** of every candidate with a corner in ``D`` — ``D``'s new
+  stars plus the stored stars of ``D``'s neighbours that name a member
+  of ``D`` — by one :func:`~repro.topology.ldel.corner_verdicts` call
+  on the same graph.  A triangle without a corner in ``D`` keeps its
+  candidacy and every corner's verdict;
+* **Gabriel tests** of the edges with an endpoint in ``D``;
+* **contests**, replayed per triangle.  The old and new accepted
+  triangles with a corner in ``D`` give the *gone* triangles (no longer
   accepted, or a vertex among the dirty ids) and the *fresh* ones
   (newly accepted, or a vertex among the dirty ids — a moved triangle
   is a removal plus an addition).  The replay set is the fresh
@@ -31,20 +48,21 @@ recomputes exactly the invalidation footprint:
   the crossing set (deterministic in the edge set, so the result is
   bit-identical to the global sweep).
 
-Clean tiles keep their cached outputs verbatim.  That retention is
-exact: a tile's owned outputs mention only nodes within its halo, so
-any output that could name a changed node lies in a tile the dirty
-points mark.  A step returns the LDel edges it added and removed; the
-full edge set is built only on request (:meth:`IncrementalPLDel.edges`).
-The output is bit-identical to a from-scratch build — the maintainer's
-tripwire asserts exactly that.
+A step returns the LDel edges it added and removed; the full edge set
+is built only on request (:meth:`IncrementalPLDel.edges`).  The output
+is bit-identical to a from-scratch build — the maintainer's tripwire
+asserts exactly that.  The tile grid only reports how far a step's
+dirty points reach (:attr:`PldelStepStats.dirty_tiles`); it sizes no
+work.
 
 Ids are *original* node ids throughout.  The serial pipeline builds
-PLDel over the backbone subset re-indexed ``0..|B|-1``; since the
-re-indexing preserves id order, every id comparison the construction
-makes (triangle anchors, min-endpoint edge ownership, crossing
-tie-breaks) gives the same answer in either id space, so maintaining
-in original ids avoids re-indexing churn without breaking bit-identity.
+PLDel over the backbone subset re-indexed ``0..|B|-1``, and the local
+graph re-indexes the cavity's neighbourhood the same way; since both
+re-indexings preserve id order, every id comparison the construction
+makes (Delaunay insertion order, triangle anchors, min-endpoint edge
+ownership, crossing tie-breaks) gives the same answer in every id
+space, so maintaining in original ids avoids re-indexing churn without
+breaking bit-identity.
 """
 
 from __future__ import annotations
@@ -52,13 +70,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
 
 from repro import obs
 from repro.geometry.predicates import segments_cross
 from repro.geometry.primitives import Point, dist
 from repro.graphs.udg import UnitDiskGraph
-from repro.incremental.tiles import ACCEPTANCE_HALO, DynamicTileGrid, box_distance
+from repro.incremental.tiles import ACCEPTANCE_HALO, DynamicTileGrid
 from repro.topology.gabriel import gabriel_graph
 from repro.topology.ldel import (
     _EDGE_BBOX_SLACK,
@@ -73,31 +91,42 @@ from repro.topology.ldel import (
 if TYPE_CHECKING:
     from repro.incremental.udg import DynamicUdg
 
-TileKey = tuple[int, int]
 Edge = tuple[int, int]
 Cell = tuple[int, int]
 Box = tuple[float, float, float, float]
+Item = TypeVar("Item", Edge, Triangle)
 
 
 @dataclass
 class PldelStepStats:
     """Accounting for one planarizer maintenance step."""
 
+    #: Tiles within the acceptance halo of the step's dirty points.
     dirty_tiles: int = 0
     contest_triangles: int = 0
+    #: Members the step read: the local graph's size.
     dirty_members: int = 0
+    #: Members whose star was recomputed (the cavity's members).
+    stars: int = 0
+    #: Candidate triangles re-verdicted.
+    verdicts: int = 0
 
 
 class IncrementalPLDel:
-    """Per-tile phase-A outputs and per-triangle contest state."""
+    """Per-node stars, per-triangle verdicts and contests, per-edge stitch."""
 
     def __init__(self, udg: "DynamicUdg", *, tile_cells: int = 2) -> None:
         self.udg = udg
         self.grid = DynamicTileGrid(udg.radius, tile_cells=tile_cells)
-        #: tile -> owned Gabriel edges (normalized id pairs).
-        self._gabriel: dict[TileKey, list[Edge]] = {}
-        #: tile -> owned accepted triangles.
-        self._accepted: dict[TileKey, list[Triangle]] = {}
+        #: member -> the triangles it proposes (no entry for an empty star).
+        self._stars: dict[int, list[Triangle]] = {}
+        #: node -> the accepted triangles with a corner there.
+        self._accepted: dict[int, set[Triangle]] = {}
+        #: node -> the Gabriel edges (normalized id pairs) at it.
+        self._gabriel: dict[int, set[Edge]] = {}
+        #: the node count at the last step: labels at or above the
+        #: current count were retired by id churn since.
+        self._labels = 0
         #: accepted triangles the contest removed.
         self._losers: set[Triangle] = set()
         #: accepted triangle -> the accepted triangles it intersects
@@ -131,49 +160,70 @@ class IncrementalPLDel:
         membership: Sequence[bool],
         dirty_points: Iterable[Point],
         dirty_ids: Iterable[int] = (),
+        old_neighbours: Iterable[int] = (),
     ) -> tuple[list[Edge], list[Edge], PldelStepStats]:
-        """Recompute the dirty region; return the added/removed edges."""
-        stats = PldelStepStats()
-        dirty_points = list(dirty_points)
-        dirty_ids = set(dirty_ids)
-        if not dirty_points and not dirty_ids:
-            # No member position, role, or id changed: every cached
-            # output is a function of unchanged inputs.
-            return [], [], stats
-        acceptance_halo = ACCEPTANCE_HALO * self.udg.radius
+        """Recompute the cavity; return the added/removed edges.
 
+        ``dirty_ids`` are the members whose position or label changed
+        and the nodes whose membership flipped; ``old_neighbours`` are
+        the pre-batch neighbours of the nodes among them that were
+        members before the batch.  The cavity adds the current
+        neighbours of those that are members now.  ``dirty_points``
+        only size the reported tiles.
+        """
+        stats = PldelStepStats()
+        halo = ACCEPTANCE_HALO * self.udg.radius
+        stats.dirty_tiles = len(
+            {key for p in dirty_points for key in self.grid.keys_within(p, halo)}
+        )
+        n = len(membership)
+        retired = range(n, self._labels)
+        self._labels = n
+        dirty_ids = set(dirty_ids)
+        adjacency = self.udg.adjacency
+        cavity = dirty_ids.union(old_neighbours)
+        for x in dirty_ids:
+            if membership[x]:
+                cavity.update(adjacency[x])
+        if not cavity and not retired:
+            # No member's neighbourhood changed: every stored decision
+            # is a function of unchanged inputs.
+            return [], [], stats
         with obs.span("incremental.phase.pldel_phase_a"):
-            dirty_a: set[TileKey] = set()
-            for p in dirty_points:
-                dirty_a.update(self.grid.keys_within(p, acceptance_halo))
-            dirty_members: set[int] = set()
-            tile_gabriel, tile_tris = self._recompute_phase_a(
-                dirty_a, acceptance_halo, membership, dirty_members
+            delta: Counter = Counter()
+            old_tris, new_tris = self._recompute_phase_a(
+                membership, cavity, retired, delta, stats
             )
-        stats.dirty_tiles = len(dirty_a)
-        stats.dirty_members = len(dirty_members)
         added, removed, stats.contest_triangles = self._commit(
-            dirty_a, tile_gabriel, tile_tris, dirty_ids
+            old_tris, new_tris, delta, dirty_ids
         )
         return added, removed, stats
 
     def _commit(
         self,
-        dirty_a: set[TileKey],
-        tile_gabriel: dict[TileKey, list[Edge]],
-        tile_tris: dict[TileKey, list[Triangle]],
+        old_tris: set[Triangle],
+        new_tris: set[Triangle],
+        delta: Counter,
         dirty_ids: set[int],
     ) -> tuple[list[Edge], list[Edge], int]:
-        """Swap in the dirty tiles' new outputs; replay; restitch.
+        """Diff the recomputed triangles; replay; restitch.
 
-        Returns the added and removed PLDel edges and the number of
-        triangles whose contest was replayed.
+        ``old_tris`` and ``new_tris`` are the accepted triangles the
+        step recomputed, before and after.  A triangle with a dirty id
+        among its vertices is both gone and fresh: its geometry, and so
+        its contest, may have changed.  Returns the added and removed
+        PLDel edges and the number of triangles whose contest was
+        replayed.
         """
         with obs.span("incremental.phase.pldel_contest"):
-            delta: Counter = Counter()
-            gone, fresh = self._swap_tiles(
-                dirty_a, tile_gabriel, tile_tris, dirty_ids, delta
-            )
+            gone = [
+                t for t in old_tris
+                if t not in new_tris or not dirty_ids.isdisjoint(t)
+            ]
+            fresh = [
+                t for t in new_tris
+                if t not in old_tris or not dirty_ids.isdisjoint(t)
+            ]
             replayed = self._replay(gone, fresh, delta)
         with obs.span("incremental.phase.pldel_stitch"):
             added, removed = self._restitch(delta, dirty_ids)
@@ -183,118 +233,85 @@ class IncrementalPLDel:
 
     def _recompute_phase_a(
         self,
-        dirty_a: set[TileKey],
-        halo_r: float,
         membership: Sequence[bool],
-        dirty_members: set[int],
-    ) -> tuple[dict[TileKey, list[Edge]], dict[TileKey, list[Triangle]]]:
-        """The dirty tiles' new Gabriel/accepted outputs.
-
-        Tiles whose ``2r`` halos overlap are grouped into clusters and
-        each cluster is built by *one* :func:`_phase_a` call over the
-        cluster's merged core — ownership filtering is per node
-        (min-endpoint / anchor in core), so the merged run returns the
-        concatenation of the per-tile runs without rebuilding the same
-        overlapping halo once per tile.
-        """
-        pos = self.udg.positions
-        tile_gabriel: dict[TileKey, list[Edge]] = {}
-        tile_tris: dict[TileKey, list[Triangle]] = {}
-        for cluster in self._clusters(dirty_a):
-            boxes = [self.grid.box(k) for k in cluster]
-            bbox = (
-                min(b[0] for b in boxes),
-                min(b[1] for b in boxes),
-                max(b[2] for b in boxes),
-                max(b[3] for b in boxes),
-            )
-            gids = self.udg.members_within_box(bbox, halo_r, membership)
-            core = [g for g in gids if self.grid.key_of(pos[g]) in cluster]
-            if not core:
-                continue
-            dirty_members.update(gids)
-            gabriel, accepted = _phase_a(
-                bbox, gids, core, [pos[g] for g in gids], self.udg.radius
-            )
-            for u, v in gabriel:
-                edge = (u, v) if u < v else (v, u)
-                tile_gabriel.setdefault(self.grid.key_of(pos[edge[0]]), []).append(
-                    edge
-                )
-            for tri in accepted:
-                tile_tris.setdefault(self.grid.key_of(pos[tri[0]]), []).append(tri)
-        return tile_gabriel, tile_tris
-
-    def _swap_tiles(
-        self,
-        dirty_a: set[TileKey],
-        tile_gabriel: dict[TileKey, list[Edge]],
-        tile_tris: dict[TileKey, list[Triangle]],
-        dirty_ids: set[int],
+        cavity: set[int],
+        retired: range,
         delta: Counter,
-    ) -> tuple[list[Triangle], list[Triangle]]:
-        """Store the dirty tiles' outputs; return (gone, fresh) triangles.
+        stats: PldelStepStats,
+    ) -> tuple[set[Triangle], set[Triangle]]:
+        """Recompute the cavity's stars, verdicts and Gabriel tests.
 
-        Gabriel edge changes go straight into ``delta``.  A triangle
-        with a dirty id among its vertices is both gone and fresh: its
-        geometry, and so its contest, may have changed.
+        Drops the state at every cavity label and retired label, then
+        rebuilds it for the cavity's members.  Gabriel changes go into
+        ``delta``.  Returns the accepted triangles with a corner in the
+        cavity or at a retired label, before and after.
         """
-        gone: list[Triangle] = []
-        fresh: list[Triangle] = []
-        for key in dirty_a:
-            old_gabriel = set(self._gabriel.pop(key, ()))
-            gabriel = tile_gabriel.get(key)
-            if gabriel:
-                self._gabriel[key] = gabriel
-            new_gabriel = set(gabriel or ())
-            for edge in old_gabriel - new_gabriel:
-                delta[edge] -= 1
-            for edge in new_gabriel - old_gabriel:
-                delta[edge] += 1
-            old_tris = self._accepted.pop(key, [])
-            new_tris = tile_tris.get(key, [])
-            if new_tris:
-                self._accepted[key] = new_tris
-            if old_tris == new_tris and not dirty_ids:
-                continue
-            old_set, new_set = set(old_tris), set(new_tris)
-            gone.extend(
-                t for t in old_tris
-                if t not in new_set or not dirty_ids.isdisjoint(t)
-            )
-            fresh.extend(
-                t for t in new_tris
-                if t not in old_set or not dirty_ids.isdisjoint(t)
-            )
-        return gone, fresh
+        stale = [*cavity, *retired]
+        for x in stale:
+            self._stars.pop(x, None)
+        old_tris = _pop_incident(self._accepted, stale)
+        old_gabriel = _pop_incident(self._gabriel, stale)
+        centre = sorted(x for x in cavity if membership[x])
+        new_tris, new_gabriel = (
+            self._decide(membership, centre, stats) if centre else (set(), set())
+        )
+        for edge in old_gabriel - new_gabriel:
+            delta[edge] -= 1
+        for edge in new_gabriel - old_gabriel:
+            delta[edge] += 1
+        _index(self._accepted, new_tris)
+        _index(self._gabriel, new_gabriel)
+        return old_tris, new_tris
 
-    def _clusters(self, keys: set[TileKey]) -> list[set[TileKey]]:
-        """Group tile keys whose acceptance halos overlap.
+    def _decide(
+        self, membership: Sequence[bool], centre: list[int], stats: PldelStepStats
+    ) -> tuple[set[Triangle], set[Edge]]:
+        """Stars of ``centre``, then every verdict and Gabriel test at it.
 
-        A pure performance partition — any grouping is exact — joining
-        tiles within two tile sides of each other, the reach at which
-        their ``2r`` halos share members worth building only once.
+        Stores the new stars and returns the accepted triangles and the
+        Gabriel edges with an endpoint (corner) in ``centre``.  A star
+        reads ``N_1``, a verdict at a corner one hop out reads ``N_1``
+        of that corner, and so does a Gabriel test whose smaller
+        endpoint lies one hop out: the local graph holds the members
+        within two hops of ``centre``, and every decision it is asked
+        for sees its whole neighbourhood.
         """
-        reach = max(1, math.ceil(2.0 / self.grid.tile_cells) + 1)
-        remaining = set(keys)
-        clusters: list[set[TileKey]] = []
-        while remaining:
-            seed = remaining.pop()
-            cluster = {seed}
-            frontier = [seed]
-            while frontier:
-                kx, ky = frontier.pop()
-                near = [
-                    k
-                    for k in remaining
-                    if abs(k[0] - kx) <= reach and abs(k[1] - ky) <= reach
-                ]
-                for k in near:
-                    remaining.discard(k)
-                    cluster.add(k)
-                    frontier.append(k)
-            clusters.append(cluster)
-        return clusters
+        adjacency = self.udg.adjacency
+        inner = set(centre)
+        ring = {w for x in centre for w in adjacency[x] if membership[w]} - inner
+        hood = inner | ring
+        for x in ring:
+            hood.update(w for w in adjacency[x] if membership[w])
+        gids = sorted(hood)
+        local = {g: i for i, g in enumerate(gids)}
+        pos = self.udg.positions
+        udg = UnitDiskGraph([pos[g] for g in gids], self.udg.radius)
+        stats.dirty_members = len(gids)
+        stats.stars = len(centre)
+
+        rows, proposed = proposed_triangles(udg, [local[g] for g in centre])
+        candidates: set[Triangle] = set()
+        stars = self._stars
+        for (a, b, c), by in zip(triangle_tuples(rows), triangle_tuples(proposed)):
+            tri = (gids[a], gids[b], gids[c])
+            candidates.add(tri)
+            for corner, proposer in zip(tri, by):
+                if proposer:
+                    stars.setdefault(corner, []).append(tri)
+        # A neighbour outside the cavity kept its star; the triangles
+        # in it with a corner in the cavity are candidates too.
+        for w in ring:
+            candidates.update(t for t in stars.get(w, ()) if not inner.isdisjoint(t))
+        order = list(candidates)
+        stats.verdicts = len(order)
+        verdicts = corner_verdicts(udg, [(local[a], local[b], local[c]) for a, b, c in order])
+        accepted = {t for t, ok in zip(order, triangle_tuples(verdicts)) if all(ok)}
+        gabriel: set[Edge] = set()
+        for u, v in gabriel_graph(udg).edges():
+            a, b = gids[u], gids[v]
+            if a in inner or b in inner:
+                gabriel.add((a, b))
+        return accepted, gabriel
 
     # -- phase B: the contest replay ---------------------------------------
 
@@ -466,40 +483,30 @@ class IncrementalPLDel:
         self._edges.insert(edge, box)
 
 
-def _phase_a(
-    box: Box,
-    gids: list[int],
-    core_gids: Sequence[int],
-    points: list[Point],
-    radius: float,
-) -> tuple[list[Edge], list[Triangle]]:
-    """The Gabriel edges and accepted LDel^1 triangles a core owns.
+def _pop_incident(index: dict[int, set[Item]], labels: Iterable[int]) -> set[Item]:
+    """Remove and return every item of ``index`` at one of ``labels``.
 
-    ``gids`` are the sorted ids of every member within
-    :data:`ACCEPTANCE_HALO` of ``box`` and ``points`` their positions;
-    ``core_gids`` are those whose half-open tile is in the core (box
-    distance alone cannot see which side of a tile line a point falls
-    on).  Local ids keep id order, so an edge's smaller endpoint and a
-    triangle's anchor are the same node in both views, and the core
-    owns the edges and triangles whose anchor it holds.
+    ``index`` maps each node to the edges or triangles at it; a popped
+    item leaves its other nodes' entries too.
     """
-    udg = UnitDiskGraph(points, radius)
-    local = {gid: u for u, gid in enumerate(gids)}
-    core = {local[g] for g in core_gids}
-    gabriel = [
-        (gids[u], gids[v]) for u, v in gabriel_graph(udg).edges() if min(u, v) in core
-    ]
-    # Only nodes within r of the core can be a vertex of an owned
-    # (core-anchored) triangle, hence the only useful proposers.
-    proposers = [u for u, p in enumerate(points) if box_distance(box, p) <= radius]
-    candidates = triangle_tuples(proposed_triangles(udg, proposers)[0])
-    owned = [t for t in candidates if t[0] in core]
-    accepted = [
-        (gids[a], gids[b], gids[c])
-        for (a, b, c), ok in zip(owned, corner_verdicts(udg, owned))
-        if all(ok)
-    ]
-    return gabriel, accepted
+    out: set[Item] = set()
+    for x in labels:
+        out.update(index.pop(x, ()))
+    for item in out:
+        for x in item:
+            at = index.get(x)
+            if at is not None:
+                at.discard(item)
+                if not at:
+                    del index[x]
+    return out
+
+
+def _index(index: dict[int, set[Item]], items: Iterable[Item]) -> None:
+    """Add each of ``items`` to ``index`` at each of its nodes."""
+    for item in items:
+        for x in item:
+            index.setdefault(x, set()).add(item)
 
 
 class _BoxIndex:

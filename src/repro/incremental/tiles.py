@@ -1,13 +1,15 @@
 """The maintainer's r-aligned tile grid and the halo widths it reads.
 
 Each decision the maintainer repairs depends only on nodes within a
-constant multiple of the radius ``r`` of its anchor, so a changed
-point can only invalidate the tiles whose halo holds it:
+constant multiple of the radius ``r`` of its anchor.  The grid sizes
+what a step reports, not what it recomputes (the planarizer's cavity
+comes from the adjacency):
 
 * :data:`ACCEPTANCE_HALO` — LDel^1 acceptance (and the Gabriel test
   under it) for a triangle anchored in a tile: the triangle's vertices
   lie within ``r`` of the anchor, and its proposers' 1-hop Delaunay
-  neighbourhoods and the k=1 filter's witnesses reach another ``r``;
+  neighbourhoods and the k=1 filter's witnesses reach another ``r``.
+  A step reports the tiles within it of its dirty points;
 * :data:`ELECTION_HALO` — the clusterhead election: the repair counts
   a role flip within ``3r`` of a changed point as certified, and one
   farther out as a fallback repair.
@@ -34,9 +36,8 @@ class DynamicTileGrid:
     a point is a deterministic function of its coordinates alone,
     stable as nodes drift past the initial bounding box.  Cores are
     half-open boxes, so a point on a tile line belongs to exactly one
-    tile.  Tiles are never materialized; callers keep their own
-    ``key -> state`` maps and use the geometric queries here to find
-    which keys a changed point can influence.
+    tile.  Tiles are never materialized; the maintainer counts the
+    keys a changed point can influence.
     """
 
     def __init__(self, radius: float, *, tile_cells: int = 2) -> None:

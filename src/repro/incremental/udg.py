@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.geometry.primitives import Point, dist_sq
 
@@ -91,50 +91,6 @@ class DynamicUdg:
                 members = self._cells.get((cx + dx, cy + dy))
                 if members:
                     yield from members
-
-    def nodes_within(self, p: Point, reach: float) -> list[int]:
-        """Sorted ids at distance <= ``reach`` from ``p``."""
-        r_sq = reach * reach
-        window = max(1, math.ceil(reach / self.radius))
-        cx, cy = self._cell_of(p)
-        out = []
-        for dx in range(-window, window + 1):
-            for dy in range(-window, window + 1):
-                for i in self._cells.get((cx + dx, cy + dy), ()):
-                    if dist_sq(p, self.positions[i]) <= r_sq:
-                        out.append(i)
-        out.sort()
-        return out
-
-    def members_within_box(
-        self,
-        box: tuple[float, float, float, float],
-        reach: float,
-        membership: Sequence[bool] | None = None,
-    ) -> list[int]:
-        """Sorted ids within ``reach`` of ``box`` (optionally filtered).
-
-        The per-tile halo query of the incremental planarizer: all
-        (backbone) nodes a tile's stage halo can see.
-        """
-        x0, y0, x1, y1 = box
-        cx0 = math.floor((x0 - reach) / self.radius)
-        cx1 = math.floor((x1 + reach) / self.radius)
-        cy0 = math.floor((y0 - reach) / self.radius)
-        cy1 = math.floor((y1 + reach) / self.radius)
-        out = []
-        for cx in range(cx0, cx1 + 1):
-            for cy in range(cy0, cy1 + 1):
-                for i in self._cells.get((cx, cy), ()):
-                    if membership is not None and not membership[i]:
-                        continue
-                    p = self.positions[i]
-                    dx = max(x0 - p[0], 0.0, p[0] - x1)
-                    dy = max(y0 - p[1], 0.0, p[1] - y1)
-                    if math.hypot(dx, dy) <= reach:
-                        out.append(i)
-        out.sort()
-        return out
 
     # -- mutation --------------------------------------------------------
 

@@ -10,6 +10,7 @@ import contextlib
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -315,20 +316,16 @@ def _planted_step(pldel, triangles, moves=()):
 
     Uniform deployments almost never accept intersecting triangles, so
     these tests plant them: the planted set plays phase A's part
-    (every triangle stays accepted wherever its vertices go), moved
-    vertices are the step's dirty ids, and every tile a planted anchor
-    occupies before or after the move is dirty.  Returns the step's
-    added and removed edges and the number of triangles replayed.
+    (every triangle stays accepted wherever its vertices go), and moved
+    vertices are the step's dirty ids.  Returns the step's added and
+    removed edges and the number of triangles replayed.
     """
-    pos = pldel.udg.positions
-    dirty = {pldel.grid.key_of(pos[t[0]]) for t in triangles}
+    before = {t for t in triangles if t in pldel._tris.boxes}
     for node, (x, y) in moves:
         pldel.udg.move(node, Point(x, y))
-    tile_tris = {}
-    for t in triangles:
-        tile_tris.setdefault(pldel.grid.key_of(pos[t[0]]), []).append(t)
-    dirty.update(tile_tris)
-    return pldel._commit(dirty, {}, tile_tris, {node for node, _ in moves})
+    return pldel._commit(
+        before, set(triangles), Counter(), {node for node, _ in moves}
+    )
 
 
 def _assert_matches_global_contest(pldel, triangles):
@@ -377,7 +374,7 @@ class TestContestReplay:
                 [Event("move", node=node, x=p.x + rng.uniform(-15.0, 15.0),
                        y=p.y + rng.uniform(-15.0, 15.0))]
             )
-            accepted = sum(len(t) for t in maintainer.pldel._accepted.values())
+            accepted = len(maintainer.pldel._tris.boxes)
             assert len(calls) == (1 if report.contest_triangles else 0)
             assert all(size <= 0.25 * accepted for size in calls)
             contested += bool(report.contest_triangles)
@@ -386,11 +383,11 @@ class TestContestReplay:
 
     @pytest.mark.parametrize("scalar", [False, True])
     def test_sliver_loses_the_contest(self, scalar):
-        # A crafted Algorithm 3 contest across two tiles: the sliver's
-        # huge circumcircle swallows a vertex of the crossing triangle,
-        # whose own circumcircle holds no sliver vertex.  Uniform
-        # deployments never accept such a pair, so the two triangles
-        # are planted as accepted outputs of their anchor tiles.
+        # A crafted Algorithm 3 contest: the sliver's huge circumcircle
+        # swallows a vertex of the crossing triangle, whose own
+        # circumcircle holds no sliver vertex.  Uniform deployments
+        # never accept such a pair, so the two triangles are planted
+        # as accepted outputs of phase A.
         from repro.core import compat
         from repro.incremental.pldel import IncrementalPLDel
         from repro.incremental.udg import DynamicUdg
@@ -400,8 +397,6 @@ class TestContestReplay:
                   (5.0, -9.0), (6.0, -9.0), (5.5, 0.2)]
         pldel = IncrementalPLDel(DynamicUdg(points, radius))
         sliver, crossing = (0, 1, 2), (3, 4, 5)
-        keys = {pldel.grid.key_of(pldel.udg.positions[t[0]]) for t in (sliver, crossing)}
-        assert len(keys) == 2  # the contest straddles two tiles
         with compat.numpy_disabled() if scalar else contextlib.nullcontext():
             _planted_step(pldel, [sliver, crossing])
         assert pldel._losers == {sliver}
@@ -451,6 +446,170 @@ class TestContestReplay:
             assert pldel._losers == {(6, 7, 8)}
             assert added == [(0, 1), (0, 2), (1, 2)]
             assert removed == []
+
+
+def _step_with_stats(maintainer, events):
+    """Apply ``events``; return the report and the planarizer's stats."""
+    seen = []
+    real = maintainer.pldel.step
+
+    def recording(*args):
+        out = real(*args)
+        seen.append(out[2])
+        return out
+
+    maintainer.pldel.step = recording
+    try:
+        report = maintainer.apply(events)
+    finally:
+        del maintainer.pldel.step
+    (stats,) = seen
+    return report, stats
+
+
+class TestCavityBoundaries:
+    """Steps whose cavity sits on a tie: distance exactly ``r``,
+    coincident points, cocircular quadruples and id churn."""
+
+    def test_move_to_exactly_r_from_a_member(self):
+        _, maintainer = make_maintainer(n=120, seed=9)
+        members = sorted(maintainer.snapshot().backbone_nodes)
+        mover, anchor = members[0], members[5]
+        # Integral coordinates make the offset, so the distance, exact.
+        p = maintainer.udg.positions[anchor]
+        x, y = float(round(p.x)), float(round(p.y))
+        maintainer.apply([Event("move", node=anchor, x=x, y=y)])
+        assert_identical(maintainer)
+        maintainer.apply([Event("move", node=mover, x=x + 25.0, y=y)])
+        assert mover in maintainer.udg.adjacency[anchor]  # the link at dist == r
+        assert_identical(maintainer)
+        maintainer.apply([Event("move", node=mover, x=x + 25.0, y=y + 1.0)])
+        assert mover not in maintainer.udg.adjacency[anchor]
+        assert_identical(maintainer)
+
+    def test_move_onto_another_members_position(self):
+        _, maintainer = make_maintainer(n=120, seed=9)
+        members = sorted(maintainer.snapshot().backbone_nodes)
+        for mover, host in ((members[8], members[10]), (members[3], members[10])):
+            p = maintainer.udg.positions[host]
+            maintainer.apply([Event("move", node=mover, x=p.x, y=p.y)])
+            assert maintainer.udg.positions[mover] == p
+            assert_identical(maintainer)
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_moves_on_an_exact_cocircular_grid(self, scalar):
+        from repro.core import compat
+
+        with compat.numpy_disabled() if scalar else contextlib.nullcontext():
+            grid = [(float(i), float(j)) for i in range(12) for j in range(12)]
+            maintainer = IncrementalMaintainer(grid, 1.5)
+            assert_identical(maintainer)
+            members = sorted(maintainer.snapshot().backbone_nodes)
+            # Whole-unit moves land on grid points: every circle through
+            # a unit square's corners stays cocircular, and the mover
+            # coincides with the node already there.
+            for node, dx, dy in ((members[20], 1.0, 0.0), (members[40], 0.0, 1.0),
+                                 (members[60], 1.0, 1.0), (7, 0.5, 0.5)):
+                p = maintainer.udg.positions[node]
+                maintainer.apply([Event("move", node=node, x=p.x + dx, y=p.y + dy)])
+                assert_identical(maintainer)
+
+    def test_leave_that_renames_a_member(self):
+        _, maintainer = make_maintainer(n=120, seed=9)
+        members = maintainer.snapshot().backbone_nodes
+        last = maintainer.udg.node_count - 1
+        # Retire last ids until a member holds the last one.
+        while last not in members:
+            maintainer.apply([Event("leave", node=last)])
+            last -= 1
+            members = maintainer.snapshot().backbone_nodes
+        node = min(u for u in members if u != last)
+        before = maintainer.udg.positions[last]
+        report = maintainer.apply([Event("leave", node=node)])
+        assert maintainer.udg.positions[node] == before  # renamed last -> node
+        assert report.dirty_nodes > 0
+        assert_identical(maintainer)
+
+    def test_non_member_move_that_flips_a_membership(self):
+        _, maintainer = make_maintainer(n=120, seed=9)
+        rng = random.Random(5)
+        for _ in range(200):
+            before = maintainer.snapshot().backbone_nodes
+            mover = rng.choice(
+                [u for u in range(maintainer.udg.node_count) if u not in before]
+            )
+            p = maintainer.udg.positions[mover]
+            maintainer.apply([Event(
+                "move", node=mover,
+                x=min(max(p.x + rng.uniform(-20, 20), 0.0), 109.5),
+                y=min(max(p.y + rng.uniform(-20, 20), 0.0), 109.5),
+            )])
+            flipped = before.symmetric_difference(maintainer.snapshot().backbone_nodes)
+            if flipped - {mover}:
+                break
+        else:
+            pytest.fail("no non-member move flipped another node's membership")
+        assert_identical(maintainer)
+
+
+class TestCavityLocality:
+    def test_stars_are_exactly_the_cavity(self):
+        # The cavity, recomputed from adjacency: the mover (when it is a
+        # member on either side) and every node whose membership
+        # flipped, plus their neighbours in the member graph before or
+        # after the move; stars are recomputed for its members only.
+        _, maintainer = make_maintainer(n=400, seed=12)
+        rng = random.Random(50)
+        reached = 0
+        for _ in range(50):
+            before = maintainer.snapshot().backbone_nodes
+            adjacency_before = [set(a) for a in maintainer.udg.adjacency]
+            mover = rng.choice(sorted(before))
+            p = maintainer.udg.positions[mover]
+            report, stats = _step_with_stats(maintainer, [Event(
+                "move", node=mover,
+                x=min(max(p.x + rng.uniform(-15, 15), 0.0), 200.0),
+                y=min(max(p.y + rng.uniform(-15, 15), 0.0), 200.0),
+            )])
+            after = maintainer.snapshot().backbone_nodes
+            dirty = {mover} | before.symmetric_difference(after)
+            cavity = set(dirty)
+            for x in dirty:
+                if x in before:
+                    cavity.update(adjacency_before[x] & before)
+                if x in after:
+                    cavity.update(maintainer.udg.adjacency[x] & after)
+            assert stats.stars == len(cavity & after)
+            assert stats.dirty_members == report.dirty_nodes
+            reached += stats.verdicts > 0
+        assert reached
+        assert_identical(maintainer)
+
+    def test_quiet_non_member_move_recomputes_nothing(self):
+        _, maintainer = make_maintainer(n=120, seed=9)
+        rng = random.Random(8)
+        checked = 0
+        for _ in range(40):
+            before = maintainer.snapshot().backbone_nodes
+            ldel = maintainer.pldel.edges()
+            mover = rng.choice(
+                [u for u in range(maintainer.udg.node_count) if u not in before]
+            )
+            p = maintainer.udg.positions[mover]
+            report, stats = _step_with_stats(maintainer, [Event(
+                "move", node=mover,
+                x=min(max(p.x + rng.uniform(-5, 5), 0.0), 109.5),
+                y=min(max(p.y + rng.uniform(-5, 5), 0.0), 109.5),
+            )])
+            if maintainer.snapshot().backbone_nodes != before:
+                continue
+            # Links to members may come and go: the member graph, and so
+            # every star, verdict and Gabriel test, stays as it was.
+            checked += bool(report.appeared_links or report.vanished_links)
+            assert (stats.stars, stats.verdicts, report.dirty_nodes) == (0, 0, 0)
+            assert maintainer.pldel.edges() == ldel
+        assert checked
+        assert_identical(maintainer)
 
 
 class TestIncrementalConnectors:

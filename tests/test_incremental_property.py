@@ -25,8 +25,9 @@ point):
 A second property drives id churn — joins, leaves (each renaming the
 last id into the vacated slot) and moves, alone and in mixed batches —
 and holds the state to a rebuild after every step, down to the
-connector election's caches: a stale entry for a departed label can
-leave every output right until a later step reads it.
+connector election's and the planarizer's caches: a stale entry for a
+departed label can leave every output right until a later step reads
+it.
 """
 
 import math
@@ -153,6 +154,12 @@ CONNECTOR_CACHES = (
     "_p0", "_p1", "_arena", "_arena_win", "_w1_of", "_a2", "_sup2",
     "_conn_count", "_edge_count",
 )
+#: The planarizer's caches that a fresh build must reproduce exactly
+#: (stars are compared as sets of triangles).
+PLANARIZER_CACHES = (
+    "_accepted", "_gabriel", "_losers", "_partners", "_counts", "_crossing",
+    "_crossing_losers",
+)
 
 
 def _clamp(v):
@@ -165,7 +172,9 @@ def _resolve(maintainer, batch):
     Targets pick by the pre-batch roles: ``leave`` a dominator, a
     connector, the last id or any id; ``join`` next to a dominator or
     any node; ``move`` the id the batch's latest leave recycled (a
-    rename chain) or any id.  Ids are counted through the batch.
+    rename chain), any id, any id onto another node's pre-batch
+    position (``onto``), or any id to exactly ``RADIUS`` from another
+    (``at_r``, two events).  Ids are counted through the batch.
     """
     snap = maintainer.snapshot()
     positions = maintainer.udg.positions
@@ -190,6 +199,17 @@ def _resolve(maintainer, batch):
             anchor = positions[anchors[k % len(anchors)]]
             events.append(Event("join", x=_clamp(anchor.x + dx), y=_clamp(anchor.y + dy)))
             count += 1
+        elif target == "onto":
+            host = positions[(k + 1) % len(positions)]
+            events.append(Event("move", node=k % count, x=host.x, y=host.y))
+        elif target == "at_r":
+            # Pin an anchor to integral coordinates, so the mover's
+            # offset of exactly RADIUS is its exact distance too.
+            base = positions[(k + 1) % len(positions)]
+            x = float(min(round(base.x), math.floor(CHURN_SIDE - RADIUS)))
+            y = float(round(base.y))
+            events.append(Event("move", node=(k + 1) % count, x=x, y=y))
+            events.append(Event("move", node=k % count, x=x + RADIUS, y=y))
         else:
             node = recycled if target == "renamed" and recycled is not None else k % count
             base = positions[k % len(positions)]
@@ -206,6 +226,17 @@ def _assert_fresh_caches(maintainer):
         assert getattr(maintainer._iconn, name) == getattr(fresh, name), (
             f"connector cache {name} differs from a fresh rebuild"
         )
+    # The planarizer's per-node state, too: a stale star at a retired
+    # or reused label would only be read by a later step.
+    mine = maintainer.pldel
+    theirs = IncrementalMaintainer(list(maintainer.udg.positions), RADIUS).pldel
+    for name in PLANARIZER_CACHES:
+        assert getattr(mine, name) == getattr(theirs, name), (
+            f"planarizer cache {name} differs from a fresh build"
+        )
+    assert {u: sorted(star) for u, star in mine._stars.items()} == {
+        u: sorted(star) for u, star in theirs._stars.items()
+    }
 
 
 _offset = st.floats(-12.0, 12.0, allow_nan=False, allow_infinity=False)
@@ -221,6 +252,10 @@ _op = st.one_of(
     ),
     st.tuples(
         st.just("move"), st.sampled_from(("renamed", "any")), _index, _offset, _offset
+    ),
+    st.tuples(
+        st.just("move"), st.sampled_from(("onto", "at_r")), _index, st.just(0.0),
+        st.just(0.0),
     ),
 )
 
@@ -244,6 +279,22 @@ RENAME_CHAIN = [
     ]
 ]
 
+#: Ties in the cavity: a move onto another node's position, and a link
+#: at exactly the radius, alone and after a leave in the same batch.
+TIE_TRACE = [
+    [("move", "onto", 3, 0.0, 0.0)],
+    [("move", "at_r", 5, 0.0, 0.0)],
+    [("leave", "dominator", 0, 0.0, 0.0), ("move", "at_r", 2, 0.0, 0.0),
+     ("move", "onto", 8, 0.0, 0.0)],
+]
+#: A leave that renames a member into a dominator's slot, then a join
+#: that reuses the vacated last label for a new node (three leaves of
+#: the last id first put a member at the end of this deployment).
+REUSED_LABEL = [
+    [("leave", "last", 0, 0.0, 0.0)] * 3
+    + [("leave", "dominator", 0, 0.0, 0.0), ("join", "dominator", 3, 1.0, 0.5)]
+]
+
 
 @settings(
     max_examples=10,
@@ -252,6 +303,8 @@ RENAME_CHAIN = [
 )
 @example(trace=ROLE_TRACE)
 @example(trace=RENAME_CHAIN)
+@example(trace=TIE_TRACE)
+@example(trace=REUSED_LABEL)
 @given(trace=st.lists(st.lists(_op, min_size=1, max_size=4), min_size=1, max_size=5))
 def test_churn_trace_matches_rebuild_and_fresh_caches(trace):
     maintainer = IncrementalMaintainer(list(CHURN_DEPLOYMENT.points), RADIUS)
