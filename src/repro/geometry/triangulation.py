@@ -277,12 +277,14 @@ class StarBatchResult:
     list.  ``fallback`` lists query indices the kernel did not decide:
     the caller runs the inversion kernel's through
     :func:`delaunay_stars_batch` and the lockstep's through the scalar
-    :func:`delaunay` path.
+    :func:`delaunay` path.  ``rescues`` counts the in-circle rows the
+    inversion kernel's float filter deferred to the exact test.
     """
 
     owner: object
     tris: object
     fallback: object
+    rescues: int = 0
 
 
 def _noncollinear_queries(np, flat_x, flat_y, base, owner_flat, pos_in_seg):
@@ -575,21 +577,71 @@ _STAR_ANGLE_TIE = 1e-9
 #: triangle below this bound.
 _STAR_MAX_RADIUS = 1e6
 
+#: Queries per call of the inversion kernel.  Its angular sort key
+#: ``owner * 8 + angle`` stays below ``8 * _STAR_MAX_QUERIES = 2**20``,
+#: where the float spacing (at most 2**-33) is under a quarter of
+#: ``_STAR_ANGLE_TIE``.
+_STAR_MAX_QUERIES = 1 << 17
 
-def _cyclic_neighbours(np, group):
-    """Cyclic predecessor and successor of each row within its group.
+#: Relative band of the inverted-coordinate reflex filter (see
+#: :func:`delaunay_stars_by_inversion`): over 40 times its worst-case
+#: forward error of 18 units of roundoff.
+_STAR_FILTER_BAND = 1e-13
 
-    ``group`` is sorted, so each group is one contiguous block.
+#: Rows with a squared offset outside ``[_STAR_SAFE_MIN, 1 /
+#: _STAR_SAFE_MIN]`` leave the filter.  Inside it every inverted
+#: coordinate is below 1e50 in magnitude, so what underflow loses
+#: (subnormal coordinates, products rounded to a multiple of
+#: 2**-1074) stays far below the absolute floor ``_STAR_FILTER_FLOOR``.
+_STAR_SAFE_MIN = 1e-100
+_STAR_FILTER_FLOOR = 1e-250
+
+
+def _inverted(np, dx, dy):
+    """Inverted coordinates ``(dx, dy) / (dx^2 + dy^2)`` and their 1-norms.
+
+    Entries whose squared offset lies outside the safe range get
+    coordinates 0 and norm infinity, so every row of
+    :func:`_reflex_signs` that touches one has an infinite band and
+    takes the exact test.
     """
-    n = group.shape[0]
-    idx = np.arange(n)
-    start = np.ones(n, dtype=bool)
-    start[1:] = group[1:] != group[:-1]
-    end = np.ones(n, dtype=bool)
-    end[:-1] = start[1:]
-    first = np.maximum.accumulate(np.where(start, idx, 0))
-    last = np.minimum.accumulate(np.where(end, idx, n)[::-1])[::-1]
-    return np.where(start, last, idx - 1), np.where(end, first, idx + 1)
+    with np.errstate(over="ignore"):
+        sq = dx * dx + dy * dy
+    unsafe = ~((sq >= _STAR_SAFE_MIN) & (sq <= 1.0 / _STAR_SAFE_MIN))
+    sq[unsafe] = np.inf
+    ix, iy = dx / sq, dy / sq
+    norm = np.abs(ix) + np.abs(iy)
+    norm[unsafe] = np.inf
+    return ix, iy, norm
+
+
+def _reflex_signs(np, inv, ux, uy, vx, vy, own, p, w, n):
+    """Signs of ``in_circle(u, p, w, n)`` per row, and the rescued count.
+
+    ``inv`` is :func:`_inverted` of the offsets ``v - u``; ``p``, ``w``,
+    ``n`` index ``vx``/``vy``/``inv``, and ``own`` maps them to their
+    center in ``ux``/``uy``.  Rows the filter cannot decide take
+    :func:`~repro.geometry.predicates.incircle_signs_batch`, so every
+    sign, zeros included, is that function's (see
+    :func:`delaunay_stars_by_inversion` for the bound).
+    """
+    from repro.geometry.predicates import incircle_signs_batch
+
+    ix, iy, norm = inv
+    px, py, pn = ix[p], iy[p], norm[p]
+    o = (ix[w] - px) * (iy[n] - py) - (iy[w] - py) * (ix[n] - px)
+    band = _STAR_FILTER_BAND * (norm[w] + pn) * (norm[n] + pn) + _STAR_FILTER_FLOOR
+    # in_circle(u, p, w, n) > 0 exactly when o < 0.  (Arithmetic, not
+    # np.where: a data-dependent select costs several times more.)
+    signs = (o < 0.0).astype(np.int8) * np.int8(2) - np.int8(1)
+    exact = np.nonzero(np.abs(o) <= band)[0]
+    if exact.shape[0]:
+        pe, we, ne = p[exact], w[exact], n[exact]
+        qe = own[we]
+        signs[exact], _ = incircle_signs_batch(
+            ux[qe], uy[qe], vx[pe], vy[pe], vx[we], vy[we], vx[ne], vy[ne]
+        )
+    return signs, int(exact.shape[0])
 
 
 def delaunay_stars_by_inversion(xs, ys, members_indptr, members_flat, center):
@@ -601,7 +653,8 @@ def delaunay_stars_by_inversion(xs, ys, members_indptr, members_flat, center):
     holding, for every query the kernel decides, exactly the triangles
     incident on ``u`` that :func:`delaunay` returns.  ``fallback``
     lists the queries it routes to :func:`delaunay_stars_batch`.
-    Returns ``None`` when numpy is masked out.
+    Returns ``None`` when numpy is masked out.  One call takes at most
+    ``_STAR_MAX_QUERIES`` queries.
 
     Why it is exact: inversion about ``u``, ``x' = (x - u) / |x - u|^2``,
     maps every circle through ``u`` to a line and the open disk it
@@ -611,25 +664,50 @@ def delaunay_stars_by_inversion(xs, ys, members_indptr, members_flat, center):
     ``v'w'``: ``v'w'`` is an edge of the hull of the inverted
     neighbours (with the origin) that faces away from the origin.
     Inversion keeps directions, so the kernel takes that hull by a
-    Graham-style scan over the neighbours sorted by angle:
+    Graham-style scan over the neighbours sorted by angle (one sort of
+    the key ``owner * 8 + angle``: owners sit 8 > 2 pi apart, and the
+    key's spacing is below ``_STAR_ANGLE_TIE``, so it can only swap
+    angles that are tied either way):
 
     1. If one angular gap exceeds pi, ``u`` is on the hull, the star is
        an open chain and its two end points (``u``'s hull neighbours)
        stay fixed; otherwise the star is a cycle.
-    2. Every vertex ``w`` whose inverted image is reflex between its
-       current angular neighbours ``p`` and ``n`` (for a wedge under
+    2. Each neighbour keeps ``prv``/``nxt`` links to its current
+       angular neighbours.  Every vertex ``w`` whose inverted image is
+       reflex between its neighbours ``p`` and ``n`` (for a wedge under
        pi: ``w`` strictly outside ``circle(u, p, n)``) is removed, all
-       at once.  Removing them together is sound: a reflex vertex of
-       the star-shaped polygon the survivors form (with the origin) is
-       never a vertex of its hull, so no hull vertex is ever removed.
-    3. Step 2 repeats on the vertices whose neighbours changed until
-       nothing is removed.  The survivors then form a strictly convex
-       polygon, the hull itself, and consecutive survivors ``v, w``
-       are the star triangles ``uvw``.
+       at once, and each run of removed vertices is spliced out between
+       the survivors around it.  Removing them together is sound: a
+       reflex vertex of the star-shaped polygon the survivors form
+       (with the origin) is never a vertex of its hull, so no hull
+       vertex is ever removed, and every walk over a run ends.
+    3. Step 2 repeats on the surviving neighbours of the removed
+       vertices until nothing is removed.  The survivors then form a
+       strictly convex polygon, the hull itself, and each survivor
+       ``v`` with ``w = nxt[v]`` is a star triangle ``uvw``.
 
-    The in-circle signs come from the exact-rescued
-    :func:`~repro.geometry.predicates.incircle_signs_batch`.  A query
-    leaves the kernel when the answer could differ from
+    The reflex test is the lifting identity
+    ``in_circle(u, p, w, n) = -|p-u|^2 |w-u|^2 |n-u|^2 orient(p', w', n')``,
+    evaluated as the float orientation
+    ``o = (w'x - p'x)(n'y - p'y) - (w'y - p'y)(n'x - p'x)`` of inverted
+    coordinates that each block computes once.  Error bound, with
+    u = 2**-53 and first-order terms: each inverted coordinate takes one
+    rounding in ``x - u``, three in ``|x - u|^2`` and one in the
+    division, so it is within 7u of the exact inverse of the exact
+    offset.  ``orient`` expands into six two-coordinate products, each
+    then within 14u of its exact value, and the difference form adds
+    four roundings to each of its two products.  Both sums are bounded
+    by ``T = (|w'| + |p'|)(|n'| + |p'|)`` in 1-norms, so
+    ``|o - orient(p', w', n')| <= 18u T``.  A row whose ``|o|`` exceeds
+    ``_STAR_FILTER_BAND * T`` (plus the floor ``_STAR_FILTER_FLOOR``,
+    which covers underflow) therefore has the exact sign, never zero.
+    Every other row, and every row touching a squared offset outside
+    the ``_STAR_SAFE_MIN`` range (near-coincident or far points, whose
+    inverted coordinates are set to NaN), takes the exact-rescued
+    :func:`~repro.geometry.predicates.incircle_signs_batch`, and
+    ``rescues`` counts those rows.
+
+    A query leaves the kernel when the answer could differ from
     :func:`delaunay`'s: an angular tie (a gap within
     ``_STAR_ANGLE_TIE`` of 0 or pi, which covers duplicates and
     collinear rays), an in-circle sign of exactly zero (cocircular
@@ -640,7 +718,6 @@ def delaunay_stars_by_inversion(xs, ys, members_indptr, members_flat, center):
     as there.
     """
     from repro.core.compat import get_numpy
-    from repro.geometry.predicates import incircle_signs_batch
 
     np = get_numpy()
     if np is None:
@@ -651,6 +728,8 @@ def delaunay_stars_by_inversion(xs, ys, members_indptr, members_flat, center):
     empty = np.zeros(0, dtype=np.int64)
     if B == 0:
         return StarBatchResult(empty, empty.reshape(0, 3), empty)
+    if B > _STAR_MAX_QUERIES:
+        raise ValueError(f"{B} queries exceed the kernel's {_STAR_MAX_QUERIES}")
     total = int(members_indptr[-1])
     flat_x = xs[members_flat]
     flat_y = ys[members_flat]
@@ -665,14 +744,18 @@ def delaunay_stars_by_inversion(xs, ys, members_indptr, members_flat, center):
     ux, uy = flat_x[base + center], flat_y[base + center]
     dx, dy = vx - ux[own], vy - uy[own]
     ang = np.arctan2(dy, dx)
-    order = np.argsort(ang)
-    order = order[np.argsort(own[order], kind="stable")]
-    own, loc, vx, vy, dx, dy, ang = (
-        a[order] for a in (own, loc, vx, vy, dx, dy, ang)
-    )
-    _, nxt = _cyclic_neighbours(np, own)
+    order = np.argsort(own * 8.0 + ang)
+    # own is grouped already; the sort permutes within each group.
+    loc, vx, vy, dx, dy, ang = (a[order] for a in (loc, vx, vy, dx, dy, ang))
+    # Cyclic links within each query's group of m - 1 neighbours.
+    N = own.shape[0]
+    idx = np.arange(N)
+    first = (base - np.arange(B))[m > 1]
+    last = first + m[m > 1] - 2
+    nxt, prv = idx + 1, idx - 1
+    nxt[last], prv[first] = first, last
     gap = ang[nxt] - ang
-    gap[nxt <= np.arange(own.shape[0])] += 2.0 * math.pi
+    gap[last] += 2.0 * math.pi
     tie = (
         (gap < _STAR_ANGLE_TIE)
         | (np.abs(gap - math.pi) < _STAR_ANGLE_TIE)
@@ -685,43 +768,47 @@ def delaunay_stars_by_inversion(xs, ys, members_indptr, members_flat, center):
         1.0,
     )
 
-    keep = decided[own]
-    own, loc, vx, vy, gap = own[keep], loc[keep], vx[keep], vy[keep], gap[keep]
-    prv, _ = _cyclic_neighbours(np, own)
+    inv = _inverted(np, dx, dy)
+
     # An open chain's big gap runs from its last vertex to its first.
     chain_last = gap > math.pi
-    fixed = chain_last | chain_last[prv]
-
-    alive = np.ones(own.shape[0], dtype=bool)
-    dirty = ~fixed
-    while dirty.any():
-        active = np.zeros(B, dtype=bool)
-        active[own[dirty]] = True
-        ids = np.nonzero(alive & active[own])[0]
-        prv, nxt = _cyclic_neighbours(np, own[ids])
-        j = np.nonzero(dirty[ids])[0]
-        w, p, n = ids[j], ids[prv[j]], ids[nxt[j]]
-        q = own[w]
-        # in_circle(u, p, w, n) > 0 exactly when w' turns clockwise
-        # between p' and n' (the lifting identity): w is reflex.
-        signs, _ = incircle_signs_batch(
-            ux[q], uy[q], vx[p], vy[p], vx[w], vy[w], vx[n], vy[n]
-        )
-        tied = np.zeros(B, dtype=bool)
-        tied[q[signs == 0]] = True
-        routed |= tied
-        reflex = j[(signs > 0) & ~tied[q]]
-        alive[ids[reflex]] = False
-        alive &= ~tied[own]
+    alive = decided[own]
+    movable = alive & ~(chain_last | chain_last[prv])
+    dirty = movable.copy()
+    rescues = 0
+    while True:
+        w = np.nonzero(dirty)[0]
+        if w.shape[0] == 0:
+            break
+        signs, rescued = _reflex_signs(np, inv, ux, uy, vx, vy, own, prv[w], w, nxt[w])
+        rescues += rescued
+        if rescued:
+            tied = np.zeros(B, dtype=bool)
+            tied[own[w[signs == 0]]] = True
+            routed |= tied
+            alive &= ~tied[own]
+            movable &= alive
+            signs[tied[own[w]]] = 0
+        # w is reflex: remove it, and splice each run of removed
+        # vertices out between the nearest survivors on either side.
+        # Those survivors are the next round's dirty set.
+        gone = np.compress(signs > 0, w)  # faster than a boolean index
+        alive[gone] = False
+        movable[gone] = False
+        before, after = prv[gone], nxt[gone]
+        for link, end in ((prv, before), (nxt, after)):
+            run = np.nonzero(~alive[end])[0]
+            while run.shape[0]:
+                end[run] = link[end[run]]
+                run = run[~alive[end[run]]]
+        nxt[before], prv[after] = after, before
         dirty[:] = False
-        dirty[ids[prv[reflex]]] = True
-        dirty[ids[nxt[reflex]]] = True
-        dirty &= alive & ~fixed
+        dirty[before] = True
+        dirty[after] = True
+        dirty &= movable
 
-    ids = np.nonzero(alive)[0]
-    _, nxt = _cyclic_neighbours(np, own[ids])
-    rows = ~chain_last[ids]
-    v, w = ids[rows], ids[nxt[rows]]
+    v = np.nonzero(alive & ~chain_last)[0]
+    w = nxt[v]
     q = own[v]
     bx, by = vx[v] - ux[q], vy[v] - uy[q]
     cx, cy = vx[w] - ux[q], vy[w] - uy[q]
@@ -730,8 +817,10 @@ def delaunay_stars_by_inversion(xs, ys, members_indptr, members_flat, center):
     routed[q[far]] = True
     star = ~routed[q]
     q = q[star]
-    tris = np.sort(np.stack([center[q], loc[v[star]], loc[w[star]]], axis=1), axis=1)
-    return StarBatchResult(q, tris, np.nonzero(routed)[0].astype(np.int64))
+    a, b, c = center[q], loc[v[star]], loc[w[star]]
+    lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+    tris = np.stack([lo, a + b + c - lo - hi, hi], axis=1)
+    return StarBatchResult(q, tris, np.nonzero(routed)[0].astype(np.int64), rescues)
 
 
 def _collinear_path(points: Sequence[Point], index_of: dict[Point, int]) -> Triangulation:

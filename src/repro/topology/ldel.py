@@ -220,26 +220,25 @@ def _soa_candidate_block(np, snap, pos, r_sq, qs):
     xs, ys = snap.xs, snap.ys
     owner_n, vals = gather_csr_rows(np, snap.indptr, snap.indices, qs)
     nq = qs.shape[0]
-    # Member list of q = sorted({q} | N(q)): merge the CSR rows with
-    # one self entry per query via a single sort of unique
-    # (owner, value) keys.
-    owner_all = np.concatenate([owner_n, np.arange(nq)])
-    value_all = np.concatenate([vals, qs])
-    self_flag = np.zeros(owner_all.shape[0], dtype=bool)
-    self_flag[owner_n.shape[0]:] = True
-    order = np.argsort(owner_all * np.int64(snap.n) + value_all)
-    members_flat = value_all[order]
+    # Member list of q = sorted({q} | N(q)).  CSR rows are ascending,
+    # so q's local index is the count of its neighbours below it: q and
+    # its row are scattered into place without a sort.
+    below = vals < qs[owner_n]
+    iu = np.bincount(owner_n[below], minlength=nq)
     m = (snap.indptr[qs + 1] - snap.indptr[qs]) + 1
     indptr_q = np.zeros(nq + 1, dtype=np.int64)
     np.cumsum(m, out=indptr_q[1:])
     base = indptr_q[:-1]
-    iu = np.nonzero(self_flag[order])[0] - base  # local index of q
+    members_flat = np.empty(int(indptr_q[-1]), dtype=np.int64)
+    members_flat[np.arange(owner_n.shape[0]) + owner_n + ~below] = vals
+    members_flat[base + iu] = qs
 
     # Each query's star by inversion; ties go to the lockstep
     # Bowyer–Watson, and its own fallbacks to _node_candidates.
     stars = delaunay_stars_by_inversion(xs, ys, indptr_q, members_flat, iu)
     routed = stars.fallback
     obs.count("construction.star_routed_queries", int(routed.shape[0]))
+    obs.count("construction.star_exact_rescues", stars.rescues)
     owners, star_tris = [stars.owner], [stars.tris]
     fallback = routed
     if routed.shape[0]:
@@ -290,7 +289,7 @@ def _soa_candidate_block(np, snap, pos, r_sq, qs):
             except ValueError:
                 continue
             accept[row] = angle >= _MIN_ANGLE
-        keep &= accept
+        keep = np.nonzero(keep & accept)[0]  # gathers beat a boolean index
         parts.append(np.stack([ga[keep], gb[keep], gc[keep]], axis=1))
         proposers.append(u_arr[keep])
 
