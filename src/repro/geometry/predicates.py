@@ -1,11 +1,13 @@
 """Geometric predicates: orientation, in-circle, segment intersection.
 
 The orientation and in-circle predicates follow the classic determinant
-formulations.  Exact arithmetic is not required for this reproduction
-(node coordinates are random floats, so degeneracies have measure
-zero), but both predicates use an epsilon tuned to the magnitude of the
-inputs so that near-degenerate configurations are classified as
-collinear / cocircular rather than flipping sign on rounding noise.
+formulations.  Both use an epsilon tuned to the magnitude of the inputs
+so that near-degenerate configurations are classified as collinear /
+cocircular rather than flipping sign on rounding noise.  The
+triangulator and the SoA kernels need exact signs instead (grid
+deployments are exactly degenerate): the adaptively exact batched
+forms are below, with the one tie rule for an exactly zero in-circle
+sign, :func:`incircle_perturbed`.
 """
 
 from __future__ import annotations
@@ -169,9 +171,46 @@ def _strictly_inside(p: Point, q: Point, r: Point) -> bool:
 # * the triangulator's _orient_sign / _in_circumcircle are adaptively
 #   exact — the batch versions reuse the same float determinant and the
 #   same error band, and route only the ambiguous rows to exact
-#   (Fraction or integer) arithmetic.  The error-band filter can only *defer*
-#   to exact arithmetic, never contradict it, which the hypothesis
-#   property suite asserts row by row.
+#   arithmetic: float arithmetic on rows that scale to small integers
+#   (_lattice), Fraction or Python-integer rows otherwise.  The
+#   error-band filter can only *defer* to exact arithmetic, never
+#   contradict it, which the hypothesis property suite asserts row by
+#   row.
+
+
+#: On integer coordinates whose offsets from a predicate's pivot stay
+#: below ``2**_ORIENT_BITS`` (orientation) or ``2**_INCIRCLE_BITS``
+#: (in-circle), every intermediate of the float determinant is an
+#: integer below ``2**53``, so the float arithmetic is exact.
+_ORIENT_BITS = 26
+_INCIRCLE_BITS = 12
+
+
+def _lattice(np, cols, bits):
+    """Coordinate rows scaled to exact integers, and where that is small.
+
+    ``cols`` holds equal-length coordinate arrays, x and y alternating,
+    the last pair being the pivot the predicate subtracts.  Every float
+    is an odd integer times a power of two, so scaling a row by two to
+    the minus its least such exponent is exact and leaves integers.
+    Returns the scaled arrays and a mask of the rows whose offsets from
+    the pivot all stay within ``2**bits`` in magnitude; a row that
+    overflows fails it and is zeroed.  Exactly cocircular and collinear
+    inputs are grids and other lattices, so this is where the batched
+    predicates settle their exact rows without a Python loop.
+    """
+    stack = np.stack(cols)
+    mant, exp = np.frexp(stack)
+    sig = (mant * 2.0 ** 53).astype(np.int64)
+    # frexp(2**t) = (0.5, t + 1): low - 1 counts sig's trailing zeros.
+    low = np.frexp((sig & -sig).astype(np.float64))[1]
+    lsb = np.where(sig == 0, 1 << 20, exp - 54 + low)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.ldexp(stack, -lsb.min(axis=0))
+        offsets = scaled[:-2] - np.tile(scaled[-2:], (stack.shape[0] // 2 - 1, 1))
+        small = (np.abs(offsets) <= 2.0 ** bits).all(axis=0)
+    scaled[:, ~small] = 0.0  # the callers' determinants stay finite
+    return scaled, small
 
 
 def _exact_orient_row(ax, ay, bx, by, cx, cy) -> int:
@@ -242,10 +281,16 @@ def orient_signs_batch(ax, ay, bx, by, cx, cy):
     scale = np.maximum(scale, 1e-300)
     ambiguous = ~(abs(det) > 1e-12 * scale * scale)
     signs = np.sign(det).astype(np.int8)
-    for row in np.nonzero(ambiguous)[0]:
-        signs[row] = _exact_orient_row(
-            ax[row], ay[row], bx[row], by[row], cx[row], cy[row]
-        )
+    rows = np.nonzero(ambiguous)[0]
+    if rows.shape[0]:
+        # Pivot a last: the scaled rows are b, c, a as (x, y) pairs.
+        cols = [v[rows] for v in (bx, by, cx, cy, ax, ay)]
+        pt, small = _lattice(np, cols, _ORIENT_BITS)
+        signs[rows] = np.sign(orientation_value(pt[4:6], pt[0:2], pt[2:4]))
+        for row in rows[~small]:
+            signs[row] = _exact_orient_row(
+                ax[row], ay[row], bx[row], by[row], cx[row], cy[row]
+            )
     return signs, ambiguous
 
 
@@ -278,12 +323,77 @@ def incircle_signs_batch(ax, ay, bx, by, cx, cy, dx, dy):
     )
     ambiguous = ~(abs(det) > 1e-13 * magnitude + INCIRCLE_UNDERFLOW)
     signs = np.sign(det).astype(np.int8)
-    for row in np.nonzero(ambiguous)[0]:
-        signs[row] = _exact_incircle_row(
-            ax[row], ay[row], bx[row], by[row],
-            cx[row], cy[row], dx[row], dy[row],
-        )
+    rows = np.nonzero(ambiguous)[0]
+    if rows.shape[0]:
+        cols = [v[rows] for v in (ax, ay, bx, by, cx, cy, dx, dy)]
+        pt, small = _lattice(np, cols, _INCIRCLE_BITS)
+        signs[rows] = np.sign(in_circle(pt[0:2], pt[2:4], pt[4:6], pt[6:8]))
+        for row in rows[~small]:
+            signs[row] = _exact_incircle_row(
+                ax[row], ay[row], bx[row], by[row],
+                cx[row], cy[row], dx[row], dy[row],
+            )
     return signs, ambiguous
+
+
+def incircle_perturbed(a: Point, b: Point, c: Point, d: Point) -> int:
+    """Sign of :func:`in_circle` under the global tie rule.
+
+    Called where the exact sign is 0 (the four points are cocircular,
+    or collinear).  The rule is a symbolic perturbation, Simulation of
+    Simplicity (Edelsbrunner and Mücke, ACM TOG 1990) in the form CGAL's
+    2D Delaunay triangulation uses (Devillers and Teillaud, CGTA 2011):
+    each point's lift ``x^2 + y^2`` is raised by an infinitesimal that
+    is larger for a point later in lexicographic ``(x, y)`` order.
+    Expanded along the lift column, the determinant gains one term per
+    point, its infinitesimal times the orientation of the other three
+    (signed as the cofactor), so the lexicographically last point with
+    a non-zero cofactor decides.  The answer depends on the coordinates
+    alone, never on labels or insertion order, and it is that of one
+    consistent lifting: a Delaunay triangulation under it is unique.
+    Orientation itself is not perturbed.  Returns 0 only when all four
+    points are collinear.
+    """
+    pts = (a, b, c, d)
+    triples = _cofactor_triples(*pts)
+    for i in sorted(range(4), key=lambda i: (pts[i][0], pts[i][1]), reverse=True):
+        p, q, r = triples[i]
+        sign = _exact_orient_row(p[0], p[1], q[0], q[1], r[0], r[1])
+        if sign:
+            return sign
+    return 0
+
+
+def _cofactor_triples(a, b, c, d):
+    """Per point of ``(a, b, c, d)``, the triple whose orientation is
+    its signed cofactor in the lift column of the in-circle determinant."""
+    return ((d, b, c), (a, d, c), (a, b, d), (a, c, b))
+
+
+def incircle_perturbed_batch(ax, ay, bx, by, cx, cy, dx, dy):
+    """Elementwise :func:`incircle_perturbed` over coordinate arrays.
+
+    The cofactor orientations are adaptively exact
+    (:func:`orient_signs_batch`); each row's lexicographic ranks pick
+    the first non-zero one.  Returns an int8 array of signs.
+    """
+    from repro.core.compat import np
+
+    pts = ((ax, ay), (bx, by), (cx, cy), (dx, dy))
+    cof = np.stack([
+        orient_signs_batch(*p, *q, *r)[0] for p, q, r in _cofactor_triples(*pts)
+    ])
+    # rank[i]: how many of the other three points precede point i.
+    rank = np.zeros(cof.shape, dtype=np.int8)
+    for i in range(4):
+        for j in range(i):
+            (px, py), (qx, qy) = pts[i], pts[j]
+            later = (px > qx) | ((px == qx) & (py > qy))
+            rank[i] += later
+            rank[j] += ~later
+    ranked = np.take_along_axis(cof, np.argsort(-rank, axis=0, kind="stable"), axis=0)
+    first = np.argmax(ranked != 0, axis=0)
+    return np.take_along_axis(ranked, first[None], axis=0)[0]
 
 
 def segments_cross_batch(px1, py1, qx1, qy1, px2, py2, qx2, qy2, mask=None):

@@ -7,9 +7,9 @@ incremental Bowyer–Watson scheme here is O(m^2) per call, which is far
 below the cost of anything else in the pipeline at those sizes, and is
 cross-validated against :mod:`scipy.spatial` in the test suite.  The
 SoA construction core needs only each node's own star and takes it
-directly (:func:`delaunay_stars_by_inversion`); the queries that kernel
-routes run the lockstep batch (:func:`delaunay_stars_batch`), and the
-ones the lockstep cannot mirror this scalar :func:`delaunay`.
+directly (:func:`delaunay_stars_by_inversion`); the only queries that
+kernel leaves to this scalar :func:`delaunay` hold duplicate
+coordinates or a far circumcircle.
 
 Robustness: the cavity in-circle test is **adaptively exact** — the
 fast float determinant decides whenever its magnitude exceeds a
@@ -18,8 +18,12 @@ exactly (:class:`fractions.Fraction` for orientation, Python integers
 for the in-circle sign; both exact for any float input).  That is
 what keeps degenerate inputs correct: collinear runs of points, exact
 cocircular quadruples (grid deployments are full of both), and points
-landing exactly on existing edges.  Exactly-cocircular point sets are
-re-triangulated with an arbitrary but deterministic diagonal.
+landing exactly on existing edges.  Exactly cocircular points have no
+unique Delaunay triangulation; one tie rule, a symbolic perturbation in
+lexicographic order
+(:func:`~repro.geometry.predicates.incircle_perturbed`), picks the
+triangulation here and in the star kernel alike, so it depends on the
+coordinates alone and not on node labels.
 
 Degenerate inputs are handled explicitly:
 
@@ -40,6 +44,7 @@ from repro.geometry.predicates import (
     INCIRCLE_UNDERFLOW,
     Orientation,
     _exact_incircle_row,
+    incircle_perturbed,
     orientation,
     orientation_value,
 )
@@ -121,11 +126,15 @@ def _orient_sign(a: Point, b: Point, c: Point) -> int:
 
 
 def _in_circumcircle(a: Point, b: Point, c: Point, d: Point, orient: int | None = None) -> bool:
-    """Whether ``d`` is inside (or exactly on) the circumcircle of ``abc``.
+    """Whether ``d`` is inside the circumcircle of ``abc``, ties perturbed.
 
-    Boundary-inclusive on purpose: a point exactly on an existing edge
-    or cocircular with a triangle must open every adjacent triangle so
-    the Bowyer–Watson cavity stays correct.  The float determinant
+    A cocircular ``d`` (exact sign 0) is decided by the global tie rule,
+    :func:`~repro.geometry.predicates.incircle_perturbed`, so the
+    triangulation of a cocircular point set is the one Delaunay
+    triangulation of the perturbed lifting, whatever the insertion
+    order.  (A point exactly on an existing edge is strictly inside the
+    circumcircles of both triangles at that edge, so it needs no
+    special case: it opens both.)  The float determinant
     decides when it exceeds a forward-error bound (the summed term
     magnitudes scaled by a safe multiple of machine epsilon); only
     borderline cases pay for exact arithmetic.
@@ -162,7 +171,7 @@ def _in_circumcircle(a: Point, b: Point, c: Point, d: Point, orient: int | None 
     else:
         det_sign = _incircle_sign_exact(a, b, c, d)
     if det_sign == 0:
-        return True  # exactly cocircular: boundary-inclusive
+        det_sign = incircle_perturbed(a, b, c, d)
     return det_sign == orient
 
 
@@ -240,45 +249,17 @@ def _triangle_record(
     return (tri, orient, a[0] + ux, a[1] + uy, r_sq - band, r_sq + band)
 
 
-# -- batched lockstep Bowyer–Watson (SoA construction core) -------------------
-#
-# The localized Delaunay candidate generation runs one small Bowyer–
-# Watson per node.  The batch below runs *all* of them in lockstep: a
-# flat pool of triangle records tagged by owning query, one vectorized
-# cavity scan per insertion step t (every query inserts its t-th local
-# point simultaneously), vectorized boundary-edge extraction, and
-# vectorized creation of the replacement records.
-#
-# Bit-identity with :func:`delaunay` holds by construction:
-#
-# * insertion order is the caller's member order (ascending global id,
-#   exactly the order ``_node_candidates`` passes to ``delaunay``);
-# * every per-record quantity (_triangle_record's orientation sign,
-#   circumcenter, near/far bands) is computed with the same float
-#   expressions elementwise — numpy float64 arithmetic is IEEE-
-#   identical to the scalar code — and ambiguous rows go to the same
-#   exact predicates;
-# * the cavity classification, boundary counting and replacement rule
-#   are pure combinatorics on identical predicate outcomes.
-#
-# Queries the lockstep cannot mirror exactly are *routed to the scalar
-# path* instead of approximated: point sets with duplicate coordinates
-# (the scalar code deduplicates and remaps indices) and the
-# never-expected empty-cavity anomaly.  All-collinear queries produce
-# no triangles on either path and are simply skipped.
-
-
 @dataclass
 class StarBatchResult:
-    """Output of :func:`delaunay_stars_batch` and :func:`delaunay_stars_by_inversion`.
+    """Output of :func:`delaunay_stars_by_inversion`.
 
     ``owner[i]`` is the query index of row ``i`` of ``tris``; triangle
     vertices are ascending *local* indices into the query's member
-    list.  ``fallback`` lists query indices the kernel did not decide:
-    the caller runs the inversion kernel's through
-    :func:`delaunay_stars_batch` and the lockstep's through the scalar
-    :func:`delaunay` path.  ``rescues`` counts the in-circle rows the
-    inversion kernel's float filter deferred to the exact test.
+    list.  ``fallback`` lists the query indices the kernel did not
+    decide (duplicate coordinates and far circles); the caller runs
+    them through the scalar :func:`delaunay`.  ``rescues`` counts the
+    in-circle rows the kernel's float filter deferred to the exact
+    test.
     """
 
     owner: object
@@ -308,273 +289,23 @@ def _noncollinear_queries(np, flat_x, flat_y, base, owner_flat, pos_in_seg):
     return out
 
 
-def _records_batch(np, ax, ay, bx, by, cx, cy):
-    """Elementwise :func:`_triangle_record` over coordinate arrays.
-
-    Returns ``(orient, ccx, ccy, near, far)`` with exactly the scalar
-    encoding: degenerate rows ``(near, far) = (-1, inf)``, slivers
-    ``(-1, -1)``, well-conditioned rows carry the banded circumcenter.
-    Ambiguous orientation rows use the exact Fraction predicate.
-    """
-    from repro.geometry.predicates import _exact_orient_row
-
-    rbx, rby = bx - ax, by - ay
-    rcx, rcy = cx - ax, cy - ay
-    det = rbx * rcy - rby * rcx
-    abs_det = np.abs(det)
-    lb = np.maximum(np.abs(rbx), np.abs(rby))
-    lc = np.maximum(np.abs(rcx), np.abs(rcy))
-    scale = np.maximum(np.maximum(lb, lc), 1e-300)
-    orient = np.where(det > 0.0, 1, -1).astype(np.int8)
-    for row in np.nonzero(~(abs_det > 1e-12 * scale * scale))[0]:
-        orient[row] = _exact_orient_row(
-            ax[row], ay[row], bx[row], by[row], cx[row], cy[row]
-        )
-    degen = orient == 0
-    ok = ~degen & (abs_det > _PREFILTER_COND * lb * lc)
-    d_safe = np.where(ok, 2.0 * det, 1.0)
-    b2 = rbx * rbx + rby * rby
-    c2 = rcx * rcx + rcy * rcy
-    ux = (rcy * b2 - rby * c2) / d_safe
-    uy = (rbx * c2 - rcx * b2) / d_safe
-    r_sq = ux * ux + uy * uy
-    abs_det_safe = np.where(ok, abs_det, 1.0)
-    center_err = _EPS * lb * lc * (lb + lc) / (2.0 * abs_det_safe)
-    band = _PREFILTER_SAFETY * (
-        2.0 * np.sqrt(r_sq) * center_err + 4.0 * _EPS * r_sq
-    )
-    ccx = np.where(ok, ax + ux, 0.0)
-    ccy = np.where(ok, ay + uy, 0.0)
-    near = np.where(ok, r_sq - band, -1.0)
-    far = np.where(ok, r_sq + band, np.where(degen, np.inf, -1.0))
-    return orient, ccx, ccy, near, far
-
-
-def delaunay_stars_batch(xs, ys, members_indptr, members_flat):
-    """Lockstep Bowyer–Watson over many small point sets at once.
-
-    ``xs``/``ys`` are global coordinate arrays; query ``q``'s member
-    list (ascending global ids, at least 3 entries) is
-    ``members_flat[members_indptr[q]:members_indptr[q+1]]``.
-    Returns a :class:`StarBatchResult` (triangles as local index
-    triples, bit-identical to per-query :func:`delaunay` calls), or
-    ``None`` when numpy is masked out.
-    """
-    from repro.core.compat import get_numpy
-    from repro.geometry.predicates import incircle_signs_batch
-
-    np = get_numpy()
-    if np is None:
-        return None
-    base = members_indptr[:-1]
-    m = (members_indptr[1:] - base).astype(np.int64)
-    B = int(m.shape[0])
-    empty = np.zeros(0, dtype=np.int64)
-    if B == 0:
-        return StarBatchResult(empty, empty.reshape(0, 3), empty)
-    total = int(members_indptr[-1])
-    flat_x = xs[members_flat]
-    flat_y = ys[members_flat]
-    owner_flat = np.repeat(np.arange(B), m)
-
-    # Queries containing duplicate coordinates go to the scalar path:
-    # the scalar triangulator deduplicates and remaps indices, which
-    # the lockstep deliberately does not mirror.
-    order = np.lexsort((flat_y, flat_x, owner_flat))
-    so, sx, sy = owner_flat[order], flat_x[order], flat_y[order]
-    same = (so[1:] == so[:-1]) & (sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])
-    dup_q = np.zeros(B, dtype=bool)
-    dup_q[so[1:][same]] = True
-
-    pos_in_seg = np.arange(total) - base[owner_flat]
-    eligible = _noncollinear_queries(np, flat_x, flat_y, base, owner_flat, pos_in_seg)
-    eligible &= ~dup_q
-    failed = np.zeros(B, dtype=bool)
-    q_ids = np.nonzero(eligible)[0]
-    if q_ids.shape[0] == 0:
-        return StarBatchResult(
-            empty, empty.reshape(0, 3), np.nonzero(dup_q)[0].astype(np.int64)
-        )
-
-    # Super-triangle vertices, per query (same formulas as delaunay()).
-    min_x = np.minimum.reduceat(flat_x, base)
-    max_x = np.maximum.reduceat(flat_x, base)
-    min_y = np.minimum.reduceat(flat_y, base)
-    max_y = np.maximum.reduceat(flat_y, base)
-    span = np.maximum(np.maximum(max_x - min_x, max_y - min_y), 1.0)
-    scx = (min_x + max_x) / 2.0
-    scy = (min_y + max_y) / 2.0
-    margin = 1e9 * span
-    sup_x = np.stack([scx - margin, scx + margin, scx])
-    sup_y = np.stack([scy - margin / 2.0, scy - margin / 2.0, scy + margin])
-
-    # Extended per-query vertex table: local slots ``0..m-1`` hold the
-    # member coordinates, ``m..m+2`` the super-triangle vertices (the
-    # same layout the scalar triangulator uses, so triple sorting
-    # behaves identically).  Contiguous layout makes every local-index
-    # lookup a single fancy index instead of a branchy where().
-    ext_base = base + 3 * np.arange(B)
-    ext_x = np.empty(total + 3 * B)
-    ext_y = np.empty(total + 3 * B)
-    pos_ext = ext_base[owner_flat] + pos_in_seg
-    ext_x[pos_ext] = flat_x
-    ext_y[pos_ext] = flat_y
-    sup_pos = ext_base + m
-    for s in range(3):
-        ext_x[sup_pos + s] = sup_x[s]
-        ext_y[sup_pos + s] = sup_y[s]
-
-    def vert(q, i):
-        p = ext_base[q] + i
-        return ext_x[p], ext_y[p]
-
-    # The flat record pool, seeded with each query's super triangle.
-    rec_node = q_ids.astype(np.int64)
-    tri_a, tri_b, tri_c = m[q_ids], m[q_ids] + 1, m[q_ids] + 2
-    orient, ccx, ccy, near, far = _records_batch(
-        np, sup_x[0, q_ids], sup_y[0, q_ids],
-        sup_x[1, q_ids], sup_y[1, q_ids],
-        sup_x[2, q_ids], sup_y[2, q_ids],
-    )
-
-    alive_q = eligible.copy()
-    max_m = int(m[q_ids].max())
-    S = max_m + 3  # collision-free stride for (query, a, b) edge keys
-    out_owner: list = []
-    out_abc: list = []
-
-    def extract(fin_mask):
-        rows = fin_mask[rec_node]
-        if not rows.any():
-            return
-        real = rows & (tri_c < m[rec_node])
-        if real.any():
-            out_owner.append(rec_node[real].copy())
-            out_abc.append(
-                np.stack([tri_a[real], tri_b[real], tri_c[real]], axis=1)
-            )
-
-    for t in range(max_m):
-        fin = alive_q & (m == t)
-        if fin.any():
-            extract(fin)
-            alive_q &= ~fin
-        act = alive_q & (m > t)
-        keep = act[rec_node]
-        if not keep.all():
-            rec_node = rec_node[keep]
-            tri_a, tri_b, tri_c = tri_a[keep], tri_b[keep], tri_c[keep]
-            orient = orient[keep]
-            ccx, ccy, near, far = ccx[keep], ccy[keep], near[keep], far[keep]
-        if rec_node.shape[0] == 0:
-            break
-
-        # Active records satisfy m > t, so slot t is a real member.
-        p_t = ext_base[rec_node] + t
-        px_r, py_r = ext_x[p_t], ext_y[p_t]
-
-        # Cavity classification: the same three-regime scan as the
-        # scalar loop (prefilter bands / degenerate / full test).
-        dx = px_r - ccx
-        dy = py_r - ccy
-        d_sq = dx * dx + dy * dy
-        has_band = near >= 0.0
-        sure_out = has_band & (d_sq > far)
-        sure_in = has_band & (d_sq < near)
-        degen = ~has_band & (far > 0.0)
-        needs = ~(sure_out | sure_in | degen)
-        bad = sure_in
-        if needs.any():
-            rows = np.nonzero(needs)[0]
-            q_r = rec_node[rows]
-            avx, avy = vert(q_r, tri_a[rows])
-            bvx, bvy = vert(q_r, tri_b[rows])
-            cvx, cvy = vert(q_r, tri_c[rows])
-            signs, _ = incircle_signs_batch(
-                avx, avy, bvx, bvy, cvx, cvy, px_r[rows], py_r[rows]
-            )
-            inside = (signs == 0) | (signs == orient[rows])
-            bad = bad.copy()
-            bad[rows[inside]] = True
-
-        # Empty cavity: exact predicates place every point inside the
-        # super triangle, so this only fires on corrupt input — route
-        # the query to the scalar path, which raises coherently.
-        bad_counts = np.bincount(rec_node[bad], minlength=B)
-        act_ids = np.nonzero(act)[0]
-        broken = act_ids[bad_counts[act_ids] == 0]
-        if broken.shape[0]:
-            failed[broken] = True
-            alive_q[broken] = False
-            bad = bad & alive_q[rec_node]
-
-        # Cavity boundary: edges appearing in exactly one bad triangle.
-        bn = rec_node[bad]
-        ba, bb, bc = tri_a[bad], tri_b[bad], tri_c[bad]
-        e1 = np.concatenate([ba, bb, ba])
-        e2 = np.concatenate([bb, bc, bc])
-        en = np.concatenate([bn, bn, bn])
-        keys = (en * S + e1) * S + e2
-        keys.sort()
-        single = np.ones(keys.shape[0], dtype=bool)
-        single[1:] &= keys[1:] != keys[:-1]
-        single[:-1] &= keys[:-1] != keys[1:]
-        bkeys = keys[single]
-        bq = bkeys // (S * S)
-        rem = bkeys - bq * (S * S)
-        ea = rem // S
-        eb = rem - ea * S
-
-        # Replacement triangles (vi=t, a, b) as sorted triples.
-        t_arr = np.full(bq.shape, t, dtype=np.int64)
-        first = np.where(t_arr < ea, t_arr, ea)
-        second = np.where(t_arr < ea, ea, np.where(t_arr < eb, t_arr, eb))
-        third = np.where(t_arr < eb, eb, t_arr)
-        nax, nay = vert(bq, first)
-        nbx, nby = vert(bq, second)
-        ncx, ncy = vert(bq, third)
-        n_orient, n_ccx, n_ccy, n_near, n_far = _records_batch(
-            np, nax, nay, nbx, nby, ncx, ncy
-        )
-        ok_new = n_orient != 0  # vp collinear with the edge: no triangle
-
-        keep = ~bad
-        rec_node = np.concatenate([rec_node[keep], bq[ok_new]])
-        tri_a = np.concatenate([tri_a[keep], first[ok_new]])
-        tri_b = np.concatenate([tri_b[keep], second[ok_new]])
-        tri_c = np.concatenate([tri_c[keep], third[ok_new]])
-        orient = np.concatenate([orient[keep], n_orient[ok_new]])
-        ccx = np.concatenate([ccx[keep], n_ccx[ok_new]])
-        ccy = np.concatenate([ccy[keep], n_ccy[ok_new]])
-        near = np.concatenate([near[keep], n_near[ok_new]])
-        far = np.concatenate([far[keep], n_far[ok_new]])
-
-    extract(alive_q)
-
-    fallback = np.nonzero(dup_q | failed)[0].astype(np.int64)
-    if out_owner:
-        owner = np.concatenate(out_owner)
-        tris = np.concatenate(out_abc, axis=0)
-    else:
-        owner, tris = empty, empty.reshape(0, 3)
-    return StarBatchResult(owner, tris, fallback)
-
-
 # -- Delaunay stars by inversion ----------------------------------------------
 #
 # Algorithm 2 uses only the proposer's own star in Del(N_1(u)), so the
 # kernel below finds that star directly, in O(deg) predicates per
 # round instead of triangulating the whole neighbourhood.  It decides
-# only general-position queries; the rest go to the lockstep above.
+# every query but those with duplicate coordinates or a far circle,
+# which go to the scalar triangulator.
 
-#: Angular gaps within this many radians of 0 or pi (duplicate
-#: coordinates, collinear rays through the center) are ties.
+#: Float angles closer than this (or an angular gap this close to pi)
+#: are re-decided by exact orientation signs.  It is far above the
+#: error of ``arctan2`` (a few units of roundoff).
 _STAR_ANGLE_TIE = 1e-9
 
 #: Star triangles whose circumradius exceeds this multiple of the
-#: query's extent (at least 1) are routed.  The lockstep's super
-#: triangle sits 1e9 such extents out, so it keeps every Delaunay
-#: triangle below this bound.
+#: query's extent (at least 1) are routed.  The scalar triangulator's
+#: super triangle sits 1e9 such extents out, so it keeps every
+#: Delaunay triangle below this bound.
 _STAR_MAX_RADIUS = 1e6
 
 #: Queries per call of the inversion kernel.  Its angular sort key
@@ -622,10 +353,11 @@ def _reflex_signs(np, inv, ux, uy, vx, vy, own, p, w, n):
     ``n`` index ``vx``/``vy``/``inv``, and ``own`` maps them to their
     center in ``ux``/``uy``.  Rows the filter cannot decide take
     :func:`~repro.geometry.predicates.incircle_signs_batch`, so every
-    sign, zeros included, is that function's (see
-    :func:`delaunay_stars_by_inversion` for the bound).
+    sign is the exact one (see :func:`delaunay_stars_by_inversion` for
+    the bound), and the exact zeros take the tie rule,
+    :func:`~repro.geometry.predicates.incircle_perturbed_batch`.
     """
-    from repro.geometry.predicates import incircle_signs_batch
+    from repro.geometry.predicates import incircle_perturbed_batch, incircle_signs_batch
 
     ix, iy, norm = inv
     px, py, pn = ix[p], iy[p], norm[p]
@@ -638,22 +370,78 @@ def _reflex_signs(np, inv, ux, uy, vx, vy, own, p, w, n):
     if exact.shape[0]:
         pe, we, ne = p[exact], w[exact], n[exact]
         qe = own[we]
-        signs[exact], _ = incircle_signs_batch(
-            ux[qe], uy[qe], vx[pe], vy[pe], vx[we], vy[we], vx[ne], vy[ne]
-        )
+        cols = (ux[qe], uy[qe], vx[pe], vy[pe], vx[we], vy[we], vx[ne], vy[ne])
+        exact_signs, _ = incircle_signs_batch(*cols)
+        tied = np.nonzero(exact_signs == 0)[0]
+        if tied.shape[0]:
+            exact_signs[tied] = incircle_perturbed_batch(*(c[tied] for c in cols))
+        signs[exact] = exact_signs
     return signs, int(exact.shape[0])
+
+
+def _ray_order(np, own, ux, uy, vx, vy, ang):
+    """Exact angular order where float angles tie, and one entry per ray.
+
+    The entries are sorted by float angle within each query's group.
+    Each run of entries whose angles lie within ``_STAR_ANGLE_TIE`` of
+    the next spans a sliver of angle, where ``orient(u, v, w) > 0``
+    exactly when ``w`` follows ``v``, so the run is re-ranked by those
+    signs.  Of the entries on one ray through ``u`` (sign 0), only the
+    nearest is kept: every circle through ``u`` and a farther one holds
+    the nearer strictly inside, so a farther one is never a star vertex.
+    Returns the kept entries' indices in exact order and the groups
+    holding two entries with equal coordinates, or ``None`` when no
+    angles tie.
+    """
+    from repro.geometry.predicates import orient_signs_batch
+
+    N = own.shape[0]
+    near = (ang[1:] - ang[:-1] < _STAR_ANGLE_TIE) & (own[1:] == own[:-1])
+    if not near.any():
+        return None
+    member = np.zeros(N, dtype=bool)
+    member[:-1] = near
+    member[1:] |= near
+    start = member.copy()
+    start[1:] &= ~near
+    e = np.nonzero(member)[0]
+    run = np.cumsum(start)[e] - 1
+    first = np.nonzero(start)[0][run]
+    # Every ordered pair (i, j) of distinct entries of one run.
+    k = np.bincount(run)[run]
+    i = np.repeat(e, k)
+    j = np.repeat(first, k) + np.arange(i.shape[0]) - np.repeat(np.cumsum(k) - k, k)
+    i, j = i[i != j], j[i != j]
+    q = own[i]
+    sign, _ = orient_signs_batch(ux[q], uy[q], vx[j], vy[j], vx[i], vy[i])
+    same = sign == 0
+    rank = np.bincount(i[(sign > 0) | (same & (j < i))], minlength=N)
+    order = np.arange(N)
+    order[first + rank[e]] = e
+    i, j, q = i[same], j[same], q[same]
+    out = np.sign(vx[i] - ux[q])
+    farther = np.where(
+        out != 0,
+        np.sign(vx[i] - vx[j]) == out,
+        np.sign(vy[i] - vy[j]) == np.sign(vy[i] - uy[q]),
+    )
+    keep = np.ones(N, dtype=bool)
+    keep[i[farther]] = False
+    dup = (vx[i] == vx[j]) & (vy[i] == vy[j])
+    return order[keep[order]], own[i[dup]]
 
 
 def delaunay_stars_by_inversion(xs, ys, members_indptr, members_flat, center):
     """The triangles of ``Del(members)`` at one member, for many queries.
 
-    Query ``q``'s point set is laid out as in
-    :func:`delaunay_stars_batch`; ``center[q]`` is the local index of
-    its star's center ``u``.  Returns a :class:`StarBatchResult`
-    holding, for every query the kernel decides, exactly the triangles
-    incident on ``u`` that :func:`delaunay` returns.  ``fallback``
-    lists the queries it routes to :func:`delaunay_stars_batch`.
-    Returns ``None`` when numpy is masked out.  One call takes at most
+    ``xs``/``ys`` are global coordinate arrays; query ``q``'s member
+    list (at least 3 entries) is
+    ``members_flat[members_indptr[q]:members_indptr[q+1]]``, and
+    ``center[q]`` is the local index of its star's center ``u``.
+    Returns a :class:`StarBatchResult` holding, for every query the
+    kernel decides, exactly the triangles incident on ``u`` that
+    :func:`delaunay` returns; ``fallback`` lists the rest.  Returns
+    ``None`` when numpy is masked out.  One call takes at most
     ``_STAR_MAX_QUERIES`` queries.
 
     Why it is exact: inversion about ``u``, ``x' = (x - u) / |x - u|^2``,
@@ -667,11 +455,16 @@ def delaunay_stars_by_inversion(xs, ys, members_indptr, members_flat, center):
     Graham-style scan over the neighbours sorted by angle (one sort of
     the key ``owner * 8 + angle``: owners sit 8 > 2 pi apart, and the
     key's spacing is below ``_STAR_ANGLE_TIE``, so it can only swap
-    angles that are tied either way):
+    angles that the exact ordering below re-decides anyway):
 
-    1. If one angular gap exceeds pi, ``u`` is on the hull, the star is
-       an open chain and its two end points (``u``'s hull neighbours)
-       stay fixed; otherwise the star is a cycle.
+    0. Angles within ``_STAR_ANGLE_TIE`` of each other are ordered by
+       exact orientation signs, and of the neighbours on one ray only
+       the nearest stays (:func:`_ray_order`).
+    1. If one angular gap is at least pi (exactly, by orientation sign
+       where the float gap is within ``_STAR_ANGLE_TIE`` of pi), ``u``
+       is on the hull, the star is an open chain and its two end points
+       (``u``'s hull neighbours) stay fixed; otherwise the star is a
+       cycle.
     2. Each neighbour keeps ``prv``/``nxt`` links to its current
        angular neighbours.  Every vertex ``w`` whose inverted image is
        reflex between its neighbours ``p`` and ``n`` (for a wedge under
@@ -703,21 +496,26 @@ def delaunay_stars_by_inversion(xs, ys, members_indptr, members_flat, center):
     which covers underflow) therefore has the exact sign, never zero.
     Every other row, and every row touching a squared offset outside
     the ``_STAR_SAFE_MIN`` range (near-coincident or far points, whose
-    inverted coordinates are set to NaN), takes the exact-rescued
+    inverted coordinates are set to 0 with an infinite norm, so the
+    band is infinite), takes the exact-rescued
     :func:`~repro.geometry.predicates.incircle_signs_batch`, and
     ``rescues`` counts those rows.
 
-    A query leaves the kernel when the answer could differ from
-    :func:`delaunay`'s: an angular tie (a gap within
-    ``_STAR_ANGLE_TIE`` of 0 or pi, which covers duplicates and
-    collinear rays), an in-circle sign of exactly zero (cocircular
-    members, where the Delaunay triangulation is not unique), or a star
-    triangle with circumradius above ``_STAR_MAX_RADIUS`` extents,
-    near enough to the super triangle that the lockstep could drop it.
-    Queries :func:`delaunay` short-cuts as all-collinear yield nothing,
-    as there.
+    Cocircular members make an exact sign zero.  There the Delaunay
+    triangulation is not unique, and both this kernel and
+    :func:`delaunay` take the one tie rule,
+    :func:`~repro.geometry.predicates.incircle_perturbed`.  It raises
+    each lift by an infinitesimal, which moves every inverted point
+    along its own ray, so the angular order, and with it the scan,
+    stand as above.  A query leaves the kernel only when it holds two
+    members with equal coordinates (which :func:`delaunay` merges), or
+    when a star triangle's circumradius exceeds ``_STAR_MAX_RADIUS``
+    extents, near enough to the super triangle that :func:`delaunay`
+    could drop it.  Queries :func:`delaunay` short-cuts as
+    all-collinear yield nothing, as there.
     """
     from repro.core.compat import get_numpy
+    from repro.geometry.predicates import orient_signs_batch
 
     np = get_numpy()
     if np is None:
@@ -743,35 +541,43 @@ def delaunay_stars_by_inversion(xs, ys, members_indptr, members_flat, center):
     vx, vy = flat_x[nb], flat_y[nb]
     ux, uy = flat_x[base + center], flat_y[base + center]
     dx, dy = vx - ux[own], vy - uy[own]
-    ang = np.arctan2(dy, dx)
-    order = np.argsort(own * 8.0 + ang)
-    # own is grouped already; the sort permutes within each group.
-    loc, vx, vy, dx, dy, ang = (a[order] for a in (loc, vx, vy, dx, dy, ang))
-    # Cyclic links within each query's group of m - 1 neighbours.
-    N = own.shape[0]
-    idx = np.arange(N)
-    first = (base - np.arange(B))[m > 1]
-    last = first + m[m > 1] - 2
-    nxt, prv = idx + 1, idx - 1
-    nxt[last], prv[first] = first, last
-    gap = ang[nxt] - ang
-    gap[last] += 2.0 * math.pi
-    tie = (
-        (gap < _STAR_ANGLE_TIE)
-        | (np.abs(gap - math.pi) < _STAR_ANGLE_TIE)
-        | ((dx == 0.0) & (dy == 0.0))
-    )
-    routed = np.bincount(own[tie], minlength=B) > 0
-    decided &= ~routed
+    routed = np.zeros(B, dtype=bool)
+    routed[own[(dx == 0.0) & (dy == 0.0)]] = True
     extent = np.maximum(
         np.maximum.reduceat(np.maximum(np.abs(dx), np.abs(dy)), base - np.arange(B)),
         1.0,
     )
+    ang = np.arctan2(dy + 0.0, dx)  # + 0.0: a -0.0 offset sorts as +0.0
+    order = np.argsort(own * 8.0 + ang)
+    # own is grouped already; the sort permutes within each group.
+    loc, vx, vy, dx, dy, ang = (a[order] for a in (loc, vx, vy, dx, dy, ang))
+    ties = _ray_order(np, own, ux, uy, vx, vy, ang)
+    if ties is not None:
+        order, dup = ties
+        routed[dup] = True
+        own, loc, vx, vy, dx, dy, ang = (a[order] for a in (own, loc, vx, vy, dx, dy, ang))
+    decided &= ~routed
+    # Cyclic links within each query's group of kept neighbours.
+    N = own.shape[0]
+    idx = np.arange(N)
+    size = np.bincount(own, minlength=B)
+    last = np.cumsum(size)[size > 0] - 1
+    first = last - size[size > 0] + 1
+    nxt, prv = idx + 1, idx - 1
+    nxt[last], prv[first] = first, last
+    gap = ang[nxt] - ang
+    gap[last] += 2.0 * math.pi
+    # An open chain's gap of at least pi runs from its last vertex to
+    # its first.
+    chain_last = gap > math.pi
+    close = np.nonzero(np.abs(gap - math.pi) < _STAR_ANGLE_TIE)[0]
+    if close.shape[0]:
+        q, w = own[close], nxt[close]
+        sign, _ = orient_signs_batch(ux[q], uy[q], vx[close], vy[close], vx[w], vy[w])
+        chain_last[close] = sign <= 0
 
     inv = _inverted(np, dx, dy)
 
-    # An open chain's big gap runs from its last vertex to its first.
-    chain_last = gap > math.pi
     alive = decided[own]
     movable = alive & ~(chain_last | chain_last[prv])
     dirty = movable.copy()
@@ -782,13 +588,6 @@ def delaunay_stars_by_inversion(xs, ys, members_indptr, members_flat, center):
             break
         signs, rescued = _reflex_signs(np, inv, ux, uy, vx, vy, own, prv[w], w, nxt[w])
         rescues += rescued
-        if rescued:
-            tied = np.zeros(B, dtype=bool)
-            tied[own[w[signs == 0]]] = True
-            routed |= tied
-            alive &= ~tied[own]
-            movable &= alive
-            signs[tied[own[w]]] = 0
         # w is reflex: remove it, and splice each run of removed
         # vertices out between the nearest survivors on either side.
         # Those survivors are the next round's dirty set.
@@ -838,7 +637,10 @@ def delaunay(points: Sequence[Point]) -> Triangulation:
 
     Correct for degenerate inputs (collinear runs, cocircular
     quadruples) thanks to the adaptively exact predicates; cocircular
-    ties are broken deterministically.
+    ties follow the global tie rule
+    (:func:`~repro.geometry.predicates.incircle_perturbed`), so the
+    output depends on the coordinates, not on the order of ``points``
+    (up to the indices, which name the input positions).
     """
     # Callers on the hot path (the per-node local triangulations) pass
     # Point instances already; only re-wrap foreign coordinate pairs.

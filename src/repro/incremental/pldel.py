@@ -74,7 +74,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
 
 from repro import obs
 from repro.geometry.predicates import segments_cross
-from repro.geometry.primitives import Point, dist
+from repro.geometry.primitives import Point
 from repro.graphs.udg import UnitDiskGraph
 from repro.incremental.tiles import ACCEPTANCE_HALO, DynamicTileGrid
 from repro.topology.gabriel import gabriel_graph
@@ -436,13 +436,10 @@ class IncrementalPLDel:
 
         old_losers = self._crossing_losers
         if self._crossing or had_crossings:
-            pos = self.udg.positions
             pairs = [
                 (e, o) for e, others in self._crossing.items() for o in others if e < o
             ]
-            self._crossing_losers = degenerate_crossing_losers(
-                pairs, lambda u, v: dist(pos[u], pos[v])
-            )
+            self._crossing_losers = degenerate_crossing_losers(pairs, self.udg.positions)
         touched = set(was_live)
         touched.update(old_losers.symmetric_difference(self._crossing_losers))
         added: list[Edge] = []

@@ -30,6 +30,16 @@ protocol (paper Algorithms 2 and 3 verbatim) lives in
 :mod:`repro.protocols.ldel_protocol` and is tested to produce the same
 graph.
 
+Exactly cocircular nodes (grids) make ``Del(N_1(u))`` ambiguous.  One
+tie rule, the symbolic perturbation of
+:func:`repro.geometry.predicates.incircle_perturbed`, decides them in
+the scalar triangulator and in the star kernel alike, and the crossing
+tie-break keys on coordinates, so LDel^1 and PLDel depend on the
+positions alone, not on node labels.  The star kernel
+(:func:`~repro.geometry.triangulation.delaunay_stars_by_inversion`)
+decides every query but those with duplicate coordinates or a far
+circumcircle, which run :func:`_node_candidates`.
+
 Hot-path notes: each of the three functions picks its kernel itself.
 With numpy available it runs the vectorized SoA kernel, and triangles
 and decisions pass between the functions as (m, 3) arrays; otherwise
@@ -44,7 +54,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro import obs
 from repro.core.compat import get_numpy
@@ -212,10 +222,7 @@ def _soa_candidate_block(np, snap, pos, r_sq, qs):
     query node that proposed each row.
     """
     from repro.core.soa import gather_csr_rows
-    from repro.geometry.triangulation import (
-        delaunay_stars_batch,
-        delaunay_stars_by_inversion,
-    )
+    from repro.geometry.triangulation import delaunay_stars_by_inversion
 
     xs, ys = snap.xs, snap.ys
     owner_n, vals = gather_csr_rows(np, snap.indptr, snap.indices, qs)
@@ -233,28 +240,15 @@ def _soa_candidate_block(np, snap, pos, r_sq, qs):
     members_flat[np.arange(owner_n.shape[0]) + owner_n + ~below] = vals
     members_flat[base + iu] = qs
 
-    # Each query's star by inversion; ties go to the lockstep
-    # Bowyer–Watson, and its own fallbacks to _node_candidates.
+    # Each query's star by inversion; the kernel leaves only duplicate
+    # coordinates and far circles to _node_candidates.
     stars = delaunay_stars_by_inversion(xs, ys, indptr_q, members_flat, iu)
-    routed = stars.fallback
-    obs.count("construction.star_routed_queries", int(routed.shape[0]))
+    obs.count("construction.star_routed_queries", int(stars.fallback.shape[0]))
     obs.count("construction.star_exact_rescues", stars.rescues)
-    owners, star_tris = [stars.owner], [stars.tris]
-    fallback = routed
-    if routed.shape[0]:
-        sub_indptr = np.zeros(routed.shape[0] + 1, dtype=np.int64)
-        np.cumsum(m[routed], out=sub_indptr[1:])
-        _, sub_flat = gather_csr_rows(np, indptr_q, members_flat, routed)
-        res = delaunay_stars_batch(xs, ys, sub_indptr, sub_flat)
-        own = routed[res.owner]
-        inc = (res.tris == iu[own][:, None]).any(axis=1)
-        owners.append(own[inc])
-        star_tris.append(res.tris[inc])
-        fallback = routed[res.fallback]
-    own = np.concatenate(owners)
+    own = stars.owner
     parts, proposers = [], []
     if own.shape[0]:
-        tris = np.concatenate(star_tris, axis=0)
+        tris = stars.tris
         la, lb, lc = tris[:, 0], tris[:, 1], tris[:, 2]
         ga = members_flat[base[own] + la]
         gb = members_flat[base[own] + lb]
@@ -293,7 +287,7 @@ def _soa_candidate_block(np, snap, pos, r_sq, qs):
         parts.append(np.stack([ga[keep], gb[keep], gc[keep]], axis=1))
         proposers.append(u_arr[keep])
 
-    for q in fallback.tolist():
+    for q in stars.fallback.tolist():
         u = int(qs[q])
         local = members_flat[base[q]: indptr_q[q + 1]].tolist()
         tris = _node_candidates(pos, r_sq, u, local)
@@ -328,10 +322,9 @@ def _soa_proposals(udg: UnitDiskGraph, node_ids: Optional[Sequence[int]]):
     obs.count("construction.local_delaunay_calls", int((deg >= 2).sum()))
     eligible = queries[deg >= 2]  # m = deg + 1 >= 3
 
-    # Blocks by member count bound the star kernels' flat arrays and
-    # the routed lockstep's record pool.  A query gathers its m = deg + 1
-    # members and up to m - 1 star triangles of three corners each, so
-    # it counts 4 m entries.
+    # Blocks by member count bound the star kernel's flat arrays.  A
+    # query gathers its m = deg + 1 members and up to m - 1 star
+    # triangles of three corners each, so it counts 4 m entries.
     parts = [np.zeros((0, 3), dtype=np.int64)]
     proposers = [np.zeros(0, dtype=np.int64)]
     for block in row_blocks(np, 4 * (deg[deg >= 2] + 1)):
@@ -836,21 +829,31 @@ def _nearby_triangle_pairs(
 
 
 def degenerate_crossing_losers(
-    pairs: Iterable[tuple[Edge, Edge]], length: Callable[[int, int], float]
+    pairs: Iterable[tuple[Edge, Edge]], positions: Sequence[Point]
 ) -> set[Edge]:
     """The edges the degenerate-crossing tie-break removes.
 
-    ``pairs`` are crossing edge pairs, each ordered ``(e1, e2)`` with
-    ``e1 <= e2``.  They are taken in sorted order; a pair whose two
-    edges both still stand loses the edge with the lexicographically
-    larger ``(length, ids)``.  The result is a function of the pair
-    set alone.
+    ``pairs`` are crossing edge pairs.  Each edge's key is its length,
+    then its endpoints' coordinates, the lexicographically larger point
+    first, then its ids (which decide only between edges with equal
+    coordinates).  The pairs are taken in order of their keys; a pair
+    whose two edges both still stand loses the edge with the larger
+    key.  So the result depends on the coordinates, not on node labels,
+    and between two crossing diagonals of equal length it removes the
+    one through the lexicographically largest of their four endpoints:
+    the diagonal the Delaunay tie rule
+    (:func:`~repro.geometry.predicates.incircle_perturbed`) rejects.
     """
+
+    def key(edge: Edge) -> tuple:
+        p, q = positions[edge[0]], positions[edge[1]]
+        return (dist(p, q), max(p, q), min(p, q), edge)
+
     dead: set[Edge] = set()
-    for e1, e2 in sorted(pairs):
-        if e1 in dead or e2 in dead:
+    for k1, k2 in sorted(sorted((key(e1), key(e2))) for e1, e2 in pairs):
+        if k1[-1] in dead or k2[-1] in dead:
             continue  # already resolved via an earlier pair
-        dead.add(max((e1, e2), key=lambda e: (length(*e), e)))
+        dead.add(k2[-1])
     return dead
 
 
@@ -870,7 +873,7 @@ def resolve_degenerate_crossings(graph: Graph) -> Graph:
     end was processed with both edges present, which would have removed
     one of them.
 
-    Pairs are processed in sorted order so the outcome is a function of
+    Pairs are processed in key order so the outcome is a function of
     the edge *set* alone, not of set-iteration order.  When crossings
     chain (edge B crosses both A and C), which edges survive depends on
     processing order; sorting pins it down, which is what lets the
@@ -880,10 +883,8 @@ def resolve_degenerate_crossings(graph: Graph) -> Graph:
     enumerated; this graph-level form serves the message-passing LDel
     protocols and the scalar reference.
     """
-    pairs = [
-        (e1, e2) if e1 <= e2 else (e2, e1) for e1, e2 in crossing_pairs(graph)
-    ]
-    for loser in sorted(degenerate_crossing_losers(pairs, graph.edge_length)):
+    losers = degenerate_crossing_losers(crossing_pairs(graph), graph.positions)
+    for loser in sorted(losers):
         graph.remove_edge(*loser)
     return graph
 
@@ -937,10 +938,9 @@ def planarize_ldel1(
     alive[slot[:, ~removed]] = True
     live = alive[ci] & alive[cj]
     if live.any():
-        pos = udg.positions
         ends = (keys[ci[live]].tolist(), keys[cj[live]].tolist())
         pairs = [((a // n, a % n), (b // n, b % n)) for a, b in zip(*ends)]
-        losers = degenerate_crossing_losers(pairs, lambda u, v: dist(pos[u], pos[v]))
+        losers = degenerate_crossing_losers(pairs, udg.positions)
         alive[np.searchsorted(keys, pair_keys(np, n, losers))] = False
     graph = Graph.from_keys(udg.positions, keys[alive], name="PLDel")
     return LDelResult(graph=graph, triangles=rows[~removed], gabriel_edges=gabriel, k=1)

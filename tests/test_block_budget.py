@@ -52,17 +52,26 @@ def _hub():
 
 
 def _grid():
-    """An exact grid: every star is routed to the lockstep, and both
-    diagonals of each square pass the Gabriel test, so edges cross."""
+    """An exact grid: every star meets cocircular neighbours, which the
+    star kernel's exact rows and tie rule decide, and both diagonals of
+    each square pass the Gabriel test, so edges cross."""
     return UnitDiskGraph(
         [Point(c * 12.5, r * 12.5) for r in range(8) for c in range(8)], RADIUS
     )
+
+
+def _repeated():
+    """A small grid with two nodes placed twice: the stars that hold a
+    duplicate coordinate leave the kernel for the scalar reference."""
+    pts = [Point(c * 10.0, r * 10.0) for r in range(4) for c in range(4)]
+    return UnitDiskGraph(pts + [pts[5], pts[10]], RADIUS)
 
 
 SOURCES = {
     **{name: (lambda name=name: get_instance(name).udg()) for name in CORPUS},
     "hub": _hub,
     "grid": _grid,
+    "repeated": _repeated,
     "empty": lambda: UnitDiskGraph([], RADIUS),
     "one-node": lambda: UnitDiskGraph([Point(0.0, 0.0)], RADIUS),
     "one-edge": lambda: UnitDiskGraph([Point(0.0, 0.0), Point(10.0, 0.0)], RADIUS),
@@ -143,12 +152,13 @@ class TestBlockBoundaries:
 
     def test_sources_reach_every_kernel(self, reference):
         # The comparisons above mean something only if the kernels had
-        # rows to block: crossings, contested pairs, routed stars,
-        # quasi links.
+        # rows to block: crossings, contested pairs, exact star rows,
+        # routed stars, quasi links.
         assert reference("hub")["tris"].shape[0] > 0
         assert any(reference(name)["pairs"] for name in CORPUS)
         assert any(reference(name)["crossings"] for name in CORPUS)
-        assert reference("grid")["counts"]["construction.star_routed_queries"] > 0
+        assert reference("grid")["counts"]["construction.star_exact_rescues"] > 0
+        assert reference("repeated")["counts"]["construction.star_routed_queries"] > 0
         assert not get_instance("quasi-field").udg().adjacency_is_disk_rule
 
     @pytest.mark.parametrize("budget", [1, 7])

@@ -5,6 +5,7 @@ tests feed the library exactly the inputs that assumption excludes and
 check the documented guarantees still hold.
 """
 
+import itertools
 import random
 
 import pytest
@@ -53,9 +54,16 @@ class TestExactPredicates:
         square = (Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1))
         assert _incircle_sign_exact(*square) == 0
 
-    def test_in_circumcircle_boundary_inclusive(self):
-        # Exactly cocircular: counted inside so the cavity opens.
-        assert _in_circumcircle(Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1))
+    def test_in_circumcircle_cocircular_follows_the_tie_rule(self):
+        # Exactly cocircular: the perturbation decides, whatever the
+        # order of the triangle's corners.  The lexicographically last
+        # point, (1, 1), is outside every circle through the other
+        # three, and (0, 1) is inside the one through the rest.
+        a, b, c, d = Point(0, 0), Point(0, 1), Point(1, 0), Point(1, 1)
+        for tri in itertools.permutations((a, b, c)):
+            assert not _in_circumcircle(*tri, d)
+        for tri in itertools.permutations((a, c, d)):
+            assert _in_circumcircle(*tri, b)
 
     def test_in_circumcircle_degenerate_triangle_empty(self):
         assert not _in_circumcircle(
@@ -113,13 +121,18 @@ class TestResolveDegenerateCrossings:
         assert graph.has_edge(0, 1) != graph.has_edge(2, 3)
 
     def test_deterministic_loser(self):
-        # Equal lengths: the lexicographically larger edge loses.
+        # Equal lengths: the diagonal through the lexicographically
+        # largest endpoint, (2, 2), loses, whatever the node labels.
         g1 = self.crossing_graph()
         g2 = self.crossing_graph()
         resolve_degenerate_crossings(g1)
         resolve_degenerate_crossings(g2)
         assert g1.edge_set() == g2.edge_set()
-        assert g1.has_edge(0, 1)  # (0,1) < (2,3)
+        assert g1.has_edge(2, 3) and not g1.has_edge(0, 1)
+        pts = [Point(2, 2), Point(0, 0), Point(2, 0), Point(0, 2)]
+        relabeled = Graph(pts, [(0, 1), (2, 3), (1, 3), (0, 2)])
+        resolve_degenerate_crossings(relabeled)
+        assert relabeled.has_edge(2, 3) and not relabeled.has_edge(0, 1)
 
     def test_noop_on_planar_graph(self):
         pts = [Point(0, 0), Point(1, 0), Point(0.5, 1)]

@@ -2,18 +2,21 @@
 
 :func:`~repro.geometry.triangulation.delaunay_stars_by_inversion`
 promises, for every query it does not route, exactly the triangles
-``delaunay(points).triangles_of(center)`` returns.  Hypothesis drives
-it over the inputs most likely to break a hull scan: a center on the
-hull with neighbours exactly collinear through it (an angular gap of
-exactly pi), duplicate coordinates, all-collinear sets, nearly flat
+``delaunay(points).triangles_of(center)`` returns, and it routes only
+queries with duplicate coordinates or a far circumcircle.  Hypothesis
+drives it over the inputs most likely to break a hull scan: a center on
+the hull with neighbours exactly collinear through it (an angular gap
+of exactly pi), duplicate coordinates, exact lattices (cocircular
+quadruples and neighbours on one ray), all-collinear sets, nearly flat
 hull slivers and jittered grids.  The LDel^1 proposals that use the
 kernel are also held to the pure-Python reference on the same
 families, and the routed-query counter is held to zero on uniform
-clouds, so a kernel that quietly sends everything to the lockstep
-shows up here and not only in the benchmark.  The kernel's float
-reflex filter is held to the exact in-circle signs on near-cocircular,
-translated, rescaled, near-coincident and collinear quadruples, and its
-one-pass angular sort key to the tie band it relies on.
+clouds and exact grids, so a kernel that quietly sends queries to the
+scalar path shows up here and not only in the benchmark.  The kernel's
+float reflex filter is held to the exact in-circle signs (the tie rule
+where they are zero) on near-cocircular, translated, rescaled,
+near-coincident and collinear quadruples, and its one-pass angular sort
+key to the tie band its exact ordering relies on.
 """
 
 import math
@@ -28,7 +31,7 @@ from repro import obs
 from repro.core import compat
 from repro.core.compat import np
 from repro.core.soa import BLOCK_ENTRIES
-from repro.geometry.predicates import incircle_signs_batch
+from repro.geometry.predicates import incircle_perturbed_batch, incircle_signs_batch
 from repro.geometry.primitives import Point
 from repro.geometry.triangulation import (
     _STAR_ANGLE_TIE,
@@ -92,19 +95,24 @@ lattice = st.integers(-4, 4).map(lambda k: k * 5.0)
 )
 def test_center_on_hull_between_collinear_neighbours(left, right, above):
     # The center (0, 0) sits on the hull between (-left, 0) and
-    # (right, 0): its angular gap is exactly pi.
+    # (right, 0): its angular gap is exactly pi, an open chain the
+    # kernel decides.  Only a repeated point sends it elsewhere.
     pts = [(0.0, 0.0), (-left, 0.0), (right, 0.0)] + above
-    assert 0 in assert_stars_match(pts)
+    assert (0 in assert_stars_match(pts)) == (len(set(pts)) < len(pts))
     assert_proposals_match(pts)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(lattice, lattice), min_size=3, max_size=14))
 def test_duplicates_and_lattice_points(pts):
+    # Every query holds every point, so one repeated point routes them
+    # all; exact lattices without one (cocircular quadruples, several
+    # points on one ray) are decided throughout.
     routed = assert_stars_match(pts)
-    for q, p in enumerate(pts):
-        if pts.count(p) > 1:
-            assert q in routed  # a duplicate of the center is a tie
+    if len(set(pts)) < len(pts):
+        assert routed == set(range(len(pts)))
+    else:
+        assert not routed
     assert_proposals_match(pts)
 
 
@@ -132,7 +140,8 @@ def test_all_collinear_neighbourhoods(dx, dy, ts):
 )
 def test_nearly_flat_hull_slivers(ts, bumps, scale, extra):
     # Points a hair off a line: hull slivers whose circumradius dwarfs
-    # the neighbourhood, where the lockstep's super triangle matters.
+    # the neighbourhood, where the scalar triangulator's super triangle
+    # matters.
     pts = [(t, b * scale * (1.0 + abs(t))) for t, b in zip(ts, bumps)] + extra
     assert_stars_match(pts)
     assert_proposals_match(pts)
@@ -150,9 +159,10 @@ def test_grid_jittered_by_1e7(seed, k):
     assert_proposals_match(pts)
 
 
-def test_exact_grid_matches_and_routes():
+def test_exact_grid_matches_and_is_decided():
+    # Cocircular everywhere, and up to four points on one ray.
     pts = [(c * 12.5, r * 12.5) for r in range(5) for c in range(5)]
-    assert len(assert_stars_match(pts)) == len(pts)  # cocircular everywhere
+    assert not assert_stars_match(pts)
     assert_proposals_match(pts)
 
 
@@ -193,9 +203,12 @@ def test_no_routing_on_uniform_cloud():
     assert _star_counts(pts) == (0, 0)
 
 
-def test_exact_grid_is_routed():
+def test_exact_grid_is_decided():
+    # The cocircular rows take the exact test and the tie rule; no
+    # query leaves the kernel.
     pts = [(c * 12.5, r * 12.5) for r in range(8) for c in range(8)]
-    assert _star_counts(pts)[0] > 0
+    routed, rescues = _star_counts(pts)
+    assert routed == 0 and rescues > 0
 
 
 # -- the inverted-coordinate reflex filter ------------------------------------
@@ -212,15 +225,24 @@ def _filtered_signs(rows):
     return _reflex_signs(np, inv, ux, uy, vx, vy, own, q, q + k, q + 2 * k)
 
 
+def _exact_signs(rows):
+    """Exact in-circle signs of ``(u, p, w, n)`` rows, the tie rule's
+    where they are zero."""
+    cols = [
+        np.array([r[j][i] for r in rows], dtype=np.float64)
+        for j in range(4) for i in (0, 1)
+    ]
+    exact, _ = incircle_signs_batch(*cols)
+    tied = exact == 0
+    exact[tied] = incircle_perturbed_batch(*(c[tied] for c in cols))
+    return exact, tied
+
+
 def assert_filter_exact(rows):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         signs, _ = _filtered_signs(rows)
-        cols = [
-            np.array([r[j][i] for r in rows], dtype=np.float64)
-            for j in range(4) for i in (0, 1)
-        ]
-        exact, _ = incircle_signs_batch(*cols)
+        exact, _ = _exact_signs(rows)
     assert signs.tolist() == exact.tolist(), rows
 
 
@@ -289,12 +311,14 @@ def test_reflex_filter_signs_equal_exact_incircle(rows):
 
 
 def test_reflex_filter_defers_exact_circles():
-    # Every sign is zero; the float orientation is a rounding residue.
+    # Every exact sign is zero and the float orientation a rounding
+    # residue: each row is deferred, and the tie rule decides it.
     rows = [tuple(_CIRCLE_5[i:i + 4]) for i in range(len(_CIRCLE_5) - 3)]
     rows += [tuple((x + 1e6, y + 1e6) for x, y in r) for r in rows]
     signs, rescued = _filtered_signs(rows)
-    assert signs.tolist() == [0] * len(rows) and rescued == len(rows)
-    assert_filter_exact(rows)
+    exact, tied = _exact_signs(rows)
+    assert tied.all() and rescued == len(rows)
+    assert 0 not in signs.tolist() and signs.tolist() == exact.tolist()
 
 
 # -- the one-pass angular sort key ---------------------------------------------
@@ -309,10 +333,12 @@ def test_sort_key_spacing_stays_below_the_tie_band():
     assert np.spacing(8.0 * _STAR_MAX_QUERIES) < _STAR_ANGLE_TIE / 4
 
 
-def test_sort_key_routes_straddling_ties_like_a_two_pass_sort():
+def test_sort_key_straddling_ties_are_ordered_exactly():
     # One block at the budget's query count: every query has two
-    # neighbours 0.5e-9 (a tie) or 2e-9 (not a tie) apart in angle, the
-    # far one of which is reflex, and a third less than pi past them.
+    # neighbours 0.5e-9 (inside the tie band) or 2e-9 (outside) apart
+    # in angle, the far one of which is reflex, and a third less than
+    # pi past them.  Whichever way the sort key rounds, the exact
+    # ordering decides every query as the scalar triangulator does.
     B = BLOCK_ENTRIES // 16  # four members each
     rng = random.Random(11)
     pts = []
@@ -332,16 +358,10 @@ def test_sort_key_routes_straddling_ties_like_a_two_pass_sort():
     res = delaunay_stars_by_inversion(
         xs, ys, np.arange(B + 1) * 4, np.arange(4 * B), np.zeros(B, dtype=np.int64)
     )
-
-    # Reference: sort by angle, then stably by owner; the tie rule.
-    own = np.repeat(np.arange(B), 3)
-    nb = np.arange(4 * B)[np.arange(4 * B) % 4 != 0]
-    ang = np.arctan2(ys[nb] - ys[nb - nb % 4], xs[nb] - xs[nb - nb % 4])
-    order = np.argsort(ang)
-    order = order[np.argsort(own[order], kind="stable")]
-    ang = ang[order].reshape(B, 3)
-    gap = np.diff(np.concatenate([ang, ang[:, :1] + 2.0 * math.pi], axis=1), axis=1)
-    tie = (gap < _STAR_ANGLE_TIE) | (np.abs(gap - math.pi) < _STAR_ANGLE_TIE)
-    expected = set(np.nonzero(tie.any(axis=1))[0].tolist())
-    assert expected == set(range(1, B, 2))
-    assert set(res.fallback.tolist()) == expected
+    assert res.fallback.shape[0] == 0
+    found = {q: set() for q in range(B)}
+    for q, tri in zip(res.owner.tolist(), res.tris.tolist()):
+        found[q].add(tuple(tri))
+    for q in range(B):
+        local = [Point(float(x), float(y)) for x, y in pts[4 * q: 4 * q + 4]]
+        assert found[q] == set(delaunay(local).triangles_of(0)), q
